@@ -1,0 +1,55 @@
+"""Golden CLI outputs, compared byte for byte.
+
+``tests/golden/<name>.json`` holds, for each command it names, the exit code,
+standard output and standard error of ``wirtlab <command> <diagram>``.  The
+diagrams are the corpus plus the files in ``tests/golden/inputs``: two
+hand-built invalid diagrams and seeded random diagrams from the benchmark's
+generator (crosscheck shape, Verified or NoValidRegion, and one long diagram
+without ZvK).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from tests.conftest import all_corpus_stems, corpus_path
+from wirtlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+FLAGS = {
+    "validate": (),
+    "wirtinger": ("--format", "json"),
+    "extended": ("--format", "json"),
+    "zvk": ("--format", "json"),
+}
+NAMES = all_corpus_stems() + sorted(p.stem for p in INPUTS.glob("*.wd"))
+
+
+def diagram_path(name: str) -> Path:
+    path = INPUTS / (name + ".wd")
+    return path if path.exists() else corpus_path(name)
+
+
+def capture(command: str, path: Path) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *FLAGS[command]])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def render(name: str, commands) -> str:
+    """The golden file text for one diagram and the given commands."""
+    runs = {c: capture(c, diagram_path(name)) for c in commands}
+    return json.dumps(runs, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_outputs(name):
+    expected = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    assert render(name, json.loads(expected)) == expected
