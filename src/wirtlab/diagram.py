@@ -107,6 +107,9 @@ class Event:
         if self.top < 1:
             raise DiagramError("top rank must be >= 1")
 
+    def label(self) -> str:
+        return "%s at x=%s" % (type(self.kind).__name__.lower(), self.x)
+
 
 @dataclass(frozen=True)
 class CurveDiagram:
@@ -135,18 +138,6 @@ class CurveDiagram:
     def side_of(self, event: Event) -> str:
         return "left" if event.x < self.line_x else "right"
 
-    def events_on(self, side: str) -> list[Event]:
-        """Events on one side of L, ordered from L outward."""
-        if side == "left":
-            return sorted(
-                (e for e in self.events if e.x < self.line_x),
-                key=lambda e: e.x,
-                reverse=True,
-            )
-        return sorted(
-            (e for e in self.events if e.x > self.line_x), key=lambda e: e.x
-        )
-
 
 def event_action(diagram: CurveDiagram, event: Event) -> str:
     """'through', 'death' or 'birth' for the outward sweep from L."""
@@ -170,14 +161,11 @@ class Interval:
     edges: tuple[int, ...]  # live extended-edge ids, top to bottom
     strands: tuple[int, ...]  # persistent strand tokens, top to bottom
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(range(1, len(self.edges) + 1))
-
 
 @dataclass
 class EventRecord:
     index: int  # position in diagram.events
+    pos: int  # position among its side's events, from L outward
     event: Event
     side: str
     action: str  # through | death | birth
@@ -193,10 +181,6 @@ class EventRecord:
     @property
     def y_level(self) -> Fraction:
         return -(Fraction(self.top) + Fraction(self.size - 1, 2))
-
-    def label(self) -> str:
-        kind = type(self.event.kind).__name__.lower()
-        return "%s at x=%s" % (kind, self.event.x)
 
 
 class UnionFind:
@@ -229,18 +213,20 @@ class UnionFind:
 
 @dataclass
 class SweepResult:
+    """The outward sweep of one diagram.  Edges, faces, region B and the
+    presentations are all read off this one object."""
+
     diagram: CurveDiagram
     intervals: dict  # side -> list[Interval], ordered from L outward
     records: list[EventRecord]  # in diagram event order
+    outward: dict  # side -> list[EventRecord], ordered from L outward
     edge_count: int
     fiber_edges: tuple[int, ...]  # edge id of the rank-r strand at L
-    edge_events: dict  # edge id -> (inner event index | None, outer | None)
     tangency_merges: list[tuple[int, int]]  # extended-edge pairs
-    branch_merge: UnionFind  # edges connected along the curve
+    # edges connected along the curve, each class with the ranks at L among
+    # its edges, in order of the smallest edge id
+    clusters: list[tuple[list[int], list[int]]]
     violations: list[str]
-
-    def record_for(self, event: Event) -> EventRecord:
-        return self.records[self.diagram.events.index(event)]
 
 
 def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
@@ -256,24 +242,28 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     edge_counter = d
     strand_counter = d
     fiber_edges = tuple(range(1, d + 1))
-    edge_events: dict = {e: [None, None] for e in fiber_edges}
     branch = UnionFind()
-    for e in fiber_edges:
-        branch.add(e)
     tangency_merges: list[tuple[int, int]] = []
-    records_by_index: dict[int, EventRecord] = {}
     intervals: dict = {}
+    outward: dict = {}
+    # diagram.events is sorted by x, so each side's events are a run of it
+    n_left = sum(1 for e in diagram.events if e.x < diagram.line_x)
+    sides = (
+        ("left", range(n_left - 1, -1, -1)),
+        ("right", range(n_left, len(diagram.events))),
+    )
 
-    for side in ("left", "right"):
+    for side, order in sides:
         live_edges = list(fiber_edges)
         live_strands = list(range(1, d + 1))
         ivs: list[Interval] = []
+        recs: list[EventRecord] = []
         inner = diagram.line_x
-        for event in diagram.events_on(side):
+        for pos, idx in enumerate(order):
+            event = diagram.events[idx]
             ivs.append(
                 Interval(side, inner, event.x, tuple(live_edges), tuple(live_strands))
             )
-            idx = diagram.events.index(event)
             action = event_action(diagram, event)
             size = event.kind.size
             top = event.top
@@ -282,7 +272,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
             if not in_range:
                 violations.append(
                     "sweep: block [%d..%d] out of range among %d strands at %s"
-                    % (top, top + size - 1, n, _event_name(event))
+                    % (top, top + size - 1, n, event.label())
                 )
                 inner = event.x
                 continue
@@ -291,42 +281,31 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 new_strands = [strand_counter + 1, strand_counter + 2]
                 edge_counter += 2
                 strand_counter += 2
-                for e in new_edges:
-                    edge_events[e] = [idx, None]
-                    branch.add(e)
                 branch.union(new_edges[0], new_edges[1])
                 if isinstance(event.kind, Tangency):
                     tangency_merges.append((new_edges[0], new_edges[1]))
                 block_strands = tuple(new_strands)
                 live_edges[top - 1: top - 1] = new_edges
                 live_strands[top - 1: top - 1] = new_strands
-                records_by_index[idx] = EventRecord(
-                    idx, event, side, action, top, (), tuple(new_edges), block_strands
-                )
+                recs.append(EventRecord(
+                    idx, pos, event, side, action, top, (), tuple(new_edges), block_strands
+                ))
             elif action == "death":
                 block_edges = live_edges[top - 1: top - 1 + size]
                 block_strands = tuple(live_strands[top - 1: top - 1 + size])
-                for e in block_edges:
-                    _set_endpoint(edge_events, e, side, idx)
                 branch.union(block_edges[0], block_edges[1])
                 if isinstance(event.kind, Tangency):
                     tangency_merges.append((block_edges[0], block_edges[1]))
                 del live_edges[top - 1: top - 1 + size]
                 del live_strands[top - 1: top - 1 + size]
-                records_by_index[idx] = EventRecord(
-                    idx, event, side, action, top, tuple(block_edges), (), block_strands
-                )
+                recs.append(EventRecord(
+                    idx, pos, event, side, action, top, tuple(block_edges), (), block_strands
+                ))
             else:  # through
                 block_edges = live_edges[top - 1: top - 1 + size]
                 block_strands = list(live_strands[top - 1: top - 1 + size])
-                for e in block_edges:
-                    _set_endpoint(edge_events, e, side, idx)
                 new_edges = list(range(edge_counter + 1, edge_counter + 1 + size))
                 edge_counter += size
-                for e in new_edges:
-                    edge_events[e] = [None, None]
-                    _set_endpoint(edge_events, e, "left" if side == "right" else "right", idx)
-                    branch.add(e)
                 # far position i continues the line of near position pair(i)
                 if isinstance(event.kind, Ordinary):
                     pairing = list(reversed(range(size)))
@@ -340,8 +319,9 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                     far_strands[far_pos] = block_strands[near_pos]
                 live_edges[top - 1: top - 1 + size] = new_edges
                 live_strands[top - 1: top - 1 + size] = far_strands
-                records_by_index[idx] = EventRecord(
+                recs.append(EventRecord(
                     idx,
+                    pos,
                     event,
                     side,
                     "through",
@@ -349,36 +329,27 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                     tuple(block_edges),
                     tuple(new_edges),
                     tuple(block_strands),
-                )
+                ))
             inner = event.x
         ivs.append(Interval(side, inner, None, tuple(live_edges), tuple(live_strands)))
         intervals[side] = ivs
+        outward[side] = recs
 
-    records = [
-        records_by_index[i]
-        for i in range(len(diagram.events))
-        if i in records_by_index
-    ]
+    clusters: dict = {}
+    for e in range(1, edge_counter + 1):
+        clusters.setdefault(branch.find(e), []).append(e)
     return SweepResult(
         diagram,
         intervals,
-        records,
+        outward["left"][::-1] + outward["right"],
+        outward,
         edge_counter,
         fiber_edges,
-        edge_events,
         tangency_merges,
-        branch,
+        # the rank-r strand at L has edge id r
+        [(edges, [e for e in edges if e <= d]) for edges in clusters.values()],
         violations,
     )
-
-
-def _set_endpoint(edge_events: dict, edge: int, outward_side: str, idx: int) -> None:
-    slot = 1 if outward_side == "right" else 0
-    edge_events.setdefault(edge, [None, None])[slot] = idx
-
-
-def _event_name(event: Event) -> str:
-    return "%s at x=%s" % (type(event.kind).__name__.lower(), event.x)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +364,10 @@ class EdgeComplex:
     edge_component: dict  # extended edge id -> component name or None
 
 
-def derive_edges(diagram: CurveDiagram, sweep: SweepResult | None = None) -> EdgeComplex:
+def derive_edges(sw: SweepResult) -> EdgeComplex:
     """Extended edges are strand segments between consecutive incident
     events; E_C classes merge them across tangencies (vertical tangencies
     are not vertices of the curve)."""
-    sw = sweep if sweep is not None else sweep_ranks(diagram)
     ec = UnionFind()
     for e in range(1, sw.edge_count + 1):
         ec.add(e)
@@ -409,16 +379,11 @@ def derive_edges(diagram: CurveDiagram, sweep: SweepResult | None = None) -> Edg
     edge_class = {e: ec.find(e) for e in range(1, sw.edge_count + 1)}
 
     # component names from branch connectivity
-    comp: dict = {}
-    for e in range(1, sw.edge_count + 1):
-        root = sw.branch_merge.find(e)
-        comp.setdefault(root, set())
-    for rank, e in enumerate(sw.fiber_edges, start=1):
-        comp[sw.branch_merge.find(e)].add(diagram.components[rank - 1])
     edge_component = {}
-    for e in range(1, sw.edge_count + 1):
-        names = comp[sw.branch_merge.find(e)]
-        edge_component[e] = sorted(names)[0] if names else None
+    for edges, ranks in sw.clusters:
+        names = {sw.diagram.components[r - 1] for r in ranks}
+        for e in edges:
+            edge_component[e] = min(names) if names else None
     return EdgeComplex(sw, edge_class, classes, edge_component)
 
 
@@ -435,14 +400,14 @@ def validate_wirtinger_type(diagram: CurveDiagram) -> ValidationReport:
     """Structural Wirtinger-type checks: strand count matches degree, every
     event's block is in range, and branch connections never merge strands
     declared to lie on different components."""
-    sw = sweep_ranks(diagram)
+    return _validate(sweep_ranks(diagram))
+
+
+def _validate(sw: SweepResult) -> ValidationReport:
     violations = list(sw.violations)
     # component declarations must be consistent with branch connectivity
-    clusters: dict = {}
-    for rank, e in enumerate(sw.fiber_edges, start=1):
-        clusters.setdefault(sw.branch_merge.find(e), []).append(rank)
-    for ranks in clusters.values():
-        names = {diagram.components[r - 1] for r in ranks}
+    for _, ranks in sw.clusters:
+        names = {sw.diagram.components[r - 1] for r in ranks}
         if len(names) > 1:
             violations.append(
                 "components: strands %s are connected but declared as %s"
@@ -471,73 +436,39 @@ class Cut:
 
 @dataclass
 class FaceComplex:
-    diagram: CurveDiagram
     sweep: SweepResult
-    cuts: list[Cut]
+    cuts: list[Cut]  # the events and L, in x order
     slabs: list[Interval]  # slab i lies between cuts i-1 and i
     faces: dict  # fragment -> face id
     face_fragments: dict  # face id -> list of fragments
     bounded: dict  # face id -> bool
     glue_records: list[tuple[int, Fragment, Fragment]]  # (cut index, left, right)
 
-    def fragment_face(self, frag: Fragment) -> int:
-        return self.faces[frag]
 
-
-def _interval_for_slab(sw: SweepResult, lo: Fraction | None, hi: Fraction | None) -> Interval:
-    line_x = sw.diagram.line_x
-    if hi is not None and hi <= line_x:
-        side = "left"
-    elif lo is not None and lo >= line_x:
-        side = "right"
-    else:
-        # the slab containing L is split at L; handled by callers
-        raise AssertionError("slab spans L")
-    for iv in sw.intervals[side]:
-        if side == "left":
-            ilo, ihi = iv.outer_x, iv.inner_x
-        else:
-            ilo, ihi = iv.inner_x, iv.outer_x
-        if ilo == lo and ihi == hi:
-            return iv
-    raise AssertionError("no interval for slab (%s, %s)" % (lo, hi))
-
-
-def faces(diagram: CurveDiagram, sweep: SweepResult | None = None) -> FaceComplex:
+def faces(sw: SweepResult) -> FaceComplex:
     """Decompose the plane (clipped to a box) into faces of the complement
     of the curve plus L, by slab-gap fragments glued across cuts."""
-    sw = sweep if sweep is not None else sweep_ranks(diagram)
     if sw.violations:
         raise DiagramError("cannot build faces: " + "; ".join(sw.violations))
-    xs = sorted([e.x for e in diagram.events] + [diagram.line_x])
-    bounds = [None] + xs + [None]
-    slabs: list[Interval] = []
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        slabs.append(_interval_for_slab(sw, lo, hi))
+    diagram = sw.diagram
+    # the slabs in x order: the left intervals from the outside in, then
+    # the right intervals from L outward
+    slabs = sw.intervals["left"][::-1] + sw.intervals["right"]
 
     cuts: list[Cut] = []
-    for x in xs:
-        if x == diagram.line_x:
-            heights = {
-                tok: Fraction(-rank)
-                for rank, tok in enumerate(range(1, diagram.d + 1), start=1)
-            }
-            cuts.append(Cut(x, True, None, heights))
-            continue
-        rec = next(r for r in sw.records if r.event.x == x)
-        # positions on the block side of the cut
-        if rec.action == "birth":
-            block_side_iv = _adjacent_slab(slabs, bounds, x, away_from=diagram.line_x)
-        else:
-            block_side_iv = _adjacent_slab(slabs, bounds, x, toward=diagram.line_x)
+    for rec in sw.records:
+        # positions on the block side of the cut: the interval just inside
+        # the event, or just outside it for a birth
+        block_side_iv = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
         heights = {}
         block = set(rec.block_strands)
         for pos, tok in enumerate(block_side_iv.strands, start=1):
             heights[tok] = rec.y_level if tok in block else Fraction(-pos)
         for tok in block:
             heights.setdefault(tok, rec.y_level)
-        cuts.append(Cut(x, False, rec, heights))
+        cuts.append(Cut(rec.event.x, False, rec, heights))
+    line_heights = {tok: Fraction(-tok) for tok in range(1, diagram.d + 1)}
+    cuts.insert(len(sw.outward["left"]), Cut(diagram.line_x, True, None, line_heights))
 
     uf = UnionFind()
     all_frags = []
@@ -553,11 +484,12 @@ def faces(diagram: CurveDiagram, sweep: SweepResult | None = None) -> FaceComple
             continue
         left_slab, right_slab = slabs[ci], slabs[ci + 1]
         ys = sorted(set(cut.heights.values()), reverse=True)
-        points = [None] + ys + [None]  # None = +/- infinity sentinels
-        for k in range(len(points) - 1):
-            hi, lo = points[k], points[k + 1]
-            lf = _gap_containing(left_slab, cut, hi, lo, ci, "right")
-            rf = _gap_containing(right_slab, cut, hi, lo, ci + 1, "left")
+        # one height inside each open interval between the curve's points
+        # on the cut, from the top down
+        samples = [ys[0] + 1] + [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] - 1]
+        for y in samples:
+            lf = _gap_containing(left_slab, cut, y, ci)
+            rf = _gap_containing(right_slab, cut, y, ci + 1)
             if lf is None or rf is None:
                 raise AssertionError("gap lookup failed at cut x=%s" % cut.x)
             uf.union(lf, rf)
@@ -581,16 +513,7 @@ def faces(diagram: CurveDiagram, sweep: SweepResult | None = None) -> FaceComple
                 outer = True
         bounded[root] = not outer
 
-    return FaceComplex(diagram, sw, cuts, slabs, face_of, face_frags, bounded, glue_records)
-
-
-def _adjacent_slab(slabs, bounds, x, toward=None, away_from=None):
-    i = bounds.index(x)  # cut between slab i-1 and slab i
-    ref = toward if toward is not None else away_from
-    left_of_ref = x < ref
-    if toward is not None:
-        return slabs[i] if left_of_ref else slabs[i - 1]
-    return slabs[i - 1] if left_of_ref else slabs[i]
+    return FaceComplex(sw, cuts, slabs, face_of, face_frags, bounded, glue_records)
 
 
 def _gap_heights(slab: Interval, cut: Cut) -> list[Fraction | None]:
@@ -604,18 +527,14 @@ def _gap_heights(slab: Interval, cut: Cut) -> list[Fraction | None]:
     return out
 
 
-def _gap_containing(slab: Interval, cut: Cut, hi, lo, slab_index: int, cut_side: str) -> Fragment | None:
-    """The slab gap whose interval at the cut contains (lo, hi)."""
+def _gap_containing(slab: Interval, cut: Cut, y: Fraction, slab_index: int) -> Fragment | None:
+    """The slab gap whose interval at the cut contains the height y."""
     hs = _gap_heights(slab, cut)
     uppers = [None] + hs  # gap g bounded above by strand g-1
     lowers = hs + [None]
     for g in range(len(hs) + 1):
         up, lw = uppers[g], lowers[g]
-        if up is not None and lw is not None and up <= lw:
-            continue  # empty gap (block strands at the same height)
-        ok_up = (up is None) or (hi is not None and hi <= up)
-        ok_lw = (lw is None) or (lo is not None and lo >= lw)
-        if ok_up and ok_lw:
+        if (up is None or y < up) and (lw is None or y > lw):
             return Fragment(slab_index, g)
     return None
 
@@ -637,11 +556,10 @@ class ObstructionPoint:
 
     def label(self, diagram: CurveDiagram) -> str:
         ev = diagram.events[self.event_index]
-        return "obstruction %s of %s" % (self.side, _event_name(ev))
+        return "obstruction %s of %s" % (self.side, ev.label())
 
 
-def obstruction_points(diagram: CurveDiagram, sweep: SweepResult | None = None) -> list[ObstructionPoint]:
-    sw = sweep if sweep is not None else sweep_ranks(diagram)
+def obstruction_points(sw: SweepResult) -> list[ObstructionPoint]:
     out = []
     for rec in sw.records:
         kind = rec.event.kind
@@ -655,26 +573,13 @@ def obstruction_points(diagram: CurveDiagram, sweep: SweepResult | None = None) 
 def locate_obstruction(fc: FaceComplex, ob: ObstructionPoint) -> Fragment:
     """Fragment containing an obstruction point (just beside its event, at
     the event's y-level)."""
-    xs_sorted = [c.x for c in fc.cuts]
-    ci = xs_sorted.index(fc.diagram.events[ob.event_index].x)
+    # the cuts are the events and L in x order
+    ci = ob.event_index + (ob.x > fc.sweep.diagram.line_x)
     slab_index = ci if ob.side == "left" else ci + 1
-    slab = fc.slabs[slab_index]
-    cut = fc.cuts[ci]
-    frag = _gap_containing_point(slab, cut, ob.y_level, slab_index)
+    frag = _gap_containing(fc.slabs[slab_index], fc.cuts[ci], ob.y_level, slab_index)
     if frag is None:
         raise AssertionError("obstruction point not inside any gap")
     return frag
-
-
-def _gap_containing_point(slab: Interval, cut: Cut, y: Fraction, slab_index: int) -> Fragment | None:
-    hs = _gap_heights(slab, cut)
-    uppers = [None] + hs
-    lowers = hs + [None]
-    for g in range(len(hs) + 1):
-        up, lw = uppers[g], lowers[g]
-        if (up is None or y < up) and (lw is None or y > lw):
-            return Fragment(slab_index, g)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +606,7 @@ class RegionReport:
         }
 
 
-def auto_region_B(diagram: CurveDiagram, fc: FaceComplex | None = None) -> RegionReport:
+def auto_region_B(sw: SweepResult) -> RegionReport:
     """Search for a region B making B together with the curve and L simply
     connected while containing no obstruction point.
 
@@ -714,15 +619,13 @@ def auto_region_B(diagram: CurveDiagram, fc: FaceComplex | None = None) -> Regio
     when no bounded face contains an obstruction point; the report also
     carries the Euler characteristic and connectivity of the filled union
     as an independent verification."""
-    complex_ = fc if fc is not None else faces(diagram)
-    sw = complex_.sweep
-    obstructions = obstruction_points(diagram, sw)
+    complex_ = faces(sw)
     blocked: dict[int, list[str]] = {}
-    for ob in obstructions:
+    for ob in obstruction_points(sw):
         frag = locate_obstruction(complex_, ob)
         face = complex_.faces[frag]
         if complex_.bounded[face]:
-            blocked.setdefault(face, []).append(ob.label(diagram))
+            blocked.setdefault(face, []).append(ob.label(sw.diagram))
     chosen = [face for face, is_b in complex_.bounded.items() if is_b]
     blocked_faces = [
         "bounded face must belong to the region but contains %s"
@@ -789,7 +692,7 @@ def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
             E.append((("s", si, tok), (a, b)))
 
     # line segments along L
-    line_ci = [c.x for c in fc.cuts].index(fc.diagram.line_x)
+    line_ci = len(fc.sweep.outward["left"])
     line_cut = fc.cuts[line_ci]
     ys = sorted(set(line_cut.heights.values()), reverse=True)
     chain = [box_top] + ys + [box_bot]
@@ -840,31 +743,22 @@ def check_facing(diagram: CurveDiagram) -> list[str]:
             if ev.kind.branch_side != toward:
                 out.append(
                     "facing: %s has branches on the %s, away from L"
-                    % (_event_name(ev), ev.kind.branch_side)
+                    % (ev.label(), ev.kind.branch_side)
                 )
     return out
 
 
-def check_connectivity(diagram: CurveDiagram, sweep: SweepResult | None = None) -> list[str]:
+def check_connectivity(sw: SweepResult) -> list[str]:
     """The real part of each declared component must be a single piece
     meeting L."""
-    sw = sweep if sweep is not None else sweep_ranks(diagram)
-    clusters: dict = {}
-    for e in range(1, sw.edge_count + 1):
-        clusters.setdefault(sw.branch_merge.find(e), set())
-    for rank, e in enumerate(sw.fiber_edges, start=1):
-        clusters[sw.branch_merge.find(e)].add(diagram.components[rank - 1])
     out = []
     names_seen: dict[str, int] = {}
-    for root, names in clusters.items():
+    for edges, ranks in sw.clusters:
+        names = {sw.diagram.components[r - 1] for r in ranks}
         if not names:
             out.append(
                 "connectivity: a real branch (extended edges %s) never meets L"
-                % sorted(
-                    e
-                    for e in range(1, sw.edge_count + 1)
-                    if sw.branch_merge.find(e) == root
-                )
+                % edges
             )
         for name in names:
             names_seen[name] = names_seen.get(name, 0) + 1
@@ -895,16 +789,19 @@ def check_theorem(diagram: CurveDiagram) -> TheoremReport:
     """Mechanically check the sufficiency hypotheses: structural validity,
     componentwise real connectivity, the facing condition, and existence of
     the canonical simply-connected region B."""
-    validation = validate_wirtinger_type(diagram)
+    return _check_theorem(sweep_ranks(diagram))
+
+
+def _check_theorem(sw: SweepResult) -> TheoremReport:
+    validation = _validate(sw)
     violations = list(validation.violations)
     if not validation.ok:
         return TheoremReport(False, violations, None)
-    sw = sweep_ranks(diagram)
-    violations += check_connectivity(diagram, sw)
-    violations += check_facing(diagram)
+    violations += check_connectivity(sw)
+    violations += check_facing(sw.diagram)
     region = None
     if not violations:
-        region = auto_region_B(diagram)
+        region = auto_region_B(sw)
         if not region.ok:
             violations.append("region: " + region.message)
     return TheoremReport(not violations, violations, region)

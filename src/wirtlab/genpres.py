@@ -30,10 +30,10 @@ from .diagram import (
     SweepResult,
     Tangency,
     UnionFind,
-    check_theorem,
+    _check_theorem,
+    _validate,
     derive_edges,
     sweep_ranks,
-    validate_wirtinger_type,
 )
 from .fpgroups import Presentation, commutator
 from .words import Word, alternating
@@ -76,8 +76,8 @@ def _build_generators(sweep: SweepResult, merges) -> GeneratorMap:
     return GeneratorMap(names, index_of_root)
 
 
-def _require_valid(diagram: CurveDiagram) -> None:
-    report = validate_wirtinger_type(diagram)
+def _require_valid(sw: SweepResult) -> None:
+    report = _validate(sw)
     if not report.ok:
         raise DiagramError(
             "invalid diagram: " + "; ".join(report.violations)
@@ -148,15 +148,15 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
 
 
 def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
-    _require_valid(diagram)
     sw = sweep_ranks(diagram)
+    _require_valid(sw)
     gens = _build_generators(sw, sw.tangency_merges)
     relators: list[Word] = []
     for rec in sw.records:
         relators.extend(_vertex_relators(rec, gens))
     pres = Presentation(gens.names, tuple(relators))
     fiber = tuple(gens.names[gens.edge_gen[e] - 1] for e in sw.fiber_edges)
-    complex_ = derive_edges(diagram, sw)
+    complex_ = derive_edges(sw)
     gen_comp: dict = {}
     for e in range(1, sw.edge_count + 1):
         name = gens.names[gens.edge_gen[e] - 1]
@@ -189,27 +189,26 @@ def _half_local(kind) -> Braid:
     raise AssertionError("half braid requested for a one-sided vertex")
 
 
-def edge_meridian_words(diagram: CurveDiagram, sweep: SweepResult | None = None) -> dict:
+def edge_meridian_words(diagram: CurveDiagram) -> dict:
     """Meridian word (in the free group on the d fiber meridians, mu_1 the
     topmost) carried by each extended edge.  Only defined when every
     one-sided vertex points toward L, so that the outward sweep never
     creates strands."""
-    _require_valid(diagram)
-    sw = sweep if sweep is not None else sweep_ranks(diagram)
+    sw = sweep_ranks(diagram)
+    _require_valid(sw)
     words: dict[int, Word] = {}
     for rank, e in enumerate(sw.fiber_edges, start=1):
         words[e] = Word.gen(rank)
     for rec in sw.records:
         if rec.action == "birth":
             raise DiagramError(
-                "meridian sweep undefined: %s points away from L" % rec.label()
+                "meridian sweep undefined: %s points away from L" % rec.event.label()
             )
     for side in ("left", "right"):
-        for event in diagram.events_on(side):
-            rec = sw.record_for(event)
+        for rec in sw.outward[side]:
             if rec.action != "through":
                 continue
-            half_inv = _half_local(event.kind).inverse()
+            half_inv = _half_local(rec.event.kind).inverse()
             block = [words[e] for e in rec.near_edges]
             images = {i + 1: block[i] for i in range(len(block))}
             for pos, e in enumerate(rec.far_edges, start=1):
@@ -227,9 +226,6 @@ class MonodromyDatum:
     delta: Braid  # full local braid, embedded on d strands
     eta: Braid  # transport braid from the base fiber to the event
 
-    def local_exponent(self) -> int:
-        return self.branches
-
 
 def _full_local(kind) -> Braid:
     if isinstance(kind, Ordinary):
@@ -246,25 +242,25 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
     vertices leave the surviving meridians untouched, and their strand
     pair keeps its fiber positions (the pair moves off the real plane but
     stays in the complex fiber)."""
-    report = check_theorem(diagram)
+    sw = sweep_ranks(diagram)
+    report = _check_theorem(sw)
     if not report.verified:
         raise DiagramError(
             "diagram not verified: " + "; ".join(report.violations)
         )
     d = diagram.d
-    sw = sweep_ranks(diagram)
     data: dict[int, MonodromyDatum] = {}
     for side in ("left", "right"):
         positions = list(range(1, d + 1))  # fiber position of each live strand
         eta = Braid.identity(d)
-        for event in diagram.events_on(side):
-            rec = sw.record_for(event)
+        for rec in sw.outward[side]:
+            event = rec.event
             size = event.kind.size
             block = positions[rec.top - 1: rec.top - 1 + size]
             if block != list(range(block[0], block[0] + size)):
                 raise UnsupportedConfiguration(
                     "block of %s occupies non-adjacent fiber positions %s"
-                    % (rec.label(), block)
+                    % (event.label(), block)
                 )
             delta = _full_local(event.kind).embedded(block[0], d)
             data[rec.index] = MonodromyDatum(
@@ -312,22 +308,14 @@ class ExtendedResult:
     passed: dict  # event index -> list of passed obstruction event indices
 
 
-def _passed_obstructions(diagram: CurveDiagram, sw: SweepResult, rec: EventRecord) -> list[EventRecord]:
-    """One-sided vertices strictly between L and the given event whose
-    strand pair sits strictly inside the event's strand span, ordered from
-    L outward.  Loops reaching the event must travel around their
-    obstruction points."""
-    side = rec.side
+def _passed_obstructions(sw: SweepResult, rec: EventRecord, inward: list[EventRecord]) -> list[EventRecord]:
+    """Of the one-sided vertices ``inward`` (strictly between L and the
+    given event, ordered from L outward), those whose strand pair sits
+    strictly inside the event's strand span.  Loops reaching the event
+    must travel around their obstruction points."""
     out = []
-    for q in diagram.events_on(side):
-        if q is rec.event:
-            break
-        if not isinstance(q.kind, (Cusp, Tangency)):
-            continue
-        qrec = sw.record_for(q)
-        iv = next(
-            i for i in sw.intervals[side] if i.outer_x == q.x
-        )
+    for qrec in inward:
+        iv = sw.intervals[rec.side][qrec.pos]  # the interval just inside qrec
         try:
             p_pos = sorted(
                 iv.strands.index(tok) + 1 for tok in rec.block_strands
@@ -354,11 +342,15 @@ def _obstruction_loop(qrec: EventRecord, gens: GeneratorMap) -> Word:
 
 
 def extended_wirtinger(diagram: CurveDiagram) -> ExtendedResult:
-    _require_valid(diagram)
     sw = sweep_ranks(diagram)
+    _require_valid(sw)
     passed: dict[int, list[EventRecord]] = {}
-    for rec in sw.records:
-        passed[rec.index] = _passed_obstructions(diagram, sw, rec)
+    for side in ("left", "right"):
+        one_sided: list[EventRecord] = []  # met so far, from L outward
+        for rec in sw.outward[side]:
+            passed[rec.index] = _passed_obstructions(sw, rec, one_sided)
+            if isinstance(rec.event.kind, (Cusp, Tangency)):
+                one_sided.append(rec)
 
     # tangencies identify their two edges only when no obstruction point
     # stands between them and L
@@ -378,7 +370,7 @@ def extended_wirtinger(diagram: CurveDiagram) -> ExtendedResult:
         if isinstance(kind, (Ordinary, Crossing)):
             raise UnsupportedConfiguration(
                 "%s lies beyond an obstruction point; only one-sided "
-                "vertices are supported there" % rec.label()
+                "vertices are supported there" % rec.event.label()
             )
         z = Word.identity()
         for qrec in crossed:
@@ -405,5 +397,5 @@ def extended_wirtinger(diagram: CurveDiagram) -> ExtendedResult:
         sw,
         gens,
         fiber,
-        {i: [q.index for q in qs] for i, qs in passed.items()},
+        {rec.index: [q.index for q in passed[rec.index]] for rec in sw.records},
     )

@@ -18,6 +18,7 @@ from wirtlab.diagram import (
     check_connectivity,
     check_facing,
     check_theorem,
+    sweep_ranks,
 )
 from wirtlab.fpgroups import (
     Presentation,
@@ -158,11 +159,11 @@ def test_criterion_06_counterexample_detection():
     assert any("cusp at x=0" in v for v in facing)
 
     for stem in ("cardioid", "concentric_circles"):
-        region = auto_region_B(load(stem))
+        region = auto_region_B(sweep_ranks(load(stem)))
         assert not region.ok and region.blocked_faces, stem
         assert any("obstruction" in b for b in region.blocked_faces)
 
-    conn = check_connectivity(load("smooth_cubic"))
+    conn = check_connectivity(sweep_ranks(load("smooth_cubic")))
     assert conn and any("never meets L" in v for v in conn)
 
     # the aggregated verdicts name the same violations

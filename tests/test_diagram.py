@@ -128,13 +128,13 @@ def test_obstruction_points_census(corpus):
         expected = sum(
             1 for e in d.events if isinstance(e.kind, (Cusp, Tangency))
         )
-        obs = obstruction_points(d)
+        obs = obstruction_points(sweep_ranks(d))
         assert len(obs) == expected, stem
 
 
 def test_tangency_extends_edge_count(corpus):
     for stem, d in corpus.items():
-        ec = derive_edges(d)
+        ec = derive_edges(sweep_ranks(d))
         tangencies = sum(1 for e in d.events if isinstance(e.kind, Tangency))
         # each vertical tangency records exactly one identification of two
         # extended edges; the class partition is their transitive closure
@@ -163,7 +163,7 @@ def test_euler_characteristic_on_corpus(corpus):
     expected = {stem: (1, True) for stem in all_corpus_stems()}
     expected["smooth_cubic"] = (2, False)
     for stem, d in corpus.items():
-        report = auto_region_B(d)
+        report = auto_region_B(sweep_ranks(d))
         assert (report.euler, report.connected) == expected[stem], stem
 
 
@@ -177,7 +177,7 @@ def test_facing_verdicts_on_corpus(corpus):
 def test_region_verdicts_on_corpus(corpus):
     region_bad = {"cardioid", "concentric_circles", "deltoid"}
     for stem, d in corpus.items():
-        report = auto_region_B(d)
+        report = auto_region_B(sweep_ranks(d))
         assert bool(report.blocked_faces) == (stem in region_bad), stem
 
 
@@ -215,7 +215,7 @@ def test_resweep_after_round_trip_is_identical(corpus):
 
 def test_faces_partition_fragments(corpus):
     for stem, d in corpus.items():
-        fc = faces(d)
+        fc = faces(sweep_ranks(d))
         seen = set()
         for face, frags in fc.face_fragments.items():
             for frag in frags:
