@@ -20,38 +20,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from .diagram import CurveDiagram, DiagramError, check_theorem, validate_wirtinger_type
-from .dsl import DiagramParseError, parse_diagram, serialize_diagram
+from .diagram import CurveDiagram, check_theorem, validate_wirtinger_type
+from .dsl import parse_diagram, serialize_diagram
 from .fpgroups import Presentation, tietze_simplify
 from .genpres import (
-    UnsupportedConfiguration,
     diagram_braid_monodromy,
     extended_wirtinger,
     wirtinger_presentation,
     zvk_presentation,
 )
 from .homcount import ResourceGuardError
-from .hypocycloid import (
-    HypoParams,
-    TracingError,
-    hypo_stats,
-    quotient_diagram,
-    verify_case,
-)
+from .hypocycloid import HypoParams, hypo_stats, quotient_diagram, verify_case
 from .profiles import profile, profiles_equal
 
-_USER_ERRORS = (
-    DiagramParseError,
-    DiagramError,
-    UnsupportedConfiguration,
-    TracingError,
-    ResourceGuardError,
-    ValueError,
-    OSError,
-)
+# diagram, DSL, configuration and tracing errors all subclass ValueError
+_USER_ERRORS = (ValueError, ResourceGuardError, OSError)
 
 
 def _emit(data: dict) -> None:
@@ -98,7 +85,6 @@ def _verdict(verified: bool, violations: list[str]) -> str:
         ("connectivity:", "ConnectivityViolation"),
         ("facing:", "FacingViolation"),
         ("region:", "NoValidRegion"),
-        ("components:", "StructuralViolation"),
     ):
         if any(v.startswith(prefix) for v in violations):
             return name
@@ -253,7 +239,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (as `| head` does).  Send what is still
+        # buffered to devnull so that the flush at exit cannot fail again;
+        # see "Note on SIGPIPE" in the documentation of the signal module.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _USER_ERRORS as exc:
         json.dump(
             {"schema": 1, "error": str(exc), "type": type(exc).__name__},

@@ -50,11 +50,26 @@ class Presentation:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "Presentation":
-        return Presentation(
-            tuple(data["generators"]),
-            tuple(Word([(g, e) for g, e in r]) for r in data["relators"]),
-        )
+    def from_json(data) -> "Presentation":
+        """Inverse of :meth:`to_json`; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a presentation must be a JSON object")
+        gens, rels = data.get("generators"), data.get("relators")
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise ValueError("presentation 'generators' must be a list of names")
+        if not isinstance(rels, list):
+            raise ValueError("presentation 'relators' must be a list of words")
+        words = []
+        for i, r in enumerate(rels, start=1):
+            if not isinstance(r, list) or not all(
+                isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x)
+                for x in r
+            ):
+                raise ValueError(
+                    "relator %d must be a list of [generator index, exponent] pairs" % i
+                )
+            words.append(Word([(g, e) for g, e in r]))
+        return Presentation(tuple(gens), tuple(words))
 
     def to_gap(self) -> str:
         """Emit a GAP script constructing the group."""

@@ -1,9 +1,14 @@
 import json
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
 from wirtlab.cli import main
 from tests.conftest import corpus_path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -119,3 +124,62 @@ def test_malformed_diagram_is_a_user_error(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"generators": ["a"]}',
+        "[]",
+        '{"generators": ["a"], "relators": 5}',
+        '{"generators": ["a"], "relators": [[["a", 1]]]}',
+    ],
+)
+def test_malformed_presentation_is_a_user_error(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (("invariants", bad), ("compare", bad, bad), ("simplify", bad)):
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["type"] == "ValueError", argv
+
+
+def test_broken_pipe_exits_quietly(capsys, monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["wirtinger", str(corpus_path("nodal_cubic")), "--format", "json"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def readme_examples() -> list[list[str]]:
+    """The README's `wirtlab ...` command lines that name a diagram file or
+    a hypo-* command; the presentation-file examples are placeholders."""
+    out = []
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if not line.startswith("wirtlab "):
+            continue
+        argv = shlex.split(line, comments=True)[1:]
+        if any(a.endswith(".wd") for a in argv) or argv[0].startswith("hypo-"):
+            out.append(argv)
+    return out
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_runs(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
