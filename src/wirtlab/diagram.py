@@ -152,20 +152,11 @@ def event_action(diagram: CurveDiagram, event: Event) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Interval:
-    """An open x-interval between consecutive events on one side of L."""
-
-    side: str
-    inner_x: Fraction  # bound closer to L (the L side)
-    outer_x: Optional[Fraction]  # None = unbounded
-    edges: tuple[int, ...]  # live extended-edge ids, top to bottom
-    strands: tuple[int, ...]  # persistent strand tokens, top to bottom
-
-
-@dataclass
 class EventRecord:
     index: int  # position in diagram.events
-    pos: int  # position among its side's events, from L outward
+    # position among its side's events, from L outward; intervals[side][pos]
+    # is the interval just inside the event
+    pos: int
     event: Event
     side: str
     action: str  # through | death | birth
@@ -217,7 +208,9 @@ class SweepResult:
     presentations are all read off this one object."""
 
     diagram: CurveDiagram
-    intervals: dict  # side -> list[Interval], ordered from L outward
+    # side -> the persistent strand tokens (top to bottom) live in each open
+    # x-interval between consecutive events, ordered from L outward
+    intervals: dict
     records: list[EventRecord]  # in diagram event order
     outward: dict  # side -> list[EventRecord], ordered from L outward
     edge_count: int
@@ -256,14 +249,11 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     for side, order in sides:
         live_edges = list(fiber_edges)
         live_strands = list(range(1, d + 1))
-        ivs: list[Interval] = []
+        ivs: list[tuple[int, ...]] = []
         recs: list[EventRecord] = []
-        inner = diagram.line_x
         for pos, idx in enumerate(order):
             event = diagram.events[idx]
-            ivs.append(
-                Interval(side, inner, event.x, tuple(live_edges), tuple(live_strands))
-            )
+            ivs.append(tuple(live_strands))
             action = event_action(diagram, event)
             size = event.kind.size
             top = event.top
@@ -274,7 +264,6 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                     "sweep: block [%d..%d] out of range among %d strands at %s"
                     % (top, top + size - 1, n, event.label())
                 )
-                inner = event.x
                 continue
             if action == "birth":
                 new_edges = [edge_counter + 1, edge_counter + 2]
@@ -330,8 +319,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                     tuple(new_edges),
                     tuple(block_strands),
                 ))
-            inner = event.x
-        ivs.append(Interval(side, inner, None, tuple(live_edges), tuple(live_strands)))
+        ivs.append(tuple(live_strands))
         intervals[side] = ivs
         outward[side] = recs
 
@@ -430,7 +418,6 @@ class Fragment:
 class Cut:
     x: Fraction
     is_line: bool
-    record: Optional[EventRecord]
     heights: dict  # strand token -> Fraction height at this cut
 
 
@@ -438,7 +425,7 @@ class Cut:
 class FaceComplex:
     sweep: SweepResult
     cuts: list[Cut]  # the events and L, in x order
-    slabs: list[Interval]  # slab i lies between cuts i-1 and i
+    slabs: list[tuple[int, ...]]  # strand tokens; slab i lies between cuts i-1 and i
     faces: dict  # fragment -> face id
     face_fragments: dict  # face id -> list of fragments
     bounded: dict  # face id -> bool
@@ -459,21 +446,21 @@ def faces(sw: SweepResult) -> FaceComplex:
     for rec in sw.records:
         # positions on the block side of the cut: the interval just inside
         # the event, or just outside it for a birth
-        block_side_iv = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
+        block_side = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
         heights = {}
         block = set(rec.block_strands)
-        for pos, tok in enumerate(block_side_iv.strands, start=1):
+        for pos, tok in enumerate(block_side, start=1):
             heights[tok] = rec.y_level if tok in block else Fraction(-pos)
         for tok in block:
             heights.setdefault(tok, rec.y_level)
-        cuts.append(Cut(rec.event.x, False, rec, heights))
+        cuts.append(Cut(rec.event.x, False, heights))
     line_heights = {tok: Fraction(-tok) for tok in range(1, diagram.d + 1)}
-    cuts.insert(len(sw.outward["left"]), Cut(diagram.line_x, True, None, line_heights))
+    cuts.insert(len(sw.outward["left"]), Cut(diagram.line_x, True, line_heights))
 
     uf = UnionFind()
     all_frags = []
     for si, slab in enumerate(slabs):
-        for g in range(len(slab.strands) + 1):
+        for g in range(len(slab) + 1):
             frag = Fragment(si, g)
             uf.add(frag)
             all_frags.append(frag)
@@ -509,17 +496,17 @@ def faces(sw: SweepResult) -> FaceComplex:
             slab = slabs[fr.slab]
             if fr.slab == 0 or fr.slab == len(slabs) - 1:
                 outer = True
-            if fr.gap == 0 or fr.gap == len(slab.strands):
+            if fr.gap == 0 or fr.gap == len(slab):
                 outer = True
         bounded[root] = not outer
 
     return FaceComplex(sw, cuts, slabs, face_of, face_frags, bounded, glue_records)
 
 
-def _gap_heights(slab: Interval, cut: Cut) -> list[Fraction | None]:
+def _gap_heights(slab: tuple[int, ...], cut: Cut) -> list[Fraction | None]:
     """Heights of the slab's strands at the cut, top to bottom."""
     out = []
-    for tok in slab.strands:
+    for tok in slab:
         h = cut.heights.get(tok)
         if h is None:
             raise AssertionError("strand %r missing a height at cut x=%s" % (tok, cut.x))
@@ -527,7 +514,7 @@ def _gap_heights(slab: Interval, cut: Cut) -> list[Fraction | None]:
     return out
 
 
-def _gap_containing(slab: Interval, cut: Cut, y: Fraction, slab_index: int) -> Fragment | None:
+def _gap_containing(slab: tuple[int, ...], cut: Cut, y: Fraction, slab_index: int) -> Fragment | None:
     """The slab gap whose interval at the cut contains the height y."""
     hs = _gap_heights(slab, cut)
     uppers = [None] + hs  # gap g bounded above by strand g-1
@@ -675,12 +662,12 @@ def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
     # clip vertices for unbounded strand ends
     for end, slab_index in (("L", 0), ("R", len(fc.slabs) - 1)):
         slab = fc.slabs[slab_index]
-        for pos, tok in enumerate(slab.strands, start=1):
+        for pos, tok in enumerate(slab, start=1):
             V.add(("clip", end, tok))
 
     # strand segments: one 1-cell per live strand per slab
     for si, slab in enumerate(fc.slabs):
-        for pos, tok in enumerate(slab.strands, start=1):
+        for pos, tok in enumerate(slab, start=1):
             if si == 0:
                 a = ("clip", "L", tok)
             else:
@@ -721,9 +708,9 @@ def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
         for frag in fc.face_fragments[face]:
             slab = fc.slabs[frag.slab]
             if frag.gap > 0:
-                uf.union(("frag", frag), ("cell", ("s", frag.slab, slab.strands[frag.gap - 1])))
-            if frag.gap < len(slab.strands):
-                uf.union(("frag", frag), ("cell", ("s", frag.slab, slab.strands[frag.gap])))
+                uf.union(("frag", frag), ("cell", ("s", frag.slab, slab[frag.gap - 1])))
+            if frag.gap < len(slab):
+                uf.union(("frag", frag), ("cell", ("s", frag.slab, slab[frag.gap])))
     for v in V:
         uf.add(v)
     roots = {uf.find(v) for v in V}

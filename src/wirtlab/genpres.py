@@ -315,11 +315,9 @@ def _passed_obstructions(sw: SweepResult, rec: EventRecord, inward: list[EventRe
     must travel around their obstruction points."""
     out = []
     for qrec in inward:
-        iv = sw.intervals[rec.side][qrec.pos]  # the interval just inside qrec
+        strands = sw.intervals[rec.side][qrec.pos]  # just inside qrec
         try:
-            p_pos = sorted(
-                iv.strands.index(tok) + 1 for tok in rec.block_strands
-            )
+            p_pos = sorted(strands.index(tok) + 1 for tok in rec.block_strands)
         except ValueError:
             continue  # the event's strands do not reach that far inward
         q_lo, q_hi = qrec.top, qrec.top + 1
