@@ -273,26 +273,22 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 branch.union(new_edges[0], new_edges[1])
                 if isinstance(event.kind, Tangency):
                     tangency_merges.append((new_edges[0], new_edges[1]))
-                block_strands = tuple(new_strands)
+                block_strands = new_strands
                 live_edges[top - 1: top - 1] = new_edges
                 live_strands[top - 1: top - 1] = new_strands
-                recs.append(EventRecord(
-                    idx, pos, event, side, action, top, (), tuple(new_edges), block_strands
-                ))
+                near, far = (), tuple(new_edges)
             elif action == "death":
                 block_edges = live_edges[top - 1: top - 1 + size]
-                block_strands = tuple(live_strands[top - 1: top - 1 + size])
+                block_strands = live_strands[top - 1: top - 1 + size]
                 branch.union(block_edges[0], block_edges[1])
                 if isinstance(event.kind, Tangency):
                     tangency_merges.append((block_edges[0], block_edges[1]))
                 del live_edges[top - 1: top - 1 + size]
                 del live_strands[top - 1: top - 1 + size]
-                recs.append(EventRecord(
-                    idx, pos, event, side, action, top, tuple(block_edges), (), block_strands
-                ))
+                near, far = tuple(block_edges), ()
             else:  # through
                 block_edges = live_edges[top - 1: top - 1 + size]
-                block_strands = list(live_strands[top - 1: top - 1 + size])
+                block_strands = live_strands[top - 1: top - 1 + size]
                 new_edges = list(range(edge_counter + 1, edge_counter + 1 + size))
                 edge_counter += size
                 # far position i continues the line of near position pair(i)
@@ -308,17 +304,10 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                     far_strands[far_pos] = block_strands[near_pos]
                 live_edges[top - 1: top - 1 + size] = new_edges
                 live_strands[top - 1: top - 1 + size] = far_strands
-                recs.append(EventRecord(
-                    idx,
-                    pos,
-                    event,
-                    side,
-                    "through",
-                    top,
-                    tuple(block_edges),
-                    tuple(new_edges),
-                    tuple(block_strands),
-                ))
+                near, far = tuple(block_edges), tuple(new_edges)
+            recs.append(EventRecord(
+                idx, pos, event, side, action, top, near, far, tuple(block_strands)
+            ))
         ivs.append(tuple(live_strands))
         intervals[side] = ivs
         outward[side] = recs
