@@ -6,6 +6,11 @@ diagrams are the corpus plus the files in ``tests/golden/inputs``: two
 hand-built invalid diagrams and seeded random diagrams from the benchmark's
 generator (crosscheck shape, Verified or NoValidRegion, and one long diagram
 without ZvK).
+
+``tests/golden/region.json`` holds, for each of those diagrams whose sweep
+has no violations, the region B report and the number of faces and of
+bounded faces.  It pins faces on diagrams the CLI never asks for region B,
+such as those with births, where the facing check fails first.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import pytest
 
 from tests.conftest import all_corpus_stems, corpus_path
 from wirtlab.cli import main
+from wirtlab.diagram import auto_region_B, faces, sweep_ranks
+from wirtlab.dsl import parse_diagram
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -53,3 +60,25 @@ def render(name: str, commands) -> str:
 def test_golden_outputs(name):
     expected = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
     assert render(name, json.loads(expected)) == expected
+
+
+def render_regions() -> str:
+    """The text of ``region.json``."""
+    records = {}
+    for name in NAMES:
+        d = parse_diagram(diagram_path(name).read_text(encoding="utf-8"), name=name)
+        sw = sweep_ranks(d)
+        if sw.violations:
+            continue
+        fc = faces(sw)
+        records[name] = {
+            "region": auto_region_B(sw).to_json(),
+            "faces": len(fc.face_fragments),
+            "bounded_faces": sum(fc.bounded.values()),
+        }
+    return json.dumps(records, indent=1, sort_keys=True) + "\n"
+
+
+def test_region_golden():
+    expected = (GOLDEN / "region.json").read_text(encoding="utf-8")
+    assert render_regions() == expected
