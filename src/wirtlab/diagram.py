@@ -169,10 +169,6 @@ class EventRecord:
     def size(self) -> int:
         return len(self.near_edges) or len(self.far_edges)
 
-    @property
-    def y_level(self) -> Fraction:
-        return -(Fraction(self.top) + Fraction(self.size - 1, 2))
-
 
 class UnionFind:
     def __init__(self):
@@ -397,122 +393,81 @@ def _validate(sw: SweepResult) -> ValidationReport:
 # faces of the complement of C_R + L_R
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fragment:
-    slab: int
-    gap: int
-
-
-@dataclass
-class Cut:
-    x: Fraction
-    is_line: bool
-    heights: dict  # strand token -> Fraction height at this cut
+# A fragment is a (slab, gap) pair.  Gap g of a slab lies just below its
+# g-th strand from the top: gap 0 is the unbounded top one, gap len(slab)
+# the unbounded bottom one.
 
 
 @dataclass
 class FaceComplex:
     sweep: SweepResult
-    cuts: list[Cut]  # the events and L, in x order
+    # the events and L in x order, each as a map from strand token to the
+    # index from the top of the strand's point on that cut (a block's
+    # strands share one point); on L token r has index r, between the clip
+    # vertices 0 and d + 1
+    cuts: list[dict]
+    line_cut: int  # index of L in cuts
     slabs: list[tuple[int, ...]]  # strand tokens; slab i lies between cuts i-1 and i
     faces: dict  # fragment -> face id
     face_fragments: dict  # face id -> list of fragments
     bounded: dict  # face id -> bool
-    glue_records: list[tuple[int, Fragment, Fragment]]  # (cut index, left, right)
+    glue_records: list[tuple[int, tuple, tuple]]  # (cut index, left, right)
 
 
 def faces(sw: SweepResult) -> FaceComplex:
-    """Decompose the plane (clipped to a box) into faces of the complement
-    of the curve plus L, by slab-gap fragments glued across cuts."""
+    """Decompose the plane into faces of the complement of the curve plus
+    L, by slab-gap fragments glued across the event cuts."""
     if sw.violations:
         raise DiagramError("cannot build faces: " + "; ".join(sw.violations))
-    diagram = sw.diagram
+    d = sw.diagram.d
     # the slabs in x order: the left intervals from the outside in, then
     # the right intervals from L outward
     slabs = sw.intervals["left"][::-1] + sw.intervals["right"]
-
-    cuts: list[Cut] = []
-    for rec in sw.records:
-        # positions on the block side of the cut: the interval just inside
-        # the event, or just outside it for a birth
-        block_side = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
-        heights = {}
-        block = set(rec.block_strands)
-        for pos, tok in enumerate(block_side, start=1):
-            heights[tok] = rec.y_level if tok in block else Fraction(-pos)
-        for tok in block:
-            heights.setdefault(tok, rec.y_level)
-        cuts.append(Cut(rec.event.x, False, heights))
-    line_heights = {tok: Fraction(-tok) for tok in range(1, diagram.d + 1)}
-    cuts.insert(len(sw.outward["left"]), Cut(diagram.line_x, True, line_heights))
+    line_cut = len(sw.outward["left"])
 
     uf = UnionFind()
-    all_frags = []
-    for si, slab in enumerate(slabs):
-        for g in range(len(slab) + 1):
-            frag = Fragment(si, g)
-            uf.add(frag)
-            all_frags.append(frag)
-
-    glue_records: list[tuple[int, Fragment, Fragment]] = []
-    for ci, cut in enumerate(cuts):
-        if cut.is_line:
-            continue
-        left_slab, right_slab = slabs[ci], slabs[ci + 1]
-        ys = sorted(set(cut.heights.values()), reverse=True)
-        # one height inside each open interval between the curve's points
-        # on the cut, from the top down
-        samples = [ys[0] + 1] + [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[-1] - 1]
-        for y in samples:
-            lf = _gap_containing(left_slab, cut, y, ci)
-            rf = _gap_containing(right_slab, cut, y, ci + 1)
-            if lf is None or rf is None:
-                raise AssertionError("gap lookup failed at cut x=%s" % cut.x)
+    cuts: list[dict] = []
+    glue_records: list[tuple[int, tuple, tuple]] = []
+    for ci, rec in enumerate(sw.records):
+        ci += ci >= line_cut  # L is a cut too, between the two sides
+        # the strands on the block side of the cut: the interval just
+        # inside the event, or just outside it for a birth
+        block_side = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
+        top, size = rec.top, rec.size
+        cuts.append({
+            tok: p - 1 if p < top else top - 1 if p < top + size else p - size
+            for p, tok in enumerate(block_side, start=1)
+        })
+        # The cut's gaps, from the top, lie between its points.  Those
+        # above the block's point are the slab gaps with the same index on
+        # both sides; those below it count from the bottom of each slab.
+        # The block's inner gaps end at its point and are not glued.
+        points = len(block_side) - size + 1
+        left, right = slabs[ci], slabs[ci + 1]
+        for s in range(points + 1):
+            lf = (ci, s if s < top else s + len(left) - points)
+            rf = (ci + 1, s if s < top else s + len(right) - points)
             uf.union(lf, rf)
             glue_records.append((ci, lf, rf))
+    cuts.insert(line_cut, {r: r for r in range(1, d + 1)})
 
     face_of: dict = {}
     face_frags: dict = {}
-    for frag in all_frags:
-        root = uf.find(frag)
-        face_of[frag] = root
-        face_frags.setdefault(root, []).append(frag)
+    face_ids: dict = {}
+    for si, slab in enumerate(slabs):
+        for g in range(len(slab) + 1):
+            face = face_ids.setdefault(uf.find((si, g)), len(face_ids))
+            face_of[si, g] = face
+            face_frags.setdefault(face, []).append((si, g))
 
-    bounded = {}
-    for root, frags in face_frags.items():
-        outer = False
-        for fr in frags:
-            slab = slabs[fr.slab]
-            if fr.slab == 0 or fr.slab == len(slabs) - 1:
-                outer = True
-            if fr.gap == 0 or fr.gap == len(slab):
-                outer = True
-        bounded[root] = not outer
-
-    return FaceComplex(sw, cuts, slabs, face_of, face_frags, bounded, glue_records)
-
-
-def _gap_heights(slab: tuple[int, ...], cut: Cut) -> list[Fraction | None]:
-    """Heights of the slab's strands at the cut, top to bottom."""
-    out = []
-    for tok in slab:
-        h = cut.heights.get(tok)
-        if h is None:
-            raise AssertionError("strand %r missing a height at cut x=%s" % (tok, cut.x))
-        out.append(h)
-    return out
-
-
-def _gap_containing(slab: tuple[int, ...], cut: Cut, y: Fraction, slab_index: int) -> Fragment | None:
-    """The slab gap whose interval at the cut contains the height y."""
-    hs = _gap_heights(slab, cut)
-    uppers = [None] + hs  # gap g bounded above by strand g-1
-    lowers = hs + [None]
-    for g in range(len(hs) + 1):
-        up, lw = uppers[g], lowers[g]
-        if (up is None or y < up) and (lw is None or y > lw):
-            return Fragment(slab_index, g)
-    return None
+    last = len(slabs) - 1
+    bounded = {
+        face: all(0 < si < last and 0 < g < len(slabs[si]) for si, g in frags)
+        for face, frags in face_frags.items()
+    }
+    return FaceComplex(
+        sw, cuts, line_cut, slabs, face_of, face_frags, bounded, glue_records
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +482,6 @@ class ObstructionPoint:
 
     event_index: int
     side: str  # side of the event the point lies on
-    x: Fraction
-    y_level: Fraction
 
     def label(self, diagram: CurveDiagram) -> str:
         ev = diagram.events[self.event_index]
@@ -542,20 +495,17 @@ def obstruction_points(sw: SweepResult) -> list[ObstructionPoint]:
         if not isinstance(kind, (Cusp, Tangency)):
             continue
         side = "left" if kind.branch_side == "right" else "right"
-        out.append(ObstructionPoint(rec.index, side, rec.event.x, rec.y_level))
+        out.append(ObstructionPoint(rec.index, side))
     return out
 
 
-def locate_obstruction(fc: FaceComplex, ob: ObstructionPoint) -> Fragment:
-    """Fragment containing an obstruction point (just beside its event, at
-    the event's y-level)."""
-    # the cuts are the events and L in x order
-    ci = ob.event_index + (ob.x > fc.sweep.diagram.line_x)
-    slab_index = ci if ob.side == "left" else ci + 1
-    frag = _gap_containing(fc.slabs[slab_index], fc.cuts[ci], ob.y_level, slab_index)
-    if frag is None:
-        raise AssertionError("obstruction point not inside any gap")
-    return frag
+def locate_obstruction(fc: FaceComplex, ob: ObstructionPoint) -> tuple[int, int]:
+    """Fragment containing an obstruction point.  The point lies just
+    beside its event's point, on the side away from the block, so just
+    below that slab's strand top - 1."""
+    rec = fc.sweep.records[ob.event_index]
+    ci = ob.event_index + (rec.side == "right")
+    return (ci if ob.side == "left" else ci + 1, rec.top - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -629,51 +579,27 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
 def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
     """Euler characteristic and connectivity of closed(B) + C_R + L_R."""
     uf = UnionFind()
-    V = set()
-    E = []  # (cell id, endpoints)
+    d = fc.sweep.diagram.d
+    last = len(fc.slabs) - 1
 
-    def vkey(ci, h):
-        return ("v", ci, h)
-
-    # vertices on cuts: all strand heights (curve points); on L also clip ends
-    box_top = Fraction(1)
-    box_bot = min(
-        [min(c.heights.values(), default=Fraction(0)) for c in fc.cuts]
-        + [Fraction(-1)]
-    ) - 1
-    for ci, cut in enumerate(fc.cuts):
-        for h in set(cut.heights.values()):
-            V.add(vkey(ci, h))
-        if cut.is_line:
-            V.add(vkey(ci, box_top))
-            V.add(vkey(ci, box_bot))
-
+    # vertices on cuts: the curve's points; on L also the clip ends
+    V = {(ci, p) for ci, cut in enumerate(fc.cuts) for p in cut.values()}
+    V |= {(fc.line_cut, 0), (fc.line_cut, d + 1)}
     # clip vertices for unbounded strand ends
-    for end, slab_index in (("L", 0), ("R", len(fc.slabs) - 1)):
-        slab = fc.slabs[slab_index]
-        for pos, tok in enumerate(slab, start=1):
-            V.add(("clip", end, tok))
+    V |= {("clip", "L", tok) for tok in fc.slabs[0]}
+    V |= {("clip", "R", tok) for tok in fc.slabs[last]}
 
     # strand segments: one 1-cell per live strand per slab
+    E = []  # (cell id, endpoints)
     for si, slab in enumerate(fc.slabs):
-        for pos, tok in enumerate(slab, start=1):
-            if si == 0:
-                a = ("clip", "L", tok)
-            else:
-                a = vkey(si - 1, fc.cuts[si - 1].heights[tok])
-            if si == len(fc.slabs) - 1:
-                b = ("clip", "R", tok)
-            else:
-                b = vkey(si, fc.cuts[si].heights[tok])
+        for tok in slab:
+            a = ("clip", "L", tok) if si == 0 else (si - 1, fc.cuts[si - 1][tok])
+            b = ("clip", "R", tok) if si == last else (si, fc.cuts[si][tok])
             E.append((("s", si, tok), (a, b)))
 
     # line segments along L
-    line_ci = len(fc.sweep.outward["left"])
-    line_cut = fc.cuts[line_ci]
-    ys = sorted(set(line_cut.heights.values()), reverse=True)
-    chain = [box_top] + ys + [box_bot]
-    for a, b in zip(chain, chain[1:]):
-        E.append((("l", a, b), (vkey(line_ci, a), vkey(line_ci, b))))
+    for p in range(d + 1):
+        E.append((("l", p), ((fc.line_cut, p), (fc.line_cut, p + 1))))
 
     # interior glue segments of chosen faces
     glue_cells = []
@@ -694,12 +620,12 @@ def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
         uf.union(("frag", lf), ("glue", gi))
     # fragments attach to their bounding strand segments
     for face in chosen:
-        for frag in fc.face_fragments[face]:
-            slab = fc.slabs[frag.slab]
-            if frag.gap > 0:
-                uf.union(("frag", frag), ("cell", ("s", frag.slab, slab[frag.gap - 1])))
-            if frag.gap < len(slab):
-                uf.union(("frag", frag), ("cell", ("s", frag.slab, slab[frag.gap])))
+        for si, g in fc.face_fragments[face]:
+            slab = fc.slabs[si]
+            if g > 0:
+                uf.union(("frag", (si, g)), ("cell", ("s", si, slab[g - 1])))
+            if g < len(slab):
+                uf.union(("frag", (si, g)), ("cell", ("s", si, slab[g])))
     for v in V:
         uf.add(v)
     roots = {uf.find(v) for v in V}
