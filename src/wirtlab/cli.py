@@ -13,7 +13,7 @@ Subcommands:
   hypo-verify  orbifold group vs polygon Artin semidirect product
 
 Validation verdicts (including hypothesis failures) are data and exit 0;
-only internal errors exit nonzero, with an error JSON on stderr.
+bad command lines and other user errors exit 2 with an error JSON on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagram import CurveDiagram, check_theorem, validate_wirtinger_type
+from .diagram import CurveDiagram, check_theorem
 from .dsl import parse_diagram, serialize_diagram
 from .fpgroups import Presentation, tietze_simplify
 from .genpres import (
@@ -37,8 +37,18 @@ from .homcount import ResourceGuardError
 from .hypocycloid import HypoParams, hypo_stats, quotient_diagram, verify_case
 from .profiles import profile, profiles_equal
 
-# diagram, DSL, configuration and tracing errors all subclass ValueError
+# diagram, DSL, configuration, tracing and usage errors all subclass ValueError
 _USER_ERRORS = (ValueError, ResourceGuardError, OSError)
+
+
+class UsageError(ValueError):
+    """A command line the argument parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the parent's class, so this covers them too
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
 
 
 def _emit(data: dict) -> None:
@@ -93,14 +103,13 @@ def _verdict(verified: bool, violations: list[str]) -> str:
 
 def _cmd_validate(args) -> int:
     diagram = _load_diagram(args.file)
-    validation = validate_wirtinger_type(diagram)
     theorem = check_theorem(diagram)
     _emit(
         {
             "schema": 1,
             "name": diagram.name,
             "d": diagram.d,
-            "validation": validation.to_json(),
+            "validation": theorem.validation.to_json(),
             "theorem": theorem.to_json(),
             "verdict": _verdict(theorem.verified, theorem.violations),
         }
@@ -182,7 +191,7 @@ def _cmd_hypo_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wirtlab",
         description="Plane-curve diagram presentations and their invariants.",
     )
@@ -237,8 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

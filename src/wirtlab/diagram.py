@@ -213,8 +213,9 @@ class SweepResult:
     fiber_edges: tuple[int, ...]  # edge id of the rank-r strand at L
     tangency_merges: list[tuple[int, int]]  # extended-edge pairs
     # edges connected along the curve, each class with the ranks at L among
-    # its edges, in order of the smallest edge id
-    clusters: list[tuple[list[int], list[int]]]
+    # its edges and the sorted component names declared for those ranks, in
+    # order of the smallest edge id
+    clusters: list[tuple[list[int], list[int], tuple[str, ...]]]
     violations: list[str]
 
 
@@ -308,9 +309,14 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         intervals[side] = ivs
         outward[side] = recs
 
-    clusters: dict = {}
+    classes: dict = {}
     for e in range(1, edge_counter + 1):
-        clusters.setdefault(branch.find(e), []).append(e)
+        classes.setdefault(branch.find(e), []).append(e)
+    clusters = []
+    for edges in classes.values():
+        ranks = [e for e in edges if e <= d]  # the rank-r strand at L has edge id r
+        names = tuple(sorted({diagram.components[r - 1] for r in ranks}))
+        clusters.append((edges, ranks, names))
     return SweepResult(
         diagram,
         intervals,
@@ -319,46 +325,14 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         edge_counter,
         fiber_edges,
         tangency_merges,
-        # the rank-r strand at L has edge id r
-        [(edges, [e for e in edges if e <= d]) for edges in clusters.values()],
+        clusters,
         violations,
     )
 
 
 # ---------------------------------------------------------------------------
-# derived edges (E_C) and component consistency
+# component consistency
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EdgeComplex:
-    sweep: SweepResult
-    edge_class: dict  # extended edge id -> class representative
-    classes: list[tuple[int, ...]]  # E_C classes (sorted tuples of edge ids)
-    edge_component: dict  # extended edge id -> component name or None
-
-
-def derive_edges(sw: SweepResult) -> EdgeComplex:
-    """Extended edges are strand segments between consecutive incident
-    events; E_C classes merge them across tangencies (vertical tangencies
-    are not vertices of the curve)."""
-    ec = UnionFind()
-    for e in range(1, sw.edge_count + 1):
-        ec.add(e)
-    for a, b in sw.tangency_merges:
-        ec.union(a, b)
-    classes = sorted(
-        tuple(sorted(members)) for members in ec.classes().values()
-    )
-    edge_class = {e: ec.find(e) for e in range(1, sw.edge_count + 1)}
-
-    # component names from branch connectivity
-    edge_component = {}
-    for edges, ranks in sw.clusters:
-        names = {sw.diagram.components[r - 1] for r in ranks}
-        for e in edges:
-            edge_component[e] = min(names) if names else None
-    return EdgeComplex(sw, edge_class, classes, edge_component)
-
 
 @dataclass
 class ValidationReport:
@@ -379,12 +353,11 @@ def validate_wirtinger_type(diagram: CurveDiagram) -> ValidationReport:
 def _validate(sw: SweepResult) -> ValidationReport:
     violations = list(sw.violations)
     # component declarations must be consistent with branch connectivity
-    for _, ranks in sw.clusters:
-        names = {sw.diagram.components[r - 1] for r in ranks}
+    for _, ranks, names in sw.clusters:
         if len(names) > 1:
             violations.append(
                 "components: strands %s are connected but declared as %s"
-                % (ranks, sorted(names))
+                % (ranks, list(names))
             )
     return ValidationReport(not violations, violations)
 
@@ -655,8 +628,7 @@ def check_connectivity(sw: SweepResult) -> list[str]:
     meeting L."""
     out = []
     names_seen: dict[str, int] = {}
-    for edges, ranks in sw.clusters:
-        names = {sw.diagram.components[r - 1] for r in ranks}
+    for edges, _, names in sw.clusters:
         if not names:
             out.append(
                 "connectivity: a real branch (extended edges %s) never meets L"
@@ -677,6 +649,7 @@ class TheoremReport:
     verified: bool
     violations: list[str]
     region: Optional[RegionReport]
+    validation: ValidationReport  # the structural checks, not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -698,7 +671,7 @@ def _check_theorem(sw: SweepResult) -> TheoremReport:
     validation = _validate(sw)
     violations = list(validation.violations)
     if not validation.ok:
-        return TheoremReport(False, violations, None)
+        return TheoremReport(False, violations, None, validation)
     violations += check_connectivity(sw)
     violations += check_facing(sw.diagram)
     region = None
@@ -706,4 +679,4 @@ def _check_theorem(sw: SweepResult) -> TheoremReport:
         region = auto_region_B(sw)
         if not region.ok:
             violations.append("region: " + region.message)
-    return TheoremReport(not violations, violations, region)
+    return TheoremReport(not violations, violations, region, validation)

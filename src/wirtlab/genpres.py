@@ -32,7 +32,6 @@ from .diagram import (
     UnionFind,
     _check_theorem,
     _validate,
-    derive_edges,
     sweep_ranks,
 )
 from .fpgroups import Presentation, commutator
@@ -156,11 +155,15 @@ def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
         relators.extend(_vertex_relators(rec, gens))
     pres = Presentation(gens.names, tuple(relators))
     fiber = tuple(gens.names[gens.edge_gen[e] - 1] for e in sw.fiber_edges)
-    complex_ = derive_edges(sw)
+    edge_component = {
+        e: names[0] if names else None
+        for edges, _, names in sw.clusters
+        for e in edges
+    }
     gen_comp: dict = {}
     for e in range(1, sw.edge_count + 1):
         name = gens.names[gens.edge_gen[e] - 1]
-        gen_comp.setdefault(name, complex_.edge_component[e])
+        gen_comp.setdefault(name, edge_component[e])
     return WirtingerResult(pres, diagram, sw, gens, fiber, gen_comp)
 
 

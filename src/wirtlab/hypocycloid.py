@@ -60,11 +60,17 @@ class HypoParams:
 def hypo_point(params: HypoParams, t: float) -> tuple[float, float]:
     """Point of the hypocycloid at parameter angle t (normalized so the
     curve is inscribed in the unit circle)."""
+    return _x(params, t), _y(params, t)
+
+
+def _x(params: HypoParams, t: float) -> float:
     k, l, n = params.k, params.ell, params.n
-    return (
-        (k * cos(l * t) + l * cos(k * t)) / n,
-        (k * sin(l * t) - l * sin(k * t)) / n,
-    )
+    return (k * cos(l * t) + l * cos(k * t)) / n
+
+
+def _y(params: HypoParams, t: float) -> float:
+    k, l, n = params.k, params.ell, params.n
+    return (k * sin(l * t) - l * sin(k * t)) / n
 
 
 @dataclass(frozen=True)
@@ -180,16 +186,6 @@ def critical_parameters(params: HypoParams, tol: float = 1e-12) -> CriticalParam
 # ---------------------------------------------------------------------------
 # folded trace: real arcs in w = y^2, plus the two imaginary-angle arcs
 # ---------------------------------------------------------------------------
-
-def _y(params: HypoParams, t: float) -> float:
-    k, l, n = params.k, params.ell, params.n
-    return (k * sin(l * t) - l * sin(k * t)) / n
-
-
-def _x(params: HypoParams, t: float) -> float:
-    k, l, n = params.k, params.ell, params.n
-    return (k * cos(l * t) + l * cos(k * t)) / n
-
 
 def _w(params: HypoParams, t: float) -> float:
     return _y(params, t) ** 2

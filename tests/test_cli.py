@@ -144,6 +144,24 @@ def test_malformed_presentation_is_a_user_error(capsys, tmp_path, text):
         assert json.loads(err)["type"] == "ValueError", argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["hypo-verify", "--k", "abc"], ["no-such-command"], ["validate"]],
+    ids=" ".join,
+)
+def test_bad_command_line_is_a_user_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["type"] == "UsageError"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_broken_pipe_exits_quietly(capsys, monkeypatch, tmp_path):
     class ClosedPipe:
         def __init__(self, fd):

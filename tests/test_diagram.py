@@ -13,13 +13,13 @@ from wirtlab.diagram import (
     auto_region_B,
     check_facing,
     check_theorem,
-    derive_edges,
     event_action,
     faces,
     obstruction_points,
     sweep_ranks,
     validate_wirtinger_type,
 )
+from wirtlab.genpres import wirtinger_presentation
 from tests.conftest import all_corpus_stems
 
 
@@ -134,13 +134,18 @@ def test_obstruction_points_census(corpus):
 
 def test_tangency_extends_edge_count(corpus):
     for stem, d in corpus.items():
-        ec = derive_edges(sweep_ranks(d))
+        w = wirtinger_presentation(d)
+        edge_gen = w.gens.edge_gen
+        classes = {}
+        for e, gen in edge_gen.items():
+            classes.setdefault(gen, []).append(e)
+        classes = [tuple(sorted(v)) for v in classes.values()]
         tangencies = sum(1 for e in d.events if isinstance(e.kind, Tangency))
         # each vertical tangency records exactly one identification of two
         # extended edges; the class partition is their transitive closure
-        sw = ec.sweep
+        sw = w.sweep
         assert len(sw.tangency_merges) == tangencies, stem
-        parent = {e: e for e in ec.edge_class}
+        parent = {e: e for e in edge_gen}
 
         def find(x):
             while parent[x] != x:
@@ -150,10 +155,10 @@ def test_tangency_extends_edge_count(corpus):
         for a, b in sw.tangency_merges:
             parent[find(a)] = find(b)
         groups = {}
-        for e in ec.edge_class:
+        for e in edge_gen:
             groups.setdefault(find(e), []).append(e)
         rebuilt = sorted(tuple(sorted(v)) for v in groups.values())
-        assert rebuilt == sorted(ec.classes), stem
+        assert rebuilt == sorted(classes), stem
 
 
 def test_euler_characteristic_on_corpus(corpus):

@@ -8,7 +8,8 @@ import pkgutil
 import pytest
 
 import wirtlab
-from wirtlab import diagram, genpres
+from tests.conftest import all_corpus_stems, corpus_path
+from wirtlab import cli, diagram, genpres
 from wirtlab.diagram import DiagramError
 
 MODULES = [
@@ -53,3 +54,10 @@ def test_one_sweep_per_entry_point(entry, sweeps, corpus):
         assert sweeps == [d], stem
         returned += 1
     assert returned, "no corpus diagram gets through %s" % entry.__name__
+
+
+def test_cli_validate_sweeps_once(sweeps, capsys):
+    for stem in all_corpus_stems():
+        sweeps.clear()
+        assert cli.main(["validate", str(corpus_path(stem))]) == 0
+        assert len(sweeps) == 1, stem
