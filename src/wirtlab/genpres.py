@@ -275,7 +275,7 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
                 eta,
             )
             if rec.action == "through":
-                eta = eta * _half_local(event.kind).embedded(block[0], d).inverse()
+                eta = _half_local(event.kind).embedded(block[0], d).inverse() * eta
             elif rec.action == "death":
                 del positions[rec.top - 1: rec.top - 1 + size]
     return [data[i] for i in range(len(diagram.events))]
