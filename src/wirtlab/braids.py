@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from .words import Letter, Word
+from .words import Word
 
 BraidLetter = Tuple[int, int]
 
@@ -84,11 +84,6 @@ class Braid:
         )
         return "Braid(%d, %s)" % (self.n, body)
 
-    def embedded(self, offset: int, n: int) -> "Braid":
-        """Re-index onto ``n`` strands with strand 1 mapped to ``offset``."""
-        shift = offset - 1
-        return Braid(n, [(j + shift, e) for j, e in self.letters])
-
     def permutation(self) -> tuple[int, ...]:
         """``perm[i-1]`` is the final position of the strand starting at i."""
         pos = list(range(1, self.n + 1))
@@ -102,37 +97,27 @@ class Braid:
         return tuple(out)
 
 
-def _act_letter(word: Word, j: int, e: int) -> Word:
-    out: list[Letter] = []
-    for i, exp in word.letters:
+def braid_images(braid: Braid) -> tuple[Word, ...]:
+    """The images of ``mu_1 .. mu_n`` under the right action of ``braid``.
+
+    The letters are read from the end: prepending ``sigma_j^e`` to a braid
+    with images ``I`` changes only ``I_j`` and ``I_{j+1}``.
+    """
+    images = [Word.gen(i) for i in range(1, braid.n + 1)]
+    for j, e in reversed(braid.letters):
+        a, b = images[j - 1], images[j]
         if e == 1:
-            if i == j:
-                image = ((i + 1, 1),)
-            elif i == j + 1:
-                image = ((i, 1), (i - 1, 1), (i, -1))
-            else:
-                image = ((i, 1),)
+            images[j - 1], images[j] = b, b * a * b.inverse()
         else:
-            if i == j:
-                image = ((i, -1), (i + 1, 1), (i, 1))
-            elif i == j + 1:
-                image = ((i - 1, 1),)
-            else:
-                image = ((i, 1),)
-        if exp == 1:
-            out.extend(image)
-        else:
-            out.extend((g, -s) for g, s in reversed(image))
-    return Word(out)
+            images[j - 1], images[j] = a.inverse() * b * a, a
+    return tuple(images)
 
 
 def braid_act(word: Word, braid: Braid) -> Word:
     """Apply the right action of ``braid`` to ``word``."""
     if word.max_generator() > braid.n:
         raise ValueError("word uses generators beyond the braid's strand count")
-    for j, e in braid.letters:
-        word = _act_letter(word, j, e)
-    return word
+    return word.substitute(dict(enumerate(braid_images(braid), start=1)))
 
 
 def half_twist(m: int) -> Braid:

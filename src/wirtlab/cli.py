@@ -138,7 +138,7 @@ def _cmd_zvk(args) -> int:
 
 def _cmd_simplify(args) -> int:
     p = _load_presentation(args.file)
-    q, transcript = tietze_simplify(p, allow_iib=args.allow_iib)
+    q, transcript = tietze_simplify(p)
     _emit(
         {
             "schema": 1,
@@ -214,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simplify", help="Tietze-simplify a presentation JSON file")
     sp.add_argument("file")
-    sp.add_argument("--allow-iib", action="store_true", dest="allow_iib")
     sp.set_defaults(func=_cmd_simplify)
 
     sp = sub.add_parser("invariants", help="invariant profile of a presentation JSON file")

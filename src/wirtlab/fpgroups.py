@@ -108,7 +108,7 @@ class TietzeMove:
     kind "I" moves replace or delete relators by consequences; kind "IIa"
     moves remove a generator together with a defining relator, substituting
     the defining word everywhere.  Type IIb moves (adding generators) are
-    recognised in transcripts but never produced: they are disabled.
+    never produced, and :func:`replay_transcript` rejects them.
     """
 
     kind: str
@@ -165,17 +165,13 @@ def replay_transcript(source: Presentation, transcript: TietzeTranscript) -> Pre
     return Presentation(tuple(gens), tuple(rels))
 
 
-def tietze_simplify(
-    p: Presentation, allow_iib: bool = False
-) -> tuple[Presentation, TietzeTranscript]:
+def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
     """Simplify by relator reduction and generator elimination.
 
     Only moves of type I (relator replacement/deletion by consequences) and
     IIa (generator elimination via a relator containing it exactly once) are
-    performed.  ``allow_iib`` is accepted for interface completeness but type
-    IIb moves are disabled and never generated.
+    performed; type IIb moves (adding generators) are never generated.
     """
-    del allow_iib  # reserved; IIb is disabled
     gens = list(p.generators)
     rels = list(p.relators)
     moves: list[TietzeMove] = []

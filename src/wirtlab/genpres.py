@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import Braid, braid_act, local_braid
+from .braids import Braid, braid_images, local_braid
 from .diagram import (
     Crossing,
     CurveDiagram,
@@ -192,13 +192,11 @@ def _half_local(kind) -> Braid:
     raise AssertionError("half braid requested for a one-sided vertex")
 
 
-def edge_meridian_words(diagram: CurveDiagram) -> dict:
-    """Meridian word (in the free group on the d fiber meridians, mu_1 the
-    topmost) carried by each extended edge.  Only defined when every
-    one-sided vertex points toward L, so that the outward sweep never
-    creates strands."""
-    sw = sweep_ranks(diagram)
-    _require_valid(sw)
+def _meridian_words(sw: SweepResult) -> dict:
+    """Meridian word of each extended edge, swept outward from L: each far
+    edge of a two-sided vertex carries the image of its local generator
+    under the inverse half local braid, with the near edges' words
+    substituted for the local generators."""
     words: dict[int, Word] = {}
     for rank, e in enumerate(sw.fiber_edges, start=1):
         words[e] = Word.gen(rank)
@@ -211,13 +209,21 @@ def edge_meridian_words(diagram: CurveDiagram) -> dict:
         for rec in sw.outward[side]:
             if rec.action != "through":
                 continue
-            half_inv = _half_local(rec.event.kind).inverse()
-            block = [words[e] for e in rec.near_edges]
-            images = {i + 1: block[i] for i in range(len(block))}
-            for pos, e in enumerate(rec.far_edges, start=1):
-                local = braid_act(Word.gen(pos), half_inv)
-                words[e] = local.substitute(images)
+            near = dict(enumerate((words[e] for e in rec.near_edges), start=1))
+            far = braid_images(_half_local(rec.event.kind).inverse())
+            for image, e in zip(far, rec.far_edges):
+                words[e] = image.substitute(near)
     return words
+
+
+def edge_meridian_words(diagram: CurveDiagram) -> dict:
+    """Meridian word (in the free group on the d fiber meridians, mu_1 the
+    topmost) carried by each extended edge.  Only defined when every
+    one-sided vertex points toward L, so that the outward sweep never
+    creates strands."""
+    sw = sweep_ranks(diagram)
+    _require_valid(sw)
+    return _meridian_words(sw)
 
 
 @dataclass
@@ -225,9 +231,8 @@ class MonodromyDatum:
     event_index: int
     kind: str  # ordinary | crossing | cusp | tangency
     branches: int  # m_j: number of local strands (m for ordinary, else 2)
-    position: int  # topmost global fiber position of the block
-    delta: Braid  # full local braid, embedded on d strands
-    eta: Braid  # transport braid from the base fiber to the event
+    delta: Braid  # full local braid on the block's own strands
+    meridians: tuple[Word, ...]  # near-side block meridians, top to bottom
 
 
 def _full_local(kind) -> Braid:
@@ -240,22 +245,21 @@ def _full_local(kind) -> Braid:
 
 def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
     """One datum per critical point of the projection, sweeping outward on
-    both sides.  The transport eta composes the inverse half local braids
-    of the two-sided vertices crossed between L and the event; one-sided
-    vertices leave the surviving meridians untouched, and their strand
-    pair keeps its fiber positions (the pair moves off the real plane but
-    stays in the complex fiber)."""
+    both sides.  Each event's block meridians are read off the meridian
+    sweep.  One-sided vertices leave the surviving meridians untouched, and
+    their strand pair keeps its fiber positions (the pair moves off the
+    real plane but stays in the complex fiber), so a later block must not
+    straddle it."""
     sw = sweep_ranks(diagram)
     report = _check_theorem(sw)
     if not report.verified:
         raise DiagramError(
             "diagram not verified: " + "; ".join(report.violations)
         )
-    d = diagram.d
+    words = _meridian_words(sw)
     data: dict[int, MonodromyDatum] = {}
     for side in ("left", "right"):
-        positions = list(range(1, d + 1))  # fiber position of each live strand
-        eta = Braid.identity(d)
+        positions = list(range(1, diagram.d + 1))  # fiber position of each live strand
         for rec in sw.outward[side]:
             event = rec.event
             size = event.kind.size
@@ -265,33 +269,29 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
                     "block of %s occupies non-adjacent fiber positions %s"
                     % (event.label(), block)
                 )
-            delta = _full_local(event.kind).embedded(block[0], d)
             data[rec.index] = MonodromyDatum(
                 rec.index,
                 type(event.kind).__name__.lower(),
                 size,
-                block[0],
-                delta,
-                eta,
+                _full_local(event.kind),
+                tuple(words[e] for e in rec.near_edges),
             )
-            if rec.action == "through":
-                eta = _half_local(event.kind).embedded(block[0], d).inverse() * eta
-            elif rec.action == "death":
+            if rec.action == "death":
                 del positions[rec.top - 1: rec.top - 1 + size]
     return [data[i] for i in range(len(diagram.events))]
 
 
 def zvk_presentation(d: int, data: list[MonodromyDatum]) -> Presentation:
-    """Fiber-meridian presentation: one relator per local strand but the
-    last, for each critical point, transported by eta."""
+    """Fiber-meridian presentation: for each critical point, one relator
+    per local strand but the last, equating the strand's meridian with its
+    image under the local braid."""
     names = tuple("mu%d" % i for i in range(1, d + 1))
     relators: list[Word] = []
     for datum in data:
-        for i in range(datum.branches - 1):
-            mu = Word.gen(datum.position + i)
-            lhs = braid_act(mu, datum.delta * datum.eta)
-            rhs = braid_act(mu, datum.eta)
-            rel = lhs * rhs.inverse()
+        near = dict(enumerate(datum.meridians, start=1))
+        images = braid_images(datum.delta)
+        for image, mu in zip(images[:-1], datum.meridians):
+            rel = image.substitute(near) * mu.inverse()
             if rel:
                 relators.append(rel)
     return Presentation(names, tuple(relators))
@@ -338,7 +338,7 @@ def _obstruction_loop(qrec: EventRecord, gens: GeneratorMap) -> Word:
         y1 = a
     else:
         twist = Braid.sigma(2, 1) ** (kind.m // 2)
-        y1 = braid_act(Word.gen(1), twist.inverse()).substitute({1: a, 2: b})
+        y1 = braid_images(twist.inverse())[0].substitute({1: a, 2: b})
     return y1 if kind.branch_side == "left" else y1.inverse()
 
 

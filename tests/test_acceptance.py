@@ -260,7 +260,7 @@ def test_criterion_11_main_theorem_instances():
 def test_criterion_12_tietze_safety_on_corpus():
     for stem in all_corpus_stems():
         p = wirtinger_presentation(load(stem)).presentation
-        q, transcript = tietze_simplify(p, allow_iib=False)
+        q, transcript = tietze_simplify(p)
         assert transcript.kinds() <= {"I", "IIa"}, stem
         assert profiles_equal(profile(p), profile(q)), stem
         assert abelianization(p) == abelianization(q), stem

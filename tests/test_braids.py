@@ -24,6 +24,26 @@ def test_generator_action_table():
     assert braid_act(x2, s1.inverse()) == x1
 
 
+def letter_by_letter(word, braid):
+    # reference: apply the generator table once per braid letter, in order
+    for j, e in braid.letters:
+        if e == 1:
+            images = {j: Word.gen(j + 1), j + 1: Word([(j + 1, 1), (j, 1), (j + 1, -1)])}
+        else:
+            images = {j: Word([(j, -1), (j + 1, 1), (j, 1)]), j + 1: Word.gen(j)}
+        word = word.substitute(images)
+    return word
+
+
+def test_generator_images_match_letter_by_letter_action():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        w = random_word(rng, n, rng.randint(0, 8))
+        b = random_braid(rng, n, rng.randint(0, 12))
+        assert braid_act(w, b) == letter_by_letter(w, b)
+
+
 def test_action_is_a_right_action():
     rng = random.Random(11)
     for _ in range(200):
@@ -75,16 +95,6 @@ def test_braid_group_identities():
         pa, pc = a.permutation(), c.permutation()
         composed = tuple(pa[pc[i] - 1] for i in range(4))
         assert (a * c).permutation() == composed
-
-
-def test_embedded_braid_shifts_strands():
-    # embedded(offset, n) places the braid on strands offset..offset+m-1
-    s = Braid.sigma(2, 1)
-    e = s.embedded(2, 5)
-    assert e.n == 5
-    assert braid_act(Word.gen(2), e) == Word.gen(3)
-    assert braid_act(Word.gen(1), e) == Word.gen(1)
-    assert braid_act(Word.gen(4), e) == Word.gen(4)
 
 
 def test_half_twist_squares_to_full_twist_action():

@@ -146,7 +146,12 @@ def test_malformed_presentation_is_a_user_error(capsys, tmp_path, text):
 
 @pytest.mark.parametrize(
     "argv",
-    [["hypo-verify", "--k", "abc"], ["no-such-command"], ["validate"]],
+    [
+        ["hypo-verify", "--k", "abc"],
+        ["no-such-command"],
+        ["validate"],
+        ["simplify", "--allow-iib", "presentation.json"],
+    ],
     ids=" ".join,
 )
 def test_bad_command_line_is_a_user_error(capsys, argv):
