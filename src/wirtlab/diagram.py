@@ -374,17 +374,12 @@ def _validate(sw: SweepResult) -> ValidationReport:
 @dataclass
 class FaceComplex:
     sweep: SweepResult
-    # the events and L in x order, each as a map from strand token to the
-    # index from the top of the strand's point on that cut (a block's
-    # strands share one point); on L token r has index r, between the clip
-    # vertices 0 and d + 1
-    cuts: list[dict]
-    line_cut: int  # index of L in cuts
     slabs: list[tuple[int, ...]]  # strand tokens; slab i lies between cuts i-1 and i
     faces: dict  # fragment -> face id
     face_fragments: dict  # face id -> list of fragments
     bounded: dict  # face id -> bool
-    glue_records: list[tuple[int, tuple, tuple]]  # (cut index, left, right)
+    points: int  # curve points on the event cuts (a block's strands share one)
+    glued: list[tuple[tuple, tuple]]  # fragment pairs glued across an event cut
 
 
 def faces(sw: SweepResult) -> FaceComplex:
@@ -392,37 +387,32 @@ def faces(sw: SweepResult) -> FaceComplex:
     L, by slab-gap fragments glued across the event cuts."""
     if sw.violations:
         raise DiagramError("cannot build faces: " + "; ".join(sw.violations))
-    d = sw.diagram.d
     # the slabs in x order: the left intervals from the outside in, then
     # the right intervals from L outward
     slabs = sw.intervals["left"][::-1] + sw.intervals["right"]
     line_cut = len(sw.outward["left"])
 
     uf = UnionFind()
-    cuts: list[dict] = []
-    glue_records: list[tuple[int, tuple, tuple]] = []
+    total_points = 0
+    glued: list[tuple[tuple, tuple]] = []
     for ci, rec in enumerate(sw.records):
         ci += ci >= line_cut  # L is a cut too, between the two sides
         # the strands on the block side of the cut: the interval just
         # inside the event, or just outside it for a birth
         block_side = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
         top, size = rec.top, rec.size
-        cuts.append({
-            tok: p - 1 if p < top else top - 1 if p < top + size else p - size
-            for p, tok in enumerate(block_side, start=1)
-        })
         # The cut's gaps, from the top, lie between its points.  Those
         # above the block's point are the slab gaps with the same index on
         # both sides; those below it count from the bottom of each slab.
         # The block's inner gaps end at its point and are not glued.
         points = len(block_side) - size + 1
+        total_points += points
         left, right = slabs[ci], slabs[ci + 1]
         for s in range(points + 1):
             lf = (ci, s if s < top else s + len(left) - points)
             rf = (ci + 1, s if s < top else s + len(right) - points)
             uf.union(lf, rf)
-            glue_records.append((ci, lf, rf))
-    cuts.insert(line_cut, {r: r for r in range(1, d + 1)})
+            glued.append((lf, rf))
 
     face_of: dict = {}
     face_frags: dict = {}
@@ -438,9 +428,7 @@ def faces(sw: SweepResult) -> FaceComplex:
         face: all(0 < si < last and 0 < g < len(slabs[si]) for si, g in frags)
         for face, frags in face_frags.items()
     }
-    return FaceComplex(
-        sw, cuts, line_cut, slabs, face_of, face_frags, bounded, glue_records
-    )
+    return FaceComplex(sw, slabs, face_of, face_frags, bounded, total_points, glued)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +503,16 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
     when every bounded face is free of obstruction points, a thin closed
     neighborhood of those faces, the relevant segment of L, and connecting
     arcs of the curve is a valid disk.  So a valid region exists exactly
-    when no bounded face contains an obstruction point; the report also
-    carries the Euler characteristic and connectivity of the filled union
-    as an independent verification."""
+    when no bounded face contains an obstruction point.
+
+    The report also carries the Euler characteristic and connectivity of
+    the filled union as an independent verification.  The Euler
+    characteristic is V - E + F counted off the faces' cells; connectivity
+    comes from a union-find over the sweep's strand tokens.  The union is a
+    compact set whose complement in the sphere (the unbounded faces and
+    infinity) is connected, so by Alexander duality its Euler
+    characteristic is its number of components: the two numbers must agree
+    that the union is connected exactly when the characteristic is 1."""
     complex_ = faces(sw)
     blocked: dict[int, list[str]] = {}
     for ob in obstruction_points(sw):
@@ -551,61 +546,32 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
 
 def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
     """Euler characteristic and connectivity of closed(B) + C_R + L_R."""
-    uf = UnionFind()
     d = fc.sweep.diagram.d
-    last = len(fc.slabs) - 1
+    frags = [frag for face in chosen for frag in fc.face_fragments[face]]
+    # vertices: the curve's points on the event cuts, the d points of L and
+    # its two clip ends, and a clip vertex at each unbounded strand end
+    n_vertices = fc.points + d + 2 + len(fc.slabs[0]) + len(fc.slabs[-1])
+    # edges: a segment of each live strand in each slab, the d + 1 pieces of
+    # L, and the cut gap of each glued pair inside B
+    n_edges = (
+        sum(map(len, fc.slabs)) + d + 1
+        + sum(fc.faces[lf] in chosen for lf, _ in fc.glued)
+    )
+    euler = n_vertices - n_edges + len(frags)
 
-    # vertices on cuts: the curve's points; on L also the clip ends
-    V = {(ci, p) for ci, cut in enumerate(fc.cuts) for p in cut.values()}
-    V |= {(fc.line_cut, 0), (fc.line_cut, d + 1)}
-    # clip vertices for unbounded strand ends
-    V |= {("clip", "L", tok) for tok in fc.slabs[0]}
-    V |= {("clip", "R", tok) for tok in fc.slabs[last]}
-
-    # strand segments: one 1-cell per live strand per slab
-    E = []  # (cell id, endpoints)
-    for si, slab in enumerate(fc.slabs):
-        for tok in slab:
-            a = ("clip", "L", tok) if si == 0 else (si - 1, fc.cuts[si - 1][tok])
-            b = ("clip", "R", tok) if si == last else (si, fc.cuts[si][tok])
-            E.append((("s", si, tok), (a, b)))
-
-    # line segments along L
-    for p in range(d + 1):
-        E.append((("l", p), ((fc.line_cut, p), (fc.line_cut, p + 1))))
-
-    # interior glue segments of chosen faces
-    glue_cells = []
-    for gi, (ci, lf, rf) in enumerate(fc.glue_records):
-        if fc.faces[lf] in chosen:
-            glue_cells.append((gi, ci, lf, rf))
-
-    nV = len(V)
-    nE = len(E) + len(glue_cells)
-    nF = sum(len(fc.face_fragments[f]) for f in chosen)
-    euler = nV - nE + nF
-
-    for cell, (a, b) in E:
-        uf.union(("cell", cell), a)
-        uf.union(("cell", cell), b)
-    for gi, ci, lf, rf in glue_cells:
-        uf.union(("frag", lf), ("frag", rf))
-        uf.union(("frag", lf), ("glue", gi))
-    # fragments attach to their bounding strand segments
-    for face in chosen:
-        for si, g in fc.face_fragments[face]:
-            slab = fc.slabs[si]
-            if g > 0:
-                uf.union(("frag", (si, g)), ("cell", ("s", si, slab[g - 1])))
-            if g < len(slab):
-                uf.union(("frag", (si, g)), ("cell", ("s", si, slab[g])))
-    for v in V:
-        uf.add(v)
-    roots = {uf.find(v) for v in V}
-    for face in chosen:
-        for frag in fc.face_fragments[face]:
-            roots.add(uf.find(("frag", frag)))
-    connected = len(roots) == 1
+    # pieces of the union by strand token, with token 0 standing for L: a
+    # token's segments are joined through its points, a block's strands
+    # meet at its event's point, and a fragment joins its two bounding strands
+    uf = UnionFind()
+    for r in range(1, d + 1):
+        uf.union(0, r)
+    for rec in fc.sweep.records:
+        for tok in rec.block_strands[1:]:
+            uf.union(rec.block_strands[0], tok)
+    for si, g in frags:
+        uf.union(fc.slabs[si][g - 1], fc.slabs[si][g])
+    root = uf.find(0)
+    connected = all(uf.find(tok) == root for slab in fc.slabs for tok in slab)
     return euler, connected
 
 

@@ -88,12 +88,6 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
                 raise DiagramParseError(lineno, "duplicate degree_y")
             degree_y = int(m.group(1))
             continue
-        m = _RE_LINE.match(line)
-        if m:
-            if line_x is not None:
-                raise DiagramParseError(lineno, "duplicate line_L")
-            line_x = Fraction(m.group(1))
-            continue
         m = _RE_STRAND.match(line)
         if m:
             rank = int(m.group(1))
@@ -102,6 +96,12 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
             strands[rank] = m.group(2)
             continue
         try:
+            m = _RE_LINE.match(line)
+            if m:
+                if line_x is not None:
+                    raise DiagramParseError(lineno, "duplicate line_L")
+                line_x = Fraction(m.group(1))
+                continue
             m = _RE_ORDINARY.match(line)
             if m:
                 events.append(
@@ -132,6 +132,8 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
                 continue
         except DiagramError as exc:
             raise DiagramParseError(lineno, str(exc)) from exc
+        except ZeroDivisionError:
+            raise DiagramParseError(lineno, "zero denominator") from None
         raise DiagramParseError(lineno, "unrecognized line: %r" % raw.strip())
 
     if not seen_header:

@@ -138,6 +138,14 @@ def _cyclic_canonical(w: Word) -> tuple:
     return best if best is not None else ()
 
 
+def _eliminate(rels: list[Word], k: int, value: Word, n_gens: int) -> list[Word]:
+    """Substitute ``value`` for generator k and re-index the generators
+    above k downward, in one pass over each relator."""
+    shift = {i: Word.gen(i - 1) for i in range(k + 1, n_gens + 1)}
+    images = {k: value.substitute(shift), **shift}
+    return [r.substitute(images) for r in rels]
+
+
 def _apply_move(gens: list[str], rels: list[Word], move: TietzeMove) -> None:
     if move.kind == "I" and move.action == "reduce":
         rels[move.index] = move.word
@@ -145,13 +153,7 @@ def _apply_move(gens: list[str], rels: list[Word], move: TietzeMove) -> None:
         del rels[move.index]
     elif move.kind == "IIa" and move.action == "eliminate":
         k = move.index  # 1-based generator index being removed
-        images = {k: move.word}
-        new_rels = [r.substitute(images) for r in rels]
-        # re-index generators above k downward
-        shift = {
-            i: Word.gen(i - 1) for i in range(k + 1, len(gens) + 1)
-        }
-        rels[:] = [r.substitute(shift) for r in new_rels]
+        rels[:] = _eliminate(rels, k, move.word, len(gens))
         del gens[k - 1]
     else:
         raise ValueError("unsupported Tietze move %r/%r" % (move.kind, move.action))
@@ -232,12 +234,9 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         value = rest.inverse() if e == 1 else rest
         del rels[ri]
         # the recorded defining word is expressed before re-indexing
-        shift = {i: Word.gen(i - 1) for i in range(g + 1, len(gens) + 1)}
-        move = TietzeMove("IIa", "eliminate", g, value)
         moves.append(TietzeMove("I", "delete", ri))
-        moves.append(move)
-        images = {g: value}
-        rels[:] = [w.substitute(images).substitute(shift) for w in rels]
+        moves.append(TietzeMove("IIa", "eliminate", g, value))
+        rels[:] = _eliminate(rels, g, value, len(gens))
         del gens[g - 1]
         normalise()
 

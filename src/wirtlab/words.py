@@ -94,6 +94,7 @@ class Word:
         """Replace each generator by its image word (missing ones map to
         themselves)."""
         out: list[Letter] = []
+        inverses: dict[int, tuple[Letter, ...]] = {}
         for g, e in self.letters:
             image = images.get(g)
             if image is None:
@@ -101,7 +102,9 @@ class Word:
             elif e == 1:
                 out.extend(image.letters)
             else:
-                out.extend(image.inverse().letters)
+                if g not in inverses:
+                    inverses[g] = image.inverse().letters
+                out.extend(inverses[g])
         return Word(out)
 
     def cyclically_reduced(self) -> "Word":

@@ -118,9 +118,19 @@ def test_missing_file_is_a_user_error(capsys):
     assert "error" in err
 
 
-def test_malformed_diagram_is_a_user_error(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "diagram\nnot a line\nend\n",
+        "diagram\ndegree_y 1\nline_L at 1/0\nstrand 1 component c\nend\n",
+        "diagram\ndegree_y 2\nline_L at 0\nstrand 1 component c\n"
+        "strand 2 component c\nevent at 1/0 crossing m=1 top=1\nend\n",
+    ],
+    ids=["unrecognized", "line-zero-denominator", "event-zero-denominator"],
+)
+def test_malformed_diagram_is_a_user_error(capsys, tmp_path, text):
     bad = tmp_path / "bad.wd"
-    bad.write_text("diagram\nnot a line\nend\n")
+    bad.write_text(text)
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert "error" in err

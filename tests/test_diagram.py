@@ -172,6 +172,24 @@ def test_euler_characteristic_on_corpus(corpus):
         assert (report.euler, report.connected) == expected[stem], stem
 
 
+def test_oval_inside_circle_is_joined_through_its_face():
+    # the oval meets neither the circle nor L, but the bounded face between
+    # them is in B, so the filled union is one disk
+    d = CurveDiagram(
+        2,
+        Fraction(0),
+        ("c", "c"),
+        (
+            Event(Fraction(-3), Tangency("right"), 1),
+            Event(Fraction(1), Tangency("right"), 2),
+            Event(Fraction(2), Tangency("left"), 2),
+            Event(Fraction(3), Tangency("left"), 1),
+        ),
+    )
+    report = auto_region_B(sweep_ranks(d))
+    assert (report.euler, report.connected) == (1, True)
+
+
 def test_facing_verdicts_on_corpus(corpus):
     facing_bad = {"cuspidal_cubic", "smooth_cubic"}
     for stem, d in corpus.items():

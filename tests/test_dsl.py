@@ -28,6 +28,13 @@ def test_parse_reports_line_numbers():
     assert exc.value.lineno == 6
 
 
+def test_parse_reports_zero_denominator_line():
+    text = "diagram\ndegree_y 1\nline_L at 0\nstrand 1 component c\nevent at 1/0 crossing m=1 top=1\nend\n"
+    with pytest.raises(DiagramParseError) as exc:
+        parse_diagram(text)
+    assert exc.value.lineno == 5
+
+
 def test_parse_accepts_rationals():
     text = (
         "diagram\ndegree_y 2\nline_L at -7/3\n"
