@@ -45,7 +45,9 @@ def profile(
 ) -> InvariantProfile:
     """Compute the invariant profile, Tietze-simplifying first by default.
 
-    S5 is deliberately not a default target (6^5 times slower); pass
+    S5 is deliberately not a default target: on the traced orbifold groups
+    at k = 6, 7 and 8 its search visits 16 to 33 times as many nodes as S4
+    and takes 0.3 to 4 s, against 0.06 to 0.55 s for S4.  Pass
     ``targets=("S3", "S4", "S5")`` to opt in.
     """
     q = tietze_simplify(p)[0] if simplify else p

@@ -14,17 +14,25 @@ Letter = Tuple[int, int]
 
 
 def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Cancel adjacent inverse pairs until no cancellation remains."""
-    stack: list[Letter] = []
+    """Check the letters, then cancel adjacent inverse pairs until no
+    cancellation remains."""
+    checked: list[Letter] = []
     for gen, exp in letters:
         if gen < 1:
             raise ValueError("generator indices start at 1, got %r" % gen)
         if exp not in (1, -1):
             raise ValueError("letter exponents must be +1 or -1, got %r" % exp)
-        if stack and stack[-1][0] == gen and stack[-1][1] == -exp:
+        checked.append((gen, exp))
+    return _cancel(checked)
+
+
+def _cancel(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    stack: list[Letter] = []
+    for letter in letters:
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
-            stack.append((gen, exp))
+            stack.append(letter)
     return tuple(stack)
 
 
@@ -35,6 +43,14 @@ class Word:
 
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", free_reduce(letters))
+
+    @classmethod
+    def _reduced(cls, letters: tuple[Letter, ...]) -> "Word":
+        """Wrap a tuple of letters that is already valid and freely reduced,
+        without checking either."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -52,10 +68,16 @@ class Word:
         return Word([letter] * abs(exp))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # both factors are reduced, so only the seam between them can cancel
+        a, b = self.letters, other.letters
+        i, j, n = len(a), 0, len(b)
+        while i and j < n and a[i - 1][0] == b[j][0] and a[i - 1][1] == -b[j][1]:
+            i -= 1
+            j += 1
+        return Word._reduced(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
-        return Word([(g, -e) for g, e in reversed(self.letters)])
+        return Word._reduced(tuple([(g, -e) for g, e in reversed(self.letters)]))
 
     def conjugated_by(self, w: "Word") -> "Word":
         """Return ``w^-1 * self * w``."""
@@ -105,13 +127,15 @@ class Word:
                 if g not in inverses:
                     inverses[g] = image.inverse().letters
                 out.extend(inverses[g])
-        return Word(out)
+        return Word._reduced(_cancel(out))
 
     def cyclically_reduced(self) -> "Word":
-        ls = list(self.letters)
-        while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
-            ls = ls[1:-1]
-        return Word(ls)
+        ls = self.letters
+        i, j = 0, len(ls) - 1
+        while i < j and ls[i][0] == ls[j][0] and ls[i][1] == -ls[j][1]:
+            i += 1
+            j -= 1
+        return Word._reduced(ls[i : j + 1])
 
     def __repr__(self) -> str:
         return "Word(%s)" % format_word(self)

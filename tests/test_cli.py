@@ -112,6 +112,25 @@ def test_hypo_verify_command(capsys):
     assert data["equal"] is True
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_bad_hom_bound_is_a_user_error(capsys, monkeypatch, tmp_path, value):
+    path = tmp_path / "z.json"
+    path.write_text('{"generators": ["a"], "relators": []}')
+    monkeypatch.setenv("WIRTLAB_HOM_BOUND", value)
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "ValueError" and "WIRTLAB_HOM_BOUND" in error["error"]
+
+
+def test_hom_bound_refusal_is_a_user_error(capsys, monkeypatch):
+    monkeypatch.setenv("WIRTLAB_HOM_BOUND", "50")
+    code, out, err = run(capsys, "hypo-verify", "--k", "2")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "ResourceGuardError" and "nodes" in error["error"]
+
+
 def test_missing_file_is_a_user_error(capsys):
     code, out, err = run(capsys, "validate", "no_such_file.wd")
     assert code == 2

@@ -1,6 +1,8 @@
 import pytest
 
-from wirtlab.fpgroups import Presentation, braid_relator
+from wirtlab.dsl import parse_diagram
+from wirtlab.fpgroups import Presentation, braid_relator, tietze_simplify
+from wirtlab.genpres import wirtinger_presentation
 from wirtlab.homcount import (
     HOM_BOUND_ENV,
     ResourceGuardError,
@@ -9,6 +11,53 @@ from wirtlab.homcount import (
 )
 from wirtlab.profiles import profile, profiles_equal
 from wirtlab.words import Word
+from tests.conftest import all_corpus_stems, load
+from tests.test_zvk_differential import sample
+
+
+def reference_count(p: Presentation, table) -> int:
+    """Plain backtracking over every image of every generator, evaluating
+    each relator letter by letter once all its generators have images: the
+    search before conjugacy classes and compiled relators, kept as the
+    oracle."""
+    n = len(p.generators)
+    supports = [frozenset(g for g, _ in r.letters) for r in p.relators]
+    order: list[int] = []
+    while len(order) < n:
+        chosen = set(order)
+        order.append(max(
+            (g for g in range(1, n + 1) if g not in chosen),
+            key=lambda g: (sum(1 for s in supports if s and s <= chosen | {g}), -g),
+        ))
+    checks = [[] for _ in range(n + 1)]
+    for r, s in zip(p.relators, supports):
+        if s:
+            checks[max(order.index(g) for g in s) + 1].append(r)
+    mult, inverse, identity = table.mult, table.inverse, table.identity
+    assign = [identity] * (n + 1)
+
+    def value(word: Word) -> int:
+        acc = identity
+        for g, e in word.letters:
+            x = assign[g]
+            acc = mult[acc][x if e == 1 else inverse[x]]
+        return acc
+
+    def search(depth: int) -> int:
+        if depth == n:
+            return 1
+        total = 0
+        for x in range(table.size):
+            assign[order[depth]] = x
+            if all(value(r) == identity for r in checks[depth + 1]):
+                total += search(depth + 1)
+        return total
+
+    return search(0)
+
+
+def simplified_wirtinger(d) -> Presentation:
+    return tietze_simplify(wirtinger_presentation(d).presentation)[0]
 
 
 def test_free_group_hom_counts_are_powers():
@@ -47,3 +96,51 @@ def test_profile_distinguishes_trefoil_from_abelianization():
     pa, pb = profile(trefoil), profile(z)
     assert pa.abelian == pb.abelian
     assert not profiles_equal(pa, pb)
+
+
+def test_refusal_names_nodes_target_and_generators():
+    p = Presentation(tuple("g%d" % i for i in range(10)), ())
+    with pytest.raises(ResourceGuardError) as exc:
+        count_homs(p, symmetric_group(4), bound=1000)
+    message = str(exc.value)
+    assert "S4" in message and "10 generators" in message
+    nodes = int(message.split(" nodes")[0].rsplit(" ", 1)[1])
+    assert 1000 < nodes <= 1000 + 24
+
+
+def test_symmetric_groups_are_built_once():
+    assert symmetric_group(4) is symmetric_group(4)
+
+
+# The plain search takes about 70 s for S4 on the 5-generator groups of the
+# seeds, so S4 runs there only up to 4 generators.
+MAX_GENERATORS = 5
+MAX_S4_GENERATORS = 4
+
+
+def _assert_counts_match(q: Presentation, with_s4: bool) -> None:
+    for n in (2, 3, 4) if with_s4 else (2, 3):
+        table = symmetric_group(n)
+        assert count_homs(q, table) == reference_count(q, table), table.name
+
+
+@pytest.mark.parametrize("stem", all_corpus_stems())
+def test_counts_match_plain_search_on_corpus(stem):
+    _assert_counts_match(simplified_wirtinger(load(stem)), with_s4=True)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_counts_match_plain_search_on_seeded_diagrams(seed):
+    q = simplified_wirtinger(parse_diagram(sample(seed).dsl))
+    if len(q.generators) <= MAX_GENERATORS:
+        _assert_counts_match(q, with_s4=len(q.generators) <= MAX_S4_GENERATORS)
+
+
+def test_s5_counts_match_plain_search():
+    s5 = symmetric_group(5)
+    a, b = Word.gen(1), Word.gen(2)
+    groups = [Presentation(("a", "b"), (braid_relator(a, b),))]
+    groups += [Presentation(("a",), (a ** n,)) for n in range(2, 7)]
+    groups += [Presentation(tuple("g%d" % i for i in range(r)), ()) for r in (0, 1, 2)]
+    for p in groups:
+        assert count_homs(p, s5) == reference_count(p, s5), p.describe()

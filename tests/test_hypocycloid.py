@@ -11,6 +11,7 @@ from wirtlab.hypocycloid import (
     orbifold_presentation,
     quotient_diagram,
     trace_quotient,
+    verify_case,
 )
 
 
@@ -85,3 +86,11 @@ def test_orbifold_presentation_adds_involution_relators():
     pres = orbifold_presentation(2)
     squares = [r for r in pres.relators if len(r) == 2 and r.letters[0] == r.letters[1]]
     assert squares, "expected generator-squared relators for the line component"
+
+
+def test_verify_case_k5_with_the_default_bound():
+    result = verify_case(5)
+    assert result.equal, result.note
+    for side in (result.profile_left, result.profile_right):
+        assert (side.abelian.free_rank, side.abelian.torsion) == (1, (2,))
+        assert dict(side.hom_counts) == {"S3": 12, "S4": 72}

@@ -26,6 +26,16 @@ def test_group_laws_hold_on_random_words():
         assert (a * b).inverse() == b.inverse() * a.inverse()
 
 
+def test_products_and_inverses_equal_full_reduction():
+    rng = random.Random(36)
+    for _ in range(300):
+        a = random_word(rng, 3, rng.randint(0, 10))
+        b = random_word(rng, 3, rng.randint(0, 10))
+        assert (a * b).letters == free_reduce(a.letters + b.letters)
+        assert a.inverse().letters == free_reduce((g, -e) for g, e in reversed(a.letters))
+        assert (a * a.inverse()).letters == ()
+
+
 def test_powers_and_conjugation():
     x = Word.gen(1)
     y = Word.gen(2)
