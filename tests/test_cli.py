@@ -99,10 +99,11 @@ def test_hypo_stats_command(capsys):
     assert data["degree"] == 6 and data["ramification_identity"] is True
 
 
-def test_hypo_diagram_round_trips(capsys):
-    code, out, _ = run(capsys, "hypo-diagram", "--k", "2")
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hypo_diagram_round_trips(capsys, k):
+    code, out, _ = run(capsys, "hypo-diagram", "--k", str(k))
     assert code == 0
-    assert out == corpus_path("hypocycloid_quotient_k2").read_text()
+    assert out == corpus_path("hypocycloid_quotient_k%d" % k).read_text()
 
 
 def test_hypo_verify_command(capsys):
