@@ -126,16 +126,22 @@ class TietzeTranscript:
 
 
 def _cyclic_canonical(w: Word) -> tuple:
-    """Canonical key of a relator up to cyclic rotation and inversion."""
+    """Canonical key of a relator up to cyclic rotation and inversion: the
+    least rotation of w or of its inverse.  Only a rotation that starts at
+    an occurrence of a word's least letter can be its least, so only those
+    are built."""
     w = w.cyclically_reduced()
+    if not w:
+        return ()
     best = None
-    for cand in (w, w.inverse()):
-        ls = cand.letters
-        for i in range(max(len(ls), 1)):
-            rot = ls[i:] + ls[:i]
-            if best is None or rot < best:
-                best = rot
-    return best if best is not None else ()
+    for ls in (w.letters, w.inverse().letters):
+        least = min(ls)
+        for i, letter in enumerate(ls):
+            if letter == least:
+                rot = ls[i:] + ls[:i]
+                if best is None or rot < best:
+                    best = rot
+    return best
 
 
 def _eliminate(rels: list[Word], k: int, value: Word, n_gens: int) -> list[Word]:

@@ -13,17 +13,21 @@ This module traces that folded arrangement numerically and assembles its
 node pairs give crossings, axis nodes become simple tangencies with the
 line (intersection multiplicity 2), the single vertical tangency becomes
 a transversal line crossing, and the on-axis cusp becomes a contact-order
-3 crossing with the line.  Killing the squares of the line meridians in
-the resulting Wirtinger presentation gives an orbifold group that is
-compared, via invariant profiles, against the semidirect product of the
-(2k-1)-gon Artin group with Z/2 (``ngon_semidirect``).
+3 crossing with the line.  Every node is a parameter pair pi*m/n +- delta:
+closed-form centre angle, delta a root of one scalar equation.  k = 2..11
+trace; from k = 12 two events lie closer than the separation tolerance and
+tracing stops with a ``TracingError``.  Killing the squares of the line
+meridians in the resulting Wirtinger presentation gives an orbifold group
+that is compared, via invariant profiles, against the semidirect product of
+the (2k-1)-gon Artin group with Z/2 (``ngon_semidirect``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, cosh, gcd, log2, pi, sin, sinh
+from math import cos, cosh, gcd, log2, pi, remainder, sin, sinh
 
 from .diagram import CurveDiagram, Crossing, Cusp, Event, check_theorem
 from .fpgroups import Presentation, Word, ngon_semidirect
@@ -139,6 +143,28 @@ def _bisect(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
+# The node scan stays this far inside (0, pi): at delta -> pi the pair meets
+# at a cusp, where the root can be of higher order and sign noise fakes nodes.
+_NODE_MARGIN = 1e-3
+_RESIDUAL_TOL = 1e-12
+
+
+def _node_deltas(params: HypoParams, m: int) -> list[float]:
+    """Half-separations delta in (0, pi) of the real node pairs pi*m/n +- delta.
+    With z(t) = (k e^{i ell t} + ell e^{-ikt})/n, z(theta+delta) - z(theta-delta) =
+    (2i/n)(k sin(ell delta) e^{i ell theta} - ell sin(k delta) e^{-ik theta}), so they
+    solve k sin(ell delta) = (-1)^m ell sin(k delta).  Its frequency is at most k,
+    so 64k scan steps put each root in a bracket of its own."""
+    k, l = params.k, params.ell
+    sign = -1.0 if m % 2 else 1.0
+    f = lambda d: k * sin(l * d) - sign * l * sin(k * d)
+    lo, hi, steps = _NODE_MARGIN, pi - _NODE_MARGIN, 64 * k
+    ds = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
+    fs = [f(d) for d in ds]
+    return [_bisect(f, ds[i - 1], ds[i])
+            for i in range(1, steps + 1) if fs[i] == 0.0 or fs[i - 1] * fs[i] < 0.0]
+
+
 @dataclass(frozen=True)
 class CriticalParameters:
     cusp_angles: tuple[float, ...]  # the k+ell cusp parameters in [0, 2*pi)
@@ -147,10 +173,10 @@ class CriticalParameters:
     residuals: dict
 
 
-def critical_parameters(params: HypoParams, tol: float = 1e-12) -> CriticalParameters:
+def critical_parameters(params: HypoParams, tol: float = _RESIDUAL_TOL) -> CriticalParameters:
     """Critical parameter angles for ell = k-1: the cusps at 2*pi*j/(k+ell),
     the vertical tangency at pi, and the k-2 axis-node angle pairs +-t
-    (y(t) = 0), found by sign-change bisection."""
+    (y(t) = 0), the node pairs with centre angle 0 (``_node_deltas``)."""
     if params.ell != params.k - 1:
         raise ValueError("critical_parameters requires ell = k-1")
     n = params.n
@@ -160,20 +186,9 @@ def critical_parameters(params: HypoParams, tol: float = 1e-12) -> CriticalParam
         residuals["cusp_%d" % j] = max(abs(_dx(params, t)), abs(_dy(params, t)))
     residuals["tangency"] = max(abs(_dx(params, pi)), abs(_y(params, pi)))
 
-    roots: list[float] = []
-    m = 4096 * params.k
-    lo, hi = 1e-6, pi - 1e-6
-    prev_t, prev_y = lo, _y(params, lo)
-    for i in range(1, m + 1):
-        t = lo + (hi - lo) * i / m
-        yt = _y(params, t)
-        if prev_y == 0.0 or (prev_y > 0) != (yt > 0):
-            roots.append(_bisect(lambda u: _y(params, u), prev_t, t))
-        prev_t, prev_y = t, yt
+    roots = _node_deltas(params, 0)
     if len(roots) != params.k - 2:
-        raise TracingError(
-            "expected %d axis-node angles, found %d" % (params.k - 2, len(roots))
-        )
+        raise TracingError("expected %d axis-node angles, found %d" % (params.k - 2, len(roots)))
     for i, r in enumerate(roots):
         residuals["axis_node_%d" % i] = abs(_y(params, r))
 
@@ -323,9 +338,8 @@ def trace_quotient(k: int) -> TracedCurve:
     crit = critical_parameters(params)
     cusp_ts = [2 * pi * j / n for j in range(1, k)]  # folded representatives
     boundaries = [0.0] + cusp_ts + [pi]
-    pieces = tuple(
-        (boundaries[i], boundaries[i + 1]) for i in range(len(boundaries) - 1)
-    )
+    pieces = tuple(zip(boundaries, boundaries[1:]))
+    piece_of = lambda t: ("phi", bisect(boundaries, t) - 1)  # arc of a folded parameter
     xpi = _x(params, pi)
     tr = TracedCurve(params, pieces, xpi, [])
 
@@ -339,9 +353,7 @@ def trace_quotient(k: int) -> TracedCurve:
 
     # axis nodes fold to simple tangencies between the curve and the line
     for t in crit.axis_node_angles:
-        piece = next(
-            ("phi", i) for i, (a, b) in enumerate(pieces) if a < t < b
-        )
+        piece = piece_of(t)
         x0 = _x(params, t)
         order = _contact_order(
             lambda h: _piece_w_at(params, pieces[piece[1]], x0 + h)
@@ -371,31 +383,17 @@ def trace_quotient(k: int) -> TracedCurve:
     )
     tr.events.append(RawEvent(1.0, 0.0, "inflection", (("phi", 0), LINE), contact_order=order))
 
-    # folded node pairs: transversal self-intersections of the fold
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            lo_i, hi_i = _piece_x_range(params, pieces[i])
-            lo_j, hi_j = _piece_x_range(params, pieces[j])
-            lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
-            margin = 1e-7 + 1e-9 * (hi - lo)
-            lo, hi = lo + margin, hi - margin
-            if hi <= lo:
-                continue
-            samples = 2500
-            delta = lambda x: _piece_w_at(params, pieces[i], x) - _piece_w_at(
-                params, pieces[j], x
-            )
-            prev_x, prev_d = lo, delta(lo)
-            for sidx in range(1, samples + 1):
-                x = lo + (hi - lo) * sidx / samples
-                d = delta(x)
-                if prev_d == 0.0 or (prev_d > 0) != (d > 0):
-                    xc = _bisect(delta, prev_x, x)
-                    tr.events.append(
-                        RawEvent(xc, _piece_w_at(params, pieces[i], xc), "crossing",
-                                 (("phi", i), ("phi", j)))
-                    )
-                prev_x, prev_d = x, d
+    # folded node pairs pi*m/n +- delta for m = 1..k-1 (n-m is the mirror of m)
+    for m in range(1, k):
+        for d in _node_deltas(params, m):
+            t1, t2 = pi * m / n + d, pi * m / n - d
+            residual = abs(complex(*hypo_point(params, t1)) - complex(*hypo_point(params, t2)))
+            if residual > _RESIDUAL_TOL:
+                raise TracingError("node residual %.3e above tolerance %g at m=%d, delta=%.12g"
+                                   % (residual, _RESIDUAL_TOL, m, d))
+            f1, f2 = abs(remainder(t1, 2 * pi)), abs(remainder(t2, 2 * pi))
+            arcs = (piece_of(f1), piece_of(f2))
+            tr.events.append(RawEvent(_x(params, f1), _w(params, f1), "crossing", arcs))
 
     expected = {
         "cusp": k - 1,

@@ -106,6 +106,14 @@ def test_hypo_diagram_round_trips(capsys, k):
     assert out == corpus_path("hypocycloid_quotient_k%d" % k).read_text()
 
 
+def test_hypo_diagram_k12_stops_at_the_separation_check(capsys):
+    code, out, err = run(capsys, "hypo-diagram", "--k", "12")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "TracingError"
+    assert error["error"].startswith("event separation below tolerance")
+
+
 def test_hypo_verify_command(capsys):
     code, out, _ = run(capsys, "hypo-verify", "--k", "2")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from wirtlab.abelian import abelianization
 from wirtlab.fpgroups import (
     Presentation,
+    _cyclic_canonical,
     artin_from_graph,
     braid_relator,
     commutator,
@@ -94,3 +95,22 @@ def test_ngon_semidirect_shape():
 def test_ngon_semidirect_rejects_bad_k():
     with pytest.raises(ValueError):
         ngon_semidirect(1)
+
+
+def all_rotations_key(w: Word) -> tuple:
+    """Least rotation of the cyclic reduction of w or of its inverse, taken
+    over every rotation."""
+    w = w.cyclically_reduced()
+    rotations = [ls[i:] + ls[:i] for ls in (w.letters, w.inverse().letters) for i in range(len(ls))]
+    return min(rotations, default=())
+
+
+def test_cyclic_canonical_matches_all_rotations():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        core = [(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(0, 12))]
+        # conjugating by a random word leaves most words not cyclically reduced
+        conj = Word([(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))])
+        w = Word(core).conjugated_by(conj)
+        assert _cyclic_canonical(w) == all_rotations_key(w), w
+    assert _cyclic_canonical(Word()) == ()

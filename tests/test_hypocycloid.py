@@ -5,6 +5,8 @@ import pytest
 from wirtlab.diagram import check_theorem
 from wirtlab.hypocycloid import (
     HypoParams,
+    _node_deltas,
+    _piece_w_at,
     critical_parameters,
     hypo_point,
     hypo_stats,
@@ -51,7 +53,7 @@ def test_stats_census_small():
 
 
 def test_critical_parameters_residuals():
-    for k in (2, 3, 4, 5):
+    for k in range(2, 9):
         crit = critical_parameters(HypoParams(k, k - 1))
         assert len(crit.cusp_angles) == 2 * k - 1
         assert len(crit.axis_node_angles) == k - 2
@@ -64,7 +66,7 @@ def test_critical_parameters_requires_fold_shape():
 
 
 def test_trace_census():
-    for k in (2, 3):
+    for k in range(2, 12):
         tr = trace_quotient(k)
         census = tr.census()
         n = 2 * k - 1
@@ -76,10 +78,25 @@ def test_trace_census():
 
 
 def test_quotient_diagram_is_verified():
-    for k in (2, 3):
+    for k in range(2, 12):
         d = quotient_diagram(k)
         assert d.d == k + 1
         assert check_theorem(d).verified
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_closed_form_nodes_agree_with_x_inversion(k):
+    params = HypoParams(k, k - 1)
+    for m in range(k):
+        assert len(_node_deltas(params, m)) == k - 2
+    tr = trace_quotient(k)
+    crossings = [ev for ev in tr.events if ev.kind == "crossing"]
+    assert len(crossings) == (k - 1) * (k - 2)
+    for ev in crossings:
+        (_, i), (_, j) = ev.arcs
+        assert i != j
+        for piece in (tr.pieces[i], tr.pieces[j]):
+            assert _piece_w_at(params, piece, ev.x) == pytest.approx(ev.w, abs=1e-9)
 
 
 def test_orbifold_presentation_adds_involution_relators():
@@ -88,8 +105,9 @@ def test_orbifold_presentation_adds_involution_relators():
     assert squares, "expected generator-squared relators for the line component"
 
 
-def test_verify_case_k5_with_the_default_bound():
-    result = verify_case(5)
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_verify_case_with_the_default_bound(k):
+    result = verify_case(k)
     assert result.equal, result.note
     for side in (result.profile_left, result.profile_right):
         assert (side.abelian.free_rank, side.abelian.torsion) == (1, (2,))
