@@ -11,6 +11,11 @@ without ZvK).
 has no violations, the region B report and the number of faces and of
 bounded faces.  It pins faces on diagrams the CLI never asks for region B,
 such as those with births, where the facing check fails first.
+
+``tests/golden/simplified.json`` holds one line per diagram and route
+(Wirtinger, extended, and ZvK where the diagram is Verified): the number of
+Tietze moves and the simplified presentation.  ``long_100`` is left out; its
+relators are too long for a quick test.
 """
 
 from __future__ import annotations
@@ -24,8 +29,15 @@ import pytest
 
 from tests.conftest import all_corpus_stems, corpus_path
 from wirtlab.cli import main
-from wirtlab.diagram import auto_region_B, faces, sweep_ranks
+from wirtlab.diagram import DiagramError, auto_region_B, faces, sweep_ranks
 from wirtlab.dsl import parse_diagram
+from wirtlab.fpgroups import tietze_simplify
+from wirtlab.genpres import (
+    diagram_braid_monodromy,
+    extended_wirtinger,
+    wirtinger_presentation,
+    zvk_presentation,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -82,3 +94,39 @@ def render_regions() -> str:
 def test_region_golden():
     expected = (GOLDEN / "region.json").read_text(encoding="utf-8")
     assert render_regions() == expected
+
+
+ROUTES = {
+    "wirtinger": lambda d: wirtinger_presentation(d).presentation,
+    "extended": lambda d: extended_wirtinger(d).presentation,
+    "zvk": lambda d: zvk_presentation(d.d, diagram_braid_monodromy(d)),
+}
+
+
+def render_simplified() -> str:
+    """The text of ``simplified.json``; routes that raise DiagramError are
+    skipped."""
+    lines = []
+    for name in NAMES:
+        if name == "long_100":
+            continue
+        d = parse_diagram(diagram_path(name).read_text(encoding="utf-8"), name=name)
+        for route, build in ROUTES.items():
+            try:
+                p = build(d)
+            except DiagramError:
+                continue
+            q, transcript = tietze_simplify(p)
+            record = {
+                "name": name,
+                "route": route,
+                "moves": len(transcript.moves),
+                "simplified": q.to_json(),
+            }
+            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+def test_simplified_golden():
+    expected = (GOLDEN / "simplified.json").read_text(encoding="utf-8")
+    assert render_simplified() == expected
