@@ -35,22 +35,14 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
         dirty = False
         p = a[top][top]
         for i in range(top + 1, rows):
-            if a[i][top] % p != 0:
-                q = a[i][top] // p
-                for j in range(cols):
-                    a[i][j] -= q * a[top][j]
-                dirty = True
-            elif a[i][top] != 0:
+            if a[i][top] != 0:
+                dirty |= a[i][top] % p != 0
                 q = a[i][top] // p
                 for j in range(cols):
                     a[i][j] -= q * a[top][j]
         for j in range(top + 1, cols):
-            if a[top][j] % p != 0:
-                q = a[top][j] // p
-                for i in range(rows):
-                    a[i][j] -= q * a[i][top]
-                dirty = True
-            elif a[top][j] != 0:
+            if a[top][j] != 0:
+                dirty |= a[top][j] % p != 0
                 q = a[top][j] // p
                 for i in range(rows):
                     a[i][j] -= q * a[i][top]

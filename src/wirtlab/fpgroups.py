@@ -2,12 +2,13 @@
 
 A :class:`Presentation` has named generators and relators given as
 :class:`~wirtlab.words.Word` objects whose integer letters index the
-generator list (1-based).
+generator list (1-based).  :func:`tietze_simplify` and its transcripts keep
+the source numbering; the kept generators are renumbered 1.. once, at the end.
 """
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -109,6 +110,9 @@ class TietzeMove:
     moves remove a generator together with a defining relator, substituting
     the defining word everywhere.  Type IIb moves (adding generators) are
     never produced, and :func:`replay_transcript` rejects them.
+
+    Words and IIa indices use the source generator numbering throughout;
+    the kept generators are numbered 1.. in source order after the last move.
     """
 
     kind: str
@@ -144,33 +148,56 @@ def _cyclic_canonical(w: Word) -> tuple:
     return best
 
 
-def _eliminate(rels: list[Word], k: int, value: Word, n_gens: int) -> list[Word]:
-    """Substitute ``value`` for generator k and re-index the generators
-    above k downward, in one pass over each relator."""
-    shift = {i: Word.gen(i - 1) for i in range(k + 1, n_gens + 1)}
-    images = {k: value.substitute(shift), **shift}
-    return [r.substitute(images) for r in rels]
-
-
-def _apply_move(gens: list[str], rels: list[Word], move: TietzeMove) -> None:
+def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove) -> None:
+    """Apply one move to ``rels``; ``gone`` holds the eliminated generators."""
     if move.kind == "I" and move.action == "reduce":
         rels[move.index] = move.word
     elif move.kind == "I" and move.action == "delete":
         del rels[move.index]
     elif move.kind == "IIa" and move.action == "eliminate":
-        k = move.index  # 1-based generator index being removed
-        rels[:] = _eliminate(rels, k, move.word, len(gens))
-        del gens[k - 1]
+        k = move.index
+        if not 1 <= k <= n_gens or k in gone or any(
+            g == k or g in gone or g > n_gens for g, _ in move.word
+        ):
+            raise ValueError("%r is not a IIa move on the remaining generators" % (move,))
+        for i, r in enumerate(rels):
+            if (k, 1) in r.letters or (k, -1) in r.letters:
+                rels[i] = r.substitute({k: move.word})
+        gone.add(k)
     else:
         raise ValueError("unsupported Tietze move %r/%r" % (move.kind, move.action))
 
 
+def _renumber(generators: Sequence[str], relators: Sequence[Word], eliminated: set[int]) -> Presentation:
+    """Drop the eliminated generators; number the rest 1.. in source order."""
+    kept = [i for i in range(1, len(generators) + 1) if i not in eliminated]
+    index = {old: new for new, old in enumerate(kept, start=1)}
+    return Presentation(
+        tuple(generators[i - 1] for i in kept),
+        tuple(Word([(index[g], e) for g, e in r]) for r in relators),
+    )
+
+
+def _defining_letter(rels: list[Word]) -> tuple[int, int, int, int] | None:
+    """(length, generator, relator index, letter position) of a generator
+    that occurs exactly once in a relator, or None.  Prefers the shortest
+    relator, then the lowest generator index, so runs are deterministic."""
+    best = None
+    for ri, r in enumerate(rels):
+        if best is None or len(r) <= best[0]:
+            counts = Counter(g for g, _ in r.letters)
+            for pos, (g, _) in enumerate(r.letters):
+                if counts[g] == 1 and (best is None or (len(r), g) < best[:2]):
+                    best = (len(r), g, ri, pos)
+    return best
+
+
 def replay_transcript(source: Presentation, transcript: TietzeTranscript) -> Presentation:
-    gens = list(source.generators)
     rels = list(source.relators)
+    gone: set[int] = set()
     for move in transcript.moves:
-        _apply_move(gens, rels, move)
-    return Presentation(tuple(gens), tuple(rels))
+        _apply_move(len(source.generators), gone, rels, move)
+    return _renumber(source.generators, rels, gone)
 
 
 def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
@@ -178,11 +205,16 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
 
     Only moves of type I (relator replacement/deletion by consequences) and
     IIa (generator elimination via a relator containing it exactly once) are
-    performed; type IIb moves (adding generators) are never generated.
+    performed, each recorded and applied as :func:`replay_transcript` does;
+    type IIb moves (adding generators) are never generated.
     """
-    gens = list(p.generators)
     rels = list(p.relators)
+    gone: set[int] = set()
     moves: list[TietzeMove] = []
+
+    def apply(move: TietzeMove) -> None:
+        moves.append(move)
+        _apply_move(len(p.generators), gone, rels, move)
 
     def normalise() -> None:
         # cyclic reduction, trivial and duplicate removal
@@ -191,72 +223,39 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         while i < len(rels):
             reduced = rels[i].cyclically_reduced()
             if reduced != rels[i]:
-                moves.append(TietzeMove("I", "reduce", i, reduced))
-                rels[i] = reduced
+                apply(TietzeMove("I", "reduce", i, reduced))
             key = _cyclic_canonical(rels[i])
             if not rels[i] or key in seen:
-                moves.append(TietzeMove("I", "delete", i))
-                del rels[i]
+                apply(TietzeMove("I", "delete", i))
                 continue
             seen.add(key)
             i += 1
 
-    def find_elimination() -> tuple[int, int, int] | None:
-        """Return (relator idx, 1-based gen, letter position) or None.
-
-        Prefers the shortest defining relator, then the lowest generator
-        index, so runs are deterministic.
-        """
-        best = None
-        for ri, r in enumerate(rels):
-            counts: dict[int, int] = {}
-            for g, _ in r.letters:
-                counts[g] = counts.get(g, 0) + 1
-            for g, c in counts.items():
-                if c != 1:
-                    continue
-                key = (len(r), g)
-                if best is None or key < best[0]:
-                    pos = next(
-                        i for i, (gg, _) in enumerate(r.letters) if gg == g
-                    )
-                    best = (key, ri, g, pos)
-        if best is None:
-            return None
-        return best[1], best[2], best[3]
-
     normalise()
-    while True:
-        found = find_elimination()
-        if found is None:
-            break
-        ri, g, pos = found
-        r = rels[ri]
-        # rotate so the defining letter comes first: r ~ g^e * w, so
-        # g = w^-1 if e == 1 else w (then re-indexed below)
-        rot = Word(r.letters[pos:] + r.letters[:pos])
-        e = rot.letters[0][1]
-        rest = Word(rot.letters[1:])
-        value = rest.inverse() if e == 1 else rest
-        del rels[ri]
-        # the recorded defining word is expressed before re-indexing
-        moves.append(TietzeMove("I", "delete", ri))
-        moves.append(TietzeMove("IIa", "eliminate", g, value))
-        rels[:] = _eliminate(rels, g, value, len(gens))
-        del gens[g - 1]
+    while (found := _defining_letter(rels)) is not None:
+        _, g, ri, pos = found
+        ls = rels[ri].letters
+        # r ~ g^e * w, so g = w^-1 if e == 1 else w
+        rest = Word(ls[pos + 1 :] + ls[:pos])
+        apply(TietzeMove("I", "delete", ri))
+        apply(TietzeMove("IIa", "eliminate", g, rest.inverse() if ls[pos][1] == 1 else rest))
         normalise()
 
-    simplified = Presentation(tuple(gens), tuple(rels))
-    return simplified, TietzeTranscript(tuple(moves))
+    return _renumber(p.generators, rels, gone), TietzeTranscript(tuple(moves))
 
 
 # ---------------------------------------------------------------------------
 # Artin-type presentations
 # ---------------------------------------------------------------------------
 
+def artin_relator(a: Word, b: Word, length: int) -> Word:
+    """a b a ... = b a b ..., ``length`` factors a side, as a relator word."""
+    return alternating(a, b, length) * alternating(b, a, length).inverse()
+
+
 def braid_relator(a: Word, b: Word) -> Word:
     """a b a = b a b as a relator word."""
-    return alternating(a, b, 3) * alternating(b, a, 3).inverse()
+    return artin_relator(a, b, 3)
 
 
 def commutator(a: Word, b: Word) -> Word:

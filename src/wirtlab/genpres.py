@@ -34,8 +34,8 @@ from .diagram import (
     _validate,
     sweep_ranks,
 )
-from .fpgroups import Presentation, commutator
-from .words import Word, alternating
+from .fpgroups import Presentation, artin_relator, commutator
+from .words import Word
 
 
 class UnsupportedConfiguration(DiagramError):
@@ -110,16 +110,10 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
         return []  # handled by generator identification
     x = [gens.word(e) for e in _block_side_edges(rec)]
     relators: list[Word] = []
-    if isinstance(kind, Cusp):
+    if isinstance(kind, (Cusp, Crossing)):
+        relators.append(artin_relator(x[0], x[1], kind.m + 1))
+    if isinstance(kind, Crossing):
         m = kind.m
-        relators.append(
-            alternating(x[0], x[1], m + 1) * alternating(x[1], x[0], m + 1).inverse()
-        )
-    elif isinstance(kind, Crossing):
-        m = kind.m
-        relators.append(
-            alternating(x[0], x[1], m + 1) * alternating(x[1], x[0], m + 1).inverse()
-        )
         far = [gens.word(e) for e in rec.far_edges]
         # the far edge continuing branch i (top-left joins top-right for
         # m = 4k-1, bottom-right for m = 4k+1)
@@ -382,11 +376,7 @@ def extended_wirtinger(diagram: CurveDiagram) -> ExtendedResult:
         if isinstance(kind, Tangency):
             rel = a * b_hat.inverse()
         else:
-            m = kind.m
-            rel = (
-                alternating(a, b_hat, m + 1)
-                * alternating(b_hat, a, m + 1).inverse()
-            )
+            rel = artin_relator(a, b_hat, kind.m + 1)
         if rel:
             relators.append(rel)
 

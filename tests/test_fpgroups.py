@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from tests.conftest import all_corpus_stems, load
 from wirtlab.abelian import abelianization
 from wirtlab.fpgroups import (
     Presentation,
+    TietzeMove,
+    TietzeTranscript,
     _cyclic_canonical,
     artin_from_graph,
+    artin_relator,
     braid_relator,
     commutator,
     ngon_artin,
@@ -14,6 +18,7 @@ from wirtlab.fpgroups import (
     replay_transcript,
     tietze_simplify,
 )
+from wirtlab.genpres import wirtinger_presentation
 from wirtlab.homcount import count_homs, symmetric_group
 from wirtlab.profiles import profile, profiles_equal
 from wirtlab.words import Word
@@ -35,6 +40,8 @@ def test_braid_relator_and_commutator_shapes():
     a, b = Word.gen(1), Word.gen(2)
     assert braid_relator(a, b) == a * b * a * (b * a * b).inverse()
     assert commutator(a, b) == a * b * a.inverse() * b.inverse()
+    assert artin_relator(a, b, 3) == braid_relator(a, b)
+    assert artin_relator(a, b, 2) == commutator(a, b)
 
 
 def test_artin_from_graph_triangle():
@@ -70,9 +77,43 @@ def test_tietze_simplify_transcript_replays():
             rels.append(Word(letters))
         p = Presentation(tuple("g%d" % i for i in range(1, n + 1)), tuple(rels))
         q, transcript = tietze_simplify(p)
-        assert replay_transcript(p, transcript).relators == q.relators
+        assert replay_transcript(p, transcript) == q
         assert transcript.kinds() <= {"I", "IIa"}
         assert abelianization(p) == abelianization(q)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [wirtinger_presentation(load(stem)).presentation for stem in all_corpus_stems()]
+    + [ngon_semidirect(5)],
+    ids=all_corpus_stems() + ["ngon_semidirect_5"],
+)
+def test_tietze_moves_use_source_numbering(p):
+    q, transcript = tietze_simplify(p)
+    eliminated = [m.index for m in transcript.moves if m.kind == "IIa"]
+    assert len(set(eliminated)) == len(eliminated)
+    kept = [g for i, g in enumerate(p.generators, start=1) if i not in eliminated]
+    assert q.generators == tuple(kept)
+
+
+@pytest.mark.parametrize(
+    "index, word",
+    [
+        (0, Word()),  # out of range
+        (4, Word()),  # out of range
+        (1, Word.gen(2)),  # generator 1 is already eliminated
+        (2, Word.gen(3) * Word.gen(2)),  # the word uses its own generator
+        (3, Word.gen(1)),  # the word uses an eliminated generator
+        (3, Word.gen(4)),  # the word uses an unknown generator
+    ],
+)
+def test_replay_rejects_a_iia_move_that_is_not_a_tietze_move(index, word):
+    p = Presentation(("a", "b", "c"), (Word.gen(1) * Word.gen(2).inverse(),))
+    first = TietzeMove("IIa", "eliminate", 1, Word.gen(2))
+    assert replay_transcript(p, TietzeTranscript((first,))).generators == ("b", "c")
+    bad = TietzeMove("IIa", "eliminate", index, word)
+    with pytest.raises(ValueError, match="IIa"):
+        replay_transcript(p, TietzeTranscript((first, bad)))
 
 
 def test_tietze_simplify_never_uses_iib_by_default():
