@@ -21,9 +21,9 @@ in validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 
 class DiagramError(ValueError):
@@ -163,6 +163,8 @@ class EventRecord:
     top: int  # block top position on the block side
     near_edges: tuple[int, ...]  # block edges on the L side (empty for birth)
     far_edges: tuple[int, ...]  # block edges on the far side (empty for death)
+    # the far edge continuing each near edge, in near order (through only)
+    continued: tuple[int, ...]
     block_strands: tuple[int, ...]  # persistent strand tokens of the block
 
     @property
@@ -211,7 +213,6 @@ class SweepResult:
     outward: dict  # side -> list[EventRecord], ordered from L outward
     edge_count: int
     fiber_edges: tuple[int, ...]  # edge id of the rank-r strand at L
-    tangency_merges: list[tuple[int, int]]  # extended-edge pairs
     # edges connected along the curve, each class with the ranks at L among
     # its edges and the sorted component names declared for those ranks, in
     # order of the smallest edge id
@@ -233,7 +234,6 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     strand_counter = d
     fiber_edges = tuple(range(1, d + 1))
     branch = UnionFind()
-    tangency_merges: list[tuple[int, int]] = []
     intervals: dict = {}
     outward: dict = {}
     # diagram.events is sorted by x, so each side's events are a run of it
@@ -268,27 +268,25 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 edge_counter += 2
                 strand_counter += 2
                 branch.union(new_edges[0], new_edges[1])
-                if isinstance(event.kind, Tangency):
-                    tangency_merges.append((new_edges[0], new_edges[1]))
                 block_strands = new_strands
                 live_edges[top - 1: top - 1] = new_edges
                 live_strands[top - 1: top - 1] = new_strands
-                near, far = (), tuple(new_edges)
+                near, far, continued = (), tuple(new_edges), ()
             elif action == "death":
                 block_edges = live_edges[top - 1: top - 1 + size]
                 block_strands = live_strands[top - 1: top - 1 + size]
                 branch.union(block_edges[0], block_edges[1])
-                if isinstance(event.kind, Tangency):
-                    tangency_merges.append((block_edges[0], block_edges[1]))
                 del live_edges[top - 1: top - 1 + size]
                 del live_strands[top - 1: top - 1 + size]
-                near, far = tuple(block_edges), ()
+                near, far, continued = tuple(block_edges), (), ()
             else:  # through
                 block_edges = live_edges[top - 1: top - 1 + size]
                 block_strands = live_strands[top - 1: top - 1 + size]
                 new_edges = list(range(edge_counter + 1, edge_counter + 1 + size))
                 edge_counter += size
-                # far position i continues the line of near position pair(i)
+                # far position i continues the line of near position
+                # pairing[i]: an ordinary point reverses its block; an A_m
+                # crossing swaps its strands for m = 4k+1, not for m = 4k-1
                 if isinstance(event.kind, Ordinary):
                     pairing = list(reversed(range(size)))
                 elif event.kind.m % 4 == 1:
@@ -296,14 +294,17 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 else:
                     pairing = [0, 1]
                 far_strands = [0] * size
+                cont = [0] * size
                 for far_pos, near_pos in enumerate(pairing):
                     branch.union(new_edges[far_pos], block_edges[near_pos])
                     far_strands[far_pos] = block_strands[near_pos]
+                    cont[near_pos] = new_edges[far_pos]
                 live_edges[top - 1: top - 1 + size] = new_edges
                 live_strands[top - 1: top - 1 + size] = far_strands
-                near, far = tuple(block_edges), tuple(new_edges)
+                near, far, continued = tuple(block_edges), tuple(new_edges), tuple(cont)
             recs.append(EventRecord(
-                idx, pos, event, side, action, top, near, far, tuple(block_strands)
+                idx, pos, event, side, action, top, near, far, continued,
+                tuple(block_strands),
             ))
         ivs.append(tuple(live_strands))
         intervals[side] = ivs
@@ -324,7 +325,6 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         outward,
         edge_counter,
         fiber_edges,
-        tangency_merges,
         clusters,
         violations,
     )
@@ -576,17 +576,14 @@ def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
 
 
 def check_facing(diagram: CurveDiagram) -> list[str]:
-    """Every cusp and tangency must present its branches toward L."""
-    out = []
-    for ev in diagram.events:
-        if isinstance(ev.kind, (Cusp, Tangency)):
-            toward = "right" if diagram.side_of(ev) == "left" else "left"
-            if ev.kind.branch_side != toward:
-                out.append(
-                    "facing: %s has branches on the %s, away from L"
-                    % (ev.label(), ev.kind.branch_side)
-                )
-    return out
+    """Every cusp and tangency must present its branches toward L, so that
+    the outward sweep never gives birth to a strand pair."""
+    return [
+        "facing: %s has branches on the %s, away from L"
+        % (ev.label(), ev.kind.branch_side)
+        for ev in diagram.events
+        if event_action(diagram, ev) == "birth"
+    ]
 
 
 def check_connectivity(sw: SweepResult) -> list[str]:

@@ -150,10 +150,15 @@ def _cyclic_canonical(w: Word) -> tuple:
 
 def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove) -> None:
     """Apply one move to ``rels``; ``gone`` holds the eliminated generators."""
-    if move.kind == "I" and move.action == "reduce":
-        rels[move.index] = move.word
-    elif move.kind == "I" and move.action == "delete":
-        del rels[move.index]
+    if move.kind == "I" and move.action in ("reduce", "delete"):
+        if not 0 <= move.index < len(rels) or (
+            move.action == "reduce" and move.word != rels[move.index].cyclically_reduced()
+        ):
+            raise ValueError("%r is not a type I move on the relators" % (move,))
+        if move.action == "reduce":
+            rels[move.index] = move.word
+        else:
+            del rels[move.index]
     elif move.kind == "IIa" and move.action == "eliminate":
         k = move.index
         if not 1 <= k <= n_gens or k in gone or any(

@@ -4,6 +4,7 @@ Four constructions are provided:
 
 * :func:`wirtinger_presentation` — generators are the diagram edges (with
   vertical-tangency identifications), relations come from each vertex;
+  it is the extended presentation below with no obstruction point passed;
 * :func:`zvk_presentation` together with :func:`diagram_braid_monodromy` —
   the fiber-meridian presentation obtained by transporting local braids of
   the projection's critical points back to the base line;
@@ -99,6 +100,7 @@ class WirtingerResult:
     gens: GeneratorMap
     fiber_generators: tuple[str, ...]  # generator name per rank, top to bottom
     generator_components: dict  # generator name -> component name or None
+    passed: dict  # event index -> indices of the obstruction events passed
 
 
 def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
@@ -109,21 +111,12 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
     if isinstance(kind, Tangency):
         return []  # handled by generator identification
     x = [gens.word(e) for e in _block_side_edges(rec)]
+    y = [gens.word(e) for e in rec.continued]  # the far edge continuing x_i
     relators: list[Word] = []
     if isinstance(kind, (Cusp, Crossing)):
         relators.append(artin_relator(x[0], x[1], kind.m + 1))
     if isinstance(kind, Crossing):
-        m = kind.m
-        far = [gens.word(e) for e in rec.far_edges]
-        # the far edge continuing branch i (top-left joins top-right for
-        # m = 4k-1, bottom-right for m = 4k+1)
-        if m % 4 == 1:
-            y = [far[1], far[0]]
-            k = (m - 1) // 4
-        else:
-            y = [far[0], far[1]]
-            k = (m + 1) // 4
-        conj = (x[1] * x[0]) ** k
+        conj = (x[1] * x[0]) ** ((kind.m + 1) // 4)
         for i in (0, 1):
             relators.append(y[i] * (x[i].conjugated_by(conj)).inverse())
     elif isinstance(kind, Ordinary):
@@ -133,20 +126,29 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
             xbar.append(x[j] * xbar[j])  # xbar_k = x_k ... x_1
         for j in range(1, m + 1):
             relators.append(commutator(xbar[m], x[j - 1]))
-        far = [gens.word(e) for e in rec.far_edges]
-        for j in range(1, m + 1):
-            y_j = far[m - j]  # far side reverses the block
-            relators.append(y_j * (x[j - 1].conjugated_by(xbar[j - 1])).inverse())
+        for j in range(m):
+            relators.append(y[j] * (x[j].conjugated_by(xbar[j])).inverse())
     return [r for r in relators if r]
 
 
-def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
-    sw = sweep_ranks(diagram)
-    _require_valid(sw)
-    gens = _build_generators(sw, sw.tangency_merges)
+def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
+    """The Wirtinger presentation of one valid sweep.  ``passed`` maps each
+    event index to the obstruction records passed on the way out from L.
+    A vertex that passed none contributes its own relators; a one-sided
+    vertex that passed some contributes the conjugated relator."""
+    # tangencies identify their two edges only when no obstruction point
+    # stands between them and L
+    gens = _build_generators(sw, [
+        _block_side_edges(rec)
+        for rec in sw.records
+        if isinstance(rec.event.kind, Tangency) and not passed[rec.index]
+    ])
     relators: list[Word] = []
     for rec in sw.records:
-        relators.extend(_vertex_relators(rec, gens))
+        if passed[rec.index]:
+            relators.extend(_conjugated_relator(rec, passed[rec.index], gens))
+        else:
+            relators.extend(_vertex_relators(rec, gens))
     pres = Presentation(gens.names, tuple(relators))
     fiber = tuple(gens.names[gens.edge_gen[e] - 1] for e in sw.fiber_edges)
     edge_component = {
@@ -158,7 +160,16 @@ def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
     for e in range(1, sw.edge_count + 1):
         name = gens.names[gens.edge_gen[e] - 1]
         gen_comp.setdefault(name, edge_component[e])
-    return WirtingerResult(pres, diagram, sw, gens, fiber, gen_comp)
+    crossed = {rec.index: [q.index for q in passed[rec.index]] for rec in sw.records}
+    return WirtingerResult(pres, sw.diagram, sw, gens, fiber, gen_comp, crossed)
+
+
+def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
+    """The Wirtinger presentation: the extended one with no obstruction
+    point passed, so every vertical tangency identifies its two edges."""
+    sw = sweep_ranks(diagram)
+    _require_valid(sw)
+    return _presentation(sw, {rec.index: [] for rec in sw.records})
 
 
 def projective_closure(p: Presentation, fiber: tuple[str, ...] | None = None) -> Presentation:
@@ -222,9 +233,6 @@ def edge_meridian_words(diagram: CurveDiagram) -> dict:
 
 @dataclass
 class MonodromyDatum:
-    event_index: int
-    kind: str  # ordinary | crossing | cusp | tangency
-    branches: int  # m_j: number of local strands (m for ordinary, else 2)
     delta: Braid  # full local braid on the block's own strands
     meridians: tuple[Word, ...]  # near-side block meridians, top to bottom
 
@@ -264,9 +272,6 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
                     % (event.label(), block)
                 )
             data[rec.index] = MonodromyDatum(
-                rec.index,
-                type(event.kind).__name__.lower(),
-                size,
                 _full_local(event.kind),
                 tuple(words[e] for e in rec.near_edges),
             )
@@ -294,16 +299,6 @@ def zvk_presentation(d: int, data: list[MonodromyDatum]) -> Presentation:
 # ---------------------------------------------------------------------------
 # extended method
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ExtendedResult:
-    presentation: Presentation
-    diagram: CurveDiagram
-    sweep: SweepResult
-    gens: GeneratorMap
-    fiber_generators: tuple[str, ...]
-    passed: dict  # event index -> list of passed obstruction event indices
-
 
 def _passed_obstructions(sw: SweepResult, rec: EventRecord, inward: list[EventRecord]) -> list[EventRecord]:
     """Of the one-sided vertices ``inward`` (strictly between L and the
@@ -336,7 +331,33 @@ def _obstruction_loop(qrec: EventRecord, gens: GeneratorMap) -> Word:
     return y1 if kind.branch_side == "left" else y1.inverse()
 
 
-def extended_wirtinger(diagram: CurveDiagram) -> ExtendedResult:
+def _conjugated_relator(rec: EventRecord, crossed: list[EventRecord], gens: GeneratorMap) -> list[Word]:
+    """Relator of a one-sided vertex beyond the obstruction points
+    ``crossed``: its lower block-side generator is conjugated by the loops
+    around them before the two are related."""
+    kind = rec.event.kind
+    if isinstance(kind, (Ordinary, Crossing)):
+        raise UnsupportedConfiguration(
+            "%s lies beyond an obstruction point; only one-sided "
+            "vertices are supported there" % rec.event.label()
+        )
+    z = Word.identity()
+    for qrec in crossed:
+        z = z * _obstruction_loop(qrec, gens)
+    conj = z if rec.side == "left" else z.inverse()
+    a, b = (gens.word(e) for e in _block_side_edges(rec))
+    b_hat = b.conjugated_by(conj.inverse())  # conj * b * conj^-1
+    if isinstance(kind, Tangency):
+        rel = a * b_hat.inverse()
+    else:
+        rel = artin_relator(a, b_hat, kind.m + 1)
+    return [rel] if rel else []
+
+
+def extended_wirtinger(diagram: CurveDiagram) -> WirtingerResult:
+    """The extended Wirtinger presentation: loops reaching a vertex travel
+    around the obstruction points it passed on the way out from L.  With
+    no obstruction point passed it is the plain presentation."""
     sw = sweep_ranks(diagram)
     _require_valid(sw)
     passed: dict[int, list[EventRecord]] = {}
@@ -346,47 +367,4 @@ def extended_wirtinger(diagram: CurveDiagram) -> ExtendedResult:
             passed[rec.index] = _passed_obstructions(sw, rec, one_sided)
             if isinstance(rec.event.kind, (Cusp, Tangency)):
                 one_sided.append(rec)
-
-    # tangencies identify their two edges only when no obstruction point
-    # stands between them and L
-    merges = []
-    for rec in sw.records:
-        if isinstance(rec.event.kind, Tangency) and not passed[rec.index]:
-            merges.append(tuple(_block_side_edges(rec)))
-    gens = _build_generators(sw, merges)
-
-    relators: list[Word] = []
-    for rec in sw.records:
-        kind = rec.event.kind
-        crossed = passed[rec.index]
-        if not crossed:
-            relators.extend(_vertex_relators(rec, gens))
-            continue
-        if isinstance(kind, (Ordinary, Crossing)):
-            raise UnsupportedConfiguration(
-                "%s lies beyond an obstruction point; only one-sided "
-                "vertices are supported there" % rec.event.label()
-            )
-        z = Word.identity()
-        for qrec in crossed:
-            z = z * _obstruction_loop(qrec, gens)
-        conj = z if rec.side == "left" else z.inverse()
-        a, b = (gens.word(e) for e in _block_side_edges(rec))
-        b_hat = b.conjugated_by(conj.inverse())  # conj * b * conj^-1
-        if isinstance(kind, Tangency):
-            rel = a * b_hat.inverse()
-        else:
-            rel = artin_relator(a, b_hat, kind.m + 1)
-        if rel:
-            relators.append(rel)
-
-    pres = Presentation(gens.names, tuple(relators))
-    fiber = tuple(gens.names[gens.edge_gen[e] - 1] for e in sw.fiber_edges)
-    return ExtendedResult(
-        pres,
-        diagram,
-        sw,
-        gens,
-        fiber,
-        {rec.index: [q.index for q in passed[rec.index]] for rec in sw.records},
-    )
+    return _presentation(sw, passed)

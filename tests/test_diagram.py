@@ -141,10 +141,14 @@ def test_tangency_extends_edge_count(corpus):
             classes.setdefault(gen, []).append(e)
         classes = [tuple(sorted(v)) for v in classes.values()]
         tangencies = sum(1 for e in d.events if isinstance(e.kind, Tangency))
-        # each vertical tangency records exactly one identification of two
-        # extended edges; the class partition is their transitive closure
-        sw = w.sweep
-        assert len(sw.tangency_merges) == tangencies, stem
+        # each vertical tangency identifies exactly the two extended edges
+        # on its block side; the class partition is their transitive closure
+        merges = [
+            r.near_edges or r.far_edges
+            for r in w.sweep.records
+            if isinstance(r.event.kind, Tangency)
+        ]
+        assert len(merges) == tangencies, stem
         parent = {e: e for e in edge_gen}
 
         def find(x):
@@ -152,7 +156,7 @@ def test_tangency_extends_edge_count(corpus):
                 x = parent[x]
             return x
 
-        for a, b in sw.tangency_merges:
+        for a, b in merges:
             parent[find(a)] = find(b)
         groups = {}
         for e in edge_gen:

@@ -116,6 +116,26 @@ def test_replay_rejects_a_iia_move_that_is_not_a_tietze_move(index, word):
         replay_transcript(p, TietzeTranscript((first, bad)))
 
 
+@pytest.mark.parametrize(
+    "moves",
+    [
+        # the word is not the relator's cyclic reduction
+        (TietzeMove("I", "reduce", 0, Word.gen(1)),),
+        # after the elimination the relator reduces to 1, not to b
+        (
+            TietzeMove("IIa", "eliminate", 2, Word.gen(1).inverse()),
+            TietzeMove("I", "reduce", 0, Word.gen(2)),
+        ),
+        (TietzeMove("I", "delete", 5),),  # out of range
+    ],
+    ids=["reduce-to-other-word", "reduce-to-eliminated-generator", "delete-out-of-range"],
+)
+def test_replay_rejects_a_type_i_move_that_is_not_one(moves):
+    p = Presentation(("a", "b"), (Word.gen(1) * Word.gen(2),))
+    with pytest.raises(ValueError, match="type I move"):
+        replay_transcript(p, TietzeTranscript(moves))
+
+
 def test_tietze_simplify_never_uses_iib_by_default():
     p = ngon_artin(5)
     q, transcript = tietze_simplify(p)

@@ -12,7 +12,8 @@ Each diagram also has a flipped copy, with every cusp and tangency facing
 away from L, so that deaths become births and ovals appear.  On both copies
 region B's Euler characteristic and connectivity, computed separately, must
 agree; where a region is accepted the extended Wirtinger presentation must
-equal the plain one; and on the flipped copies every route must return or
+equal the plain one; every two-sided vertex must continue its strands as
+its local model does; and on the flipped copies every route must return or
 refuse with a ``ValueError``.
 """
 
@@ -30,9 +31,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
 import gen  # noqa: E402
 
 from wirtlab.abelian import AbelianInvariants, abelianization  # noqa: E402
+from tests.conftest import all_corpus_stems, load  # noqa: E402
 from wirtlab.diagram import (  # noqa: E402
     CurveDiagram,
     Cusp,
+    Ordinary,
     Tangency,
     TheoremReport,
     auto_region_B,
@@ -110,6 +113,28 @@ def test_extended_equals_wirtinger_when_region_accepted(seed):
         if region is not None and region.ok:
             extended = extended_wirtinger(d).presentation
             assert extended == wirtinger_presentation(d).presentation
+
+
+@pytest.mark.parametrize("source", all_corpus_stems() + list(range(60)))
+def test_continued_edges_follow_the_local_model(source):
+    """An ordinary point reverses its block; an A_m crossing swaps its two
+    strands exactly when m = 1 mod 4."""
+    d = load(source) if isinstance(source, str) else parse_diagram(sample(source).dsl)
+    for copy in (d, flipped(d)):
+        sw = sweep_ranks(copy)
+        cluster = {e: i for i, (edges, _, _) in enumerate(sw.clusters) for e in edges}
+        for rec in sw.records:
+            if rec.action != "through":
+                assert rec.continued == ()
+                continue
+            assert sorted(rec.continued) == sorted(rec.far_edges)
+            for near, far in zip(rec.near_edges, rec.continued):
+                assert cluster[near] == cluster[far]
+            swapped = rec.continued == rec.far_edges[::-1]
+            if isinstance(rec.event.kind, Ordinary):
+                assert swapped
+            else:
+                assert swapped == (rec.event.kind.m % 4 == 1)
 
 
 def zvk(d: CurveDiagram):
