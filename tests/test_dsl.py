@@ -1,14 +1,22 @@
+from pathlib import Path
+
 import pytest
 
+from wirtlab.diagram import Crossing, Cusp, Ordinary, Tangency
 from wirtlab.dsl import DiagramParseError, parse_diagram, serialize_diagram
 from tests.conftest import all_corpus_stems, corpus_path
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
 
 def test_round_trip_is_byte_identical_on_corpus():
-    for stem in all_corpus_stems():
-        text = corpus_path(stem).read_text()
-        d = parse_diagram(text, name=stem)
-        assert serialize_diagram(d) == text, stem
+    paths = [corpus_path(stem) for stem in all_corpus_stems()]
+    paths += sorted(GOLDEN_INPUTS.glob("*.wd"))
+    assert len(paths) > len(all_corpus_stems())
+    for path in paths:
+        text = path.read_text()
+        d = parse_diagram(text, name=path.stem)
+        assert serialize_diagram(d) == text, path.name
 
 
 def test_parse_rejects_unknown_lines():
@@ -45,3 +53,41 @@ def test_parse_accepts_rationals():
     d = parse_diagram(text)
     assert str(d.line_x) == "-7/3"
     assert serialize_diagram(d) == text
+
+
+_HEAD = "diagram\ndegree_y 2\nline_L at 0\nstrand 1 component c\nstrand 2 component c\n"
+
+
+@pytest.mark.parametrize(
+    "line, kind",
+    [
+        ("event at 1 ordinary m=2 top=1", Ordinary(2)),
+        ("event at 1 crossing m=3 top=1", Crossing(3)),
+        ("event at 1 cusp m=2 side=left top=1", Cusp(2, "left")),
+        ("event at 1 tangency side=right top=1", Tangency("right")),
+    ],
+    ids=["ordinary", "crossing", "cusp", "tangency"],
+)
+def test_each_event_kind_parses(line, kind):
+    text = _HEAD + line + "\nend\n"
+    d = parse_diagram(text)
+    assert [e.kind for e in d.events] == [kind]
+    assert d.events[0].top == 1
+    assert serialize_diagram(d) == text
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "event at 1 tangency m=0 side=left top=1",
+        "event at 1 ordinary m=2 side=left top=1",
+        "event at 1 cusp side=left m=2 top=1",
+        "event at 1 crossing top=1 m=1",
+        "event at 1 crossing m=1",
+    ],
+)
+def test_near_miss_event_lines_are_unrecognized(line):
+    with pytest.raises(DiagramParseError) as exc:
+        parse_diagram(_HEAD + line + "\nend\n")
+    assert exc.value.lineno == 6
+    assert str(exc.value) == "line 6: unrecognized line: %r" % line
