@@ -12,7 +12,8 @@ the free group with basis ``mu_1 .. mu_n`` is the standard right action:
     mu_i ^ sigma_i^-1   = mu_i^-1 mu_{i+1} mu_i
     mu_i ^ sigma_{i-1}^-1 = mu_{i-1}
 
-so that ``(w^a)^b = w^(a*b)`` with braids composed left to right.
+so that ``(w^a)^b = w^(a*b)`` with braids composed left to right.  The
+local braid of each event kind is built in :func:`wirtlab.genpres.local_braid`.
 """
 
 from __future__ import annotations
@@ -127,31 +128,3 @@ def half_twist(m: int) -> Braid:
         for j in range(r, 0, -1):
             letters.append((j, 1))
     return Braid(m, letters)
-
-
-def local_braid(kind: str, m: int, half: bool = False) -> Braid:
-    """Local braid of a singularity type, on its minimal strand count.
-
-    ``kind`` is ``"A"`` for an A_m point (two local branches, braid
-    ``sigma_1^{m+1}`` on 2 strands) or ``"ordinary"`` for an ordinary
-    m-fold point (braid ``Delta_m^2`` on m strands).  With ``half=True``
-    the square root is returned; for A_m this needs ``m`` odd.  A_m points
-    with even ``m`` (and the tangency case ``m = 0``) kill their two
-    strands in a real sweep, so no half braid is needed or defined.
-    """
-    if kind == "A":
-        if m < 0:
-            raise ValueError("A_m needs m >= 0")
-        if half:
-            if m % 2 == 0:
-                raise ValueError(
-                    "half local braid of A_%d is undefined (even m: death event)" % m
-                )
-            return Braid.sigma(2, 1, (m + 1) // 2)
-        return Braid.sigma(2, 1, m + 1)
-    if kind == "ordinary":
-        if m < 2:
-            raise ValueError("ordinary point needs m >= 2 branches")
-        delta = half_twist(m)
-        return delta if half else delta * delta
-    raise ValueError("unknown local braid kind %r" % kind)

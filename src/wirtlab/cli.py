@@ -62,7 +62,10 @@ def _load_diagram(path: str) -> CurveDiagram:
 
 
 def _load_presentation(path: str) -> Presentation:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("%s: JSON is nested too deeply" % path) from None
     return Presentation.from_json(data)
 
 
@@ -82,10 +85,8 @@ def _print_presentation(p: Presentation, fmt: str) -> None:
         print(p.describe())
     elif fmt == "json":
         _emit(p.to_json())
-    elif fmt == "gap":
+    else:  # gap; argparse restricts the choices
         sys.stdout.write(p.to_gap())
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError("unknown format %r" % fmt)
 
 
 def _verdict(verified: bool, violations: list[str]) -> str:
@@ -244,9 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -9,7 +9,8 @@ an affine plane curve together with a vertical base line L:
   happens to contiguous blocks of strands: an ordinary m-fold point
   (``Ordinary``), an A_m double point with branches on both sides
   (``Crossing``, m odd), an A_m point whose two real branches leave on one
-  side (``Cusp``, m even >= 2), or a simple vertical tangency (``Tangency``).
+  side (``Cusp``, m even >= 2), or a simple vertical tangency, the A_0
+  point (``Tangency``).
 
 ``top`` is the rank of the block's highest strand in the interval between
 the event and L; for cusps and tangencies whose branches point away from L
@@ -81,8 +82,8 @@ class Cusp:
 
 @dataclass(frozen=True)
 class Tangency:
-    """Simple vertical tangency at a smooth point; the curve lies on
-    ``branch_side``."""
+    """Simple vertical tangency at a smooth point, the A_0 point; the curve
+    lies on ``branch_side``."""
 
     branch_side: str
 
@@ -90,6 +91,7 @@ class Tangency:
         if self.branch_side not in ("left", "right"):
             raise DiagramError("branch_side must be 'left' or 'right'")
 
+    m = 0
     size = 2
 
 
@@ -166,10 +168,6 @@ class EventRecord:
     # the far edge continuing each near edge, in near order (through only)
     continued: tuple[int, ...]
     block_strands: tuple[int, ...]  # persistent strand tokens of the block
-
-    @property
-    def size(self) -> int:
-        return len(self.near_edges) or len(self.far_edges)
 
 
 class UnionFind:
@@ -400,7 +398,7 @@ def faces(sw: SweepResult) -> FaceComplex:
         # the strands on the block side of the cut: the interval just
         # inside the event, or just outside it for a birth
         block_side = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
-        top, size = rec.top, rec.size
+        top, size = rec.top, rec.event.kind.size
         # The cut's gaps, from the top, lie between its points.  Those
         # above the block's point are the slab gaps with the same index on
         # both sides; those below it count from the bottom of each slab.
@@ -452,10 +450,9 @@ class ObstructionPoint:
 def obstruction_points(sw: SweepResult) -> list[ObstructionPoint]:
     out = []
     for rec in sw.records:
-        kind = rec.event.kind
-        if not isinstance(kind, (Cusp, Tangency)):
+        if rec.action == "through":
             continue
-        side = "left" if kind.branch_side == "right" else "right"
+        side = "left" if rec.event.kind.branch_side == "right" else "right"
         out.append(ObstructionPoint(rec.index, side))
     return out
 

@@ -45,19 +45,39 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _RE_DEGREE = re.compile(r"^degree_y\s+(\d+)$")
 _RE_LINE = re.compile(r"^line_L\s+at\s+(%s)$" % _RATIONAL)
 _RE_STRAND = re.compile(r"^strand\s+(\d+)\s+component\s+(%s)$" % _NAME)
-_RE_ORDINARY = re.compile(
-    r"^event\s+at\s+(%s)\s+ordinary\s+m=(\d+)\s+top=(\d+)$" % _RATIONAL
-)
-_RE_CROSSING = re.compile(
-    r"^event\s+at\s+(%s)\s+crossing\s+m=(\d+)\s+top=(\d+)$" % _RATIONAL
-)
-_RE_CUSP = re.compile(
-    r"^event\s+at\s+(%s)\s+cusp\s+m=(\d+)\s+side=(left|right)\s+top=(\d+)$"
-    % _RATIONAL
-)
-_RE_TANGENCY = re.compile(
-    r"^event\s+at\s+(%s)\s+tangency\s+side=(left|right)\s+top=(\d+)$" % _RATIONAL
-)
+# DSL field key -> the kind attribute it holds, its pattern and its conversion
+_FIELDS = {
+    "m": ("m", r"\d+", int),
+    "side": ("branch_side", r"left|right", str),
+}
+# DSL kind name -> its class and its key=value fields, in constructor order
+_KINDS = {
+    "ordinary": (Ordinary, ("m",)),
+    "crossing": (Crossing, ("m",)),
+    "cusp": (Cusp, ("m", "side")),
+    "tangency": (Tangency, ("side",)),
+}
+_RE_EVENTS = {
+    name: re.compile(
+        r"^event\s+at\s+(%s)\s+%s\s+%s\s+top=(\d+)$"
+        % (_RATIONAL, name, r"\s+".join(
+            "%s=(%s)" % (key, _FIELDS[key][1]) for key in keys
+        ))
+    )
+    for name, (_, keys) in _KINDS.items()
+}
+_NAME_OF_KIND = {cls: name for name, (cls, _) in _KINDS.items()}
+
+
+def _parse_event(line: str) -> Event | None:
+    for kind_name, (cls, keys) in _KINDS.items():
+        m = _RE_EVENTS[kind_name].match(line)
+        if m:
+            x, *values, top = m.groups()
+            x = Fraction(x)  # before the kind: a zero denominator is reported first
+            kind = cls(*(_FIELDS[key][2](v) for key, v in zip(keys, values)))
+            return Event(x, kind, int(top))
+    return None
 
 
 def parse_diagram(text: str, name: str = "") -> CurveDiagram:
@@ -102,33 +122,9 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
                     raise DiagramParseError(lineno, "duplicate line_L")
                 line_x = Fraction(m.group(1))
                 continue
-            m = _RE_ORDINARY.match(line)
-            if m:
-                events.append(
-                    Event(Fraction(m.group(1)), Ordinary(int(m.group(2))), int(m.group(3)))
-                )
-                continue
-            m = _RE_CROSSING.match(line)
-            if m:
-                events.append(
-                    Event(Fraction(m.group(1)), Crossing(int(m.group(2))), int(m.group(3)))
-                )
-                continue
-            m = _RE_CUSP.match(line)
-            if m:
-                events.append(
-                    Event(
-                        Fraction(m.group(1)),
-                        Cusp(int(m.group(2)), m.group(3)),
-                        int(m.group(4)),
-                    )
-                )
-                continue
-            m = _RE_TANGENCY.match(line)
-            if m:
-                events.append(
-                    Event(Fraction(m.group(1)), Tangency(m.group(2)), int(m.group(3)))
-                )
+            event = _parse_event(line)
+            if event is not None:
+                events.append(event)
                 continue
         except DiagramError as exc:
             raise DiagramParseError(lineno, str(exc)) from exc
@@ -173,18 +169,11 @@ def serialize_diagram(diagram: CurveDiagram) -> str:
         lines.append("strand %d component %s" % (rank, comp))
     for ev in diagram.events:
         x = _fmt_rational(ev.x)
-        k = ev.kind
-        if isinstance(k, Ordinary):
-            lines.append("event at %s ordinary m=%d top=%d" % (x, k.m, ev.top))
-        elif isinstance(k, Crossing):
-            lines.append("event at %s crossing m=%d top=%d" % (x, k.m, ev.top))
-        elif isinstance(k, Cusp):
-            lines.append(
-                "event at %s cusp m=%d side=%s top=%d" % (x, k.m, k.branch_side, ev.top)
-            )
-        else:
-            lines.append(
-                "event at %s tangency side=%s top=%d" % (x, k.branch_side, ev.top)
-            )
+        name = _NAME_OF_KIND[type(ev.kind)]
+        fields = "".join(
+            "%s=%s " % (key, getattr(ev.kind, _FIELDS[key][0]))
+            for key in _KINDS[name][1]
+        )
+        lines.append("event at %s %s %stop=%d" % (x, name, fields, ev.top))
     lines.append("end")
     return "\n".join(lines) + "\n"

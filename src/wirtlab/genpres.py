@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import Braid, braid_images, local_braid
+from .braids import Braid, braid_images, half_twist
 from .diagram import (
-    Crossing,
     CurveDiagram,
-    Cusp,
     DiagramError,
     EventRecord,
     Ordinary,
@@ -108,18 +106,10 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
     x-side = the block edges on the L side (far side for vertices whose
     branches point away); x1 is the topmost x-edge."""
     kind = rec.event.kind
-    if isinstance(kind, Tangency):
-        return []  # handled by generator identification
     x = [gens.word(e) for e in _block_side_edges(rec)]
     y = [gens.word(e) for e in rec.continued]  # the far edge continuing x_i
     relators: list[Word] = []
-    if isinstance(kind, (Cusp, Crossing)):
-        relators.append(artin_relator(x[0], x[1], kind.m + 1))
-    if isinstance(kind, Crossing):
-        conj = (x[1] * x[0]) ** ((kind.m + 1) // 4)
-        for i in (0, 1):
-            relators.append(y[i] * (x[i].conjugated_by(conj)).inverse())
-    elif isinstance(kind, Ordinary):
+    if isinstance(kind, Ordinary):
         m = kind.m
         xbar = [Word.identity()]
         for j in range(m):
@@ -128,6 +118,14 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
             relators.append(commutator(xbar[m], x[j - 1]))
         for j in range(m):
             relators.append(y[j] * (x[j].conjugated_by(xbar[j])).inverse())
+    else:
+        # an A_m point; a tangency's (A_0) relator x1 x2^-1 is trivial, since
+        # its two edges share a generator
+        relators.append(artin_relator(x[0], x[1], kind.m + 1))
+        if rec.action == "through":
+            conj = (x[1] * x[0]) ** ((kind.m + 1) // 4)
+            for i in (0, 1):
+                relators.append(y[i] * (x[i].conjugated_by(conj)).inverse())
     return [r for r in relators if r]
 
 
@@ -189,12 +187,15 @@ def projective_closure(p: Presentation, fiber: tuple[str, ...] | None = None) ->
 # sweep of meridian words and braid monodromy
 # ---------------------------------------------------------------------------
 
-def _half_local(kind) -> Braid:
+def local_braid(kind, half: bool = False) -> Braid:
+    """Local braid of an event kind, on its own strands: Delta_m^2 for an
+    ordinary m-fold point and sigma_1^(m+1) for an A_m point (a tangency
+    is A_0).  With ``half=True``: Delta_m, or sigma_1^((m+1)//2), the
+    square root for odd m and the obstruction loop's twist for even m."""
     if isinstance(kind, Ordinary):
-        return local_braid("ordinary", kind.m, half=True)
-    if isinstance(kind, Crossing):
-        return local_braid("A", kind.m, half=True)
-    raise AssertionError("half braid requested for a one-sided vertex")
+        delta = half_twist(kind.m)
+        return delta if half else delta * delta
+    return Braid.sigma(2, 1, (kind.m + 1) // 2 if half else kind.m + 1)
 
 
 def _meridian_words(sw: SweepResult) -> dict:
@@ -215,7 +216,7 @@ def _meridian_words(sw: SweepResult) -> dict:
             if rec.action != "through":
                 continue
             near = dict(enumerate((words[e] for e in rec.near_edges), start=1))
-            far = braid_images(_half_local(rec.event.kind).inverse())
+            far = braid_images(local_braid(rec.event.kind, half=True).inverse())
             for image, e in zip(far, rec.far_edges):
                 words[e] = image.substitute(near)
     return words
@@ -235,14 +236,6 @@ def edge_meridian_words(diagram: CurveDiagram) -> dict:
 class MonodromyDatum:
     delta: Braid  # full local braid on the block's own strands
     meridians: tuple[Word, ...]  # near-side block meridians, top to bottom
-
-
-def _full_local(kind) -> Braid:
-    if isinstance(kind, Ordinary):
-        return local_braid("ordinary", kind.m)
-    if isinstance(kind, Tangency):
-        return local_braid("A", 0)
-    return local_braid("A", kind.m)
 
 
 def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
@@ -272,7 +265,7 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
                     % (event.label(), block)
                 )
             data[rec.index] = MonodromyDatum(
-                _full_local(event.kind),
+                local_braid(event.kind),
                 tuple(words[e] for e in rec.near_edges),
             )
             if rec.action == "death":
@@ -322,21 +315,16 @@ def _obstruction_loop(qrec: EventRecord, gens: GeneratorMap) -> Word:
     """Counterclockwise loop around the obstruction point of a one-sided
     vertex, in terms of the vertex's own block-side edge generators."""
     a, b = (gens.word(e) for e in _block_side_edges(qrec))
-    kind = qrec.event.kind
-    if isinstance(kind, Tangency):
-        y1 = a
-    else:
-        twist = Braid.sigma(2, 1) ** (kind.m // 2)
-        y1 = braid_images(twist.inverse())[0].substitute({1: a, 2: b})
-    return y1 if kind.branch_side == "left" else y1.inverse()
+    twist = local_braid(qrec.event.kind, half=True)
+    y1 = braid_images(twist.inverse())[0].substitute({1: a, 2: b})
+    return y1 if qrec.event.kind.branch_side == "left" else y1.inverse()
 
 
 def _conjugated_relator(rec: EventRecord, crossed: list[EventRecord], gens: GeneratorMap) -> list[Word]:
     """Relator of a one-sided vertex beyond the obstruction points
     ``crossed``: its lower block-side generator is conjugated by the loops
     around them before the two are related."""
-    kind = rec.event.kind
-    if isinstance(kind, (Ordinary, Crossing)):
+    if rec.action == "through":
         raise UnsupportedConfiguration(
             "%s lies beyond an obstruction point; only one-sided "
             "vertices are supported there" % rec.event.label()
@@ -347,10 +335,7 @@ def _conjugated_relator(rec: EventRecord, crossed: list[EventRecord], gens: Gene
     conj = z if rec.side == "left" else z.inverse()
     a, b = (gens.word(e) for e in _block_side_edges(rec))
     b_hat = b.conjugated_by(conj.inverse())  # conj * b * conj^-1
-    if isinstance(kind, Tangency):
-        rel = a * b_hat.inverse()
-    else:
-        rel = artin_relator(a, b_hat, kind.m + 1)
+    rel = artin_relator(a, b_hat, rec.event.kind.m + 1)
     return [rel] if rel else []
 
 
@@ -365,6 +350,6 @@ def extended_wirtinger(diagram: CurveDiagram) -> WirtingerResult:
         one_sided: list[EventRecord] = []  # met so far, from L outward
         for rec in sw.outward[side]:
             passed[rec.index] = _passed_obstructions(sw, rec, one_sided)
-            if isinstance(rec.event.kind, (Cusp, Tangency)):
+            if rec.action != "through":
                 one_sided.append(rec)
     return _presentation(sw, passed)

@@ -168,7 +168,6 @@ def _node_deltas(params: HypoParams, m: int) -> list[float]:
 @dataclass(frozen=True)
 class CriticalParameters:
     cusp_angles: tuple[float, ...]  # the k+ell cusp parameters in [0, 2*pi)
-    tangency_angle: float  # the single real vertical tangency, at pi
     axis_node_angles: tuple[float, ...]  # positive representatives in (0, pi)
     residuals: dict
 
@@ -195,7 +194,7 @@ def critical_parameters(params: HypoParams, tol: float = _RESIDUAL_TOL) -> Criti
     bad = {name: r for name, r in residuals.items() if r > tol}
     if bad:
         raise TracingError("residuals above tolerance %g: %s" % (tol, bad))
-    return CriticalParameters(cusps, pi, tuple(roots), residuals)
+    return CriticalParameters(cusps, tuple(roots), residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,7 @@ def trace_quotient(k: int) -> TracedCurve:
     params = HypoParams(k, k - 1)
     n = params.n
     crit = critical_parameters(params)
-    cusp_ts = [2 * pi * j / n for j in range(1, k)]  # folded representatives
+    cusp_ts = list(crit.cusp_angles[1:k])  # folded representatives
     boundaries = [0.0] + cusp_ts + [pi]
     pieces = tuple(zip(boundaries, boundaries[1:]))
     piece_of = lambda t: ("phi", bisect(boundaries, t) - 1)  # arc of a folded parameter

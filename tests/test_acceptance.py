@@ -10,10 +10,11 @@ import random
 from math import gcd
 
 from wirtlab.abelian import abelianization
-from wirtlab.braids import Braid, braid_act, local_braid
+from wirtlab.braids import Braid, braid_act
 from wirtlab.diagram import (
     Crossing,
     Cusp,
+    Tangency,
     auto_region_B,
     check_connectivity,
     check_facing,
@@ -31,6 +32,7 @@ from wirtlab.fpgroups import (
 from wirtlab.genpres import (
     diagram_braid_monodromy,
     extended_wirtinger,
+    local_braid,
     wirtinger_presentation,
     zvk_presentation,
 )
@@ -99,18 +101,18 @@ def test_criterion_01_braid_action_laws():
 def test_criterion_02_local_relation_table():
     x1, x2 = Word.gen(1), Word.gen(2)
     expected = {
-        0: cyclic_canonical(x1 * x2.inverse()),
-        1: cyclic_canonical(commutator(x1, x2)),
-        2: cyclic_canonical(braid_relator(x1, x2)),
+        Tangency("right"): cyclic_canonical(x1 * x2.inverse()),
+        Crossing(1): cyclic_canonical(commutator(x1, x2)),
+        Cusp(2, "right"): cyclic_canonical(braid_relator(x1, x2)),
     }
-    for m, want in expected.items():
-        beta = local_braid("A", m)
+    for kind, want in expected.items():
+        beta = local_braid(kind)
         got = {
             cyclic_canonical((braid_act(g, beta) * g.inverse()))
             for g in (x1, x2)
             if (braid_act(g, beta) * g.inverse()).cyclically_reduced()
         }
-        assert got == {want}, (m, got, want)
+        assert got == {want}, (kind, got, want)
     done(2)
 
 

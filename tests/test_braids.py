@@ -1,8 +1,8 @@
 import random
 
-import pytest
-
-from wirtlab.braids import Braid, braid_act, half_twist, local_braid
+from wirtlab.braids import Braid, braid_act, half_twist
+from wirtlab.diagram import Crossing, Cusp, Ordinary, Tangency
+from wirtlab.genpres import local_braid
 from wirtlab.words import Word, alternating
 
 
@@ -101,7 +101,7 @@ def test_half_twist_squares_to_full_twist_action():
     # the full twist on m strands is central: it acts by conjugation by
     # the descending product, hence fixes it and conjugates each generator.
     for m in (2, 3, 4):
-        full = local_braid("ordinary", m)
+        full = local_braid(Ordinary(m))
         boundary = Word([(i, 1) for i in range(m, 0, -1)])
         assert braid_act(boundary, full) == boundary
         for i in range(1, m + 1):
@@ -110,15 +110,9 @@ def test_half_twist_squares_to_full_twist_action():
 
 
 def test_local_braid_validation():
-    with pytest.raises(ValueError):
-        local_braid("A", -1)
-    with pytest.raises(ValueError):
-        local_braid("A", 2, half=True)
-    with pytest.raises(ValueError):
-        local_braid("ordinary", 1)
-    with pytest.raises(ValueError):
-        local_braid("nope", 2)
-    assert local_braid("A", 3, half=True) ** 2 == local_braid("A", 3)
+    # m is checked where the kind is built (tests/test_diagram.py); the
+    # half local braid of an ordinary point is the half twist
+    assert local_braid(Ordinary(3), half=True) == half_twist(3)
     assert half_twist(3) == Braid(3, [(1, 1), (2, 1), (1, 1)])
 
 
@@ -137,19 +131,19 @@ def cyclic_canonical(w: Word) -> tuple:
 
 def test_local_relator_table():
     # A_m local monodromy sigma^(m+1) on two strands yields, as reduced
-    # relators x_i^beta * x_i^-1: identification (m=0), commutation (m=1),
-    # and the braid relation (m=2).
+    # relators x_i^beta * x_i^-1: identification (the tangency, A_0),
+    # commutation (A_1) and the braid relation (A_2).
     x1, x2 = Word.gen(1), Word.gen(2)
     expected = {
-        0: cyclic_canonical(x1 * x2.inverse()),
-        1: cyclic_canonical(x1 * x2 * x1.inverse() * x2.inverse()),
-        2: cyclic_canonical(alternating(x1, x2, 3) * alternating(x2, x1, 3).inverse()),
+        Tangency("left"): cyclic_canonical(x1 * x2.inverse()),
+        Crossing(1): cyclic_canonical(x1 * x2 * x1.inverse() * x2.inverse()),
+        Cusp(2, "left"): cyclic_canonical(alternating(x1, x2, 3) * alternating(x2, x1, 3).inverse()),
     }
-    for m, want in expected.items():
-        beta = local_braid("A", m)
+    for kind, want in expected.items():
+        beta = local_braid(kind)
         got = set()
         for g in (x1, x2):
             rel = (braid_act(g, beta) * g.inverse()).cyclically_reduced()
             if rel:
                 got.add(cyclic_canonical(rel))
-        assert got == {want}, (m, got, want)
+        assert got == {want}, (kind, got, want)

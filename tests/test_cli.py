@@ -171,6 +171,7 @@ def test_malformed_diagram_is_a_user_error(capsys, tmp_path, text):
         "[]",
         '{"generators": ["a"], "relators": 5}',
         '{"generators": ["a"], "relators": [[["a", 1]]]}',
+        pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
     ],
 )
 def test_malformed_presentation_is_a_user_error(capsys, tmp_path, text):

@@ -42,6 +42,10 @@ def test_braid_relator_and_commutator_shapes():
     assert commutator(a, b) == a * b * a.inverse() * b.inverse()
     assert artin_relator(a, b, 3) == braid_relator(a, b)
     assert artin_relator(a, b, 2) == commutator(a, b)
+    # A_0, the tangency: identification, letter for letter, also for words
+    w = b.conjugated_by(a * b)
+    for y in (b, w):
+        assert tuple(artin_relator(a, y, 1)) == tuple(a * y.inverse())
 
 
 def test_artin_from_graph_triangle():

@@ -1,13 +1,15 @@
 import pytest
 
 from wirtlab.abelian import abelianization
-from wirtlab.diagram import DiagramError
+from wirtlab.braids import Braid
+from wirtlab.diagram import Crossing, Cusp, DiagramError, Ordinary, Tangency
 from wirtlab.fpgroups import Presentation, braid_relator, tietze_simplify
 from wirtlab.genpres import (
     UnsupportedConfiguration,
     diagram_braid_monodromy,
     edge_meridian_words,
     extended_wirtinger,
+    local_braid,
     projective_closure,
     wirtinger_presentation,
     zvk_presentation,
@@ -104,3 +106,24 @@ def test_extended_equals_plain_when_region_is_valid():
 def test_extended_records_passed_obstructions_on_cardioid():
     res = extended_wirtinger(load("cardioid"))
     assert any(res.passed[idx] for idx in res.passed)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [Ordinary(2), Ordinary(3), Ordinary(4), Ordinary(5), Crossing(1), Crossing(3), Crossing(5)],
+    ids=repr,
+)
+def test_half_local_braid_squares_to_the_full_one(kind):
+    assert local_braid(kind, half=True) ** 2 == local_braid(kind)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_cusp_half_local_braid_is_sigma_to_half_m(m):
+    for side in ("left", "right"):
+        assert local_braid(Cusp(m, side), half=True) == Braid.sigma(2, 1, m // 2)
+
+
+def test_tangency_local_braid_is_that_of_a0():
+    for side in ("left", "right"):
+        assert local_braid(Tangency(side), half=True) == Braid.identity(2)
+        assert local_braid(Tangency(side)) == Braid.sigma(2, 1)
