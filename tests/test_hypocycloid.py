@@ -1,10 +1,14 @@
+import hashlib
 import math
 
 import pytest
 
-from wirtlab.diagram import check_theorem
+from wirtlab.diagram import check_theorem, sweep_ranks
+from wirtlab.dsl import serialize_diagram
 from wirtlab.hypocycloid import (
+    LINE,
     HypoParams,
+    _heights,
     _node_deltas,
     _piece_w_at,
     critical_parameters,
@@ -78,10 +82,31 @@ def test_trace_census():
 
 
 def test_quotient_diagram_is_verified():
+    texts = []
     for k in range(2, 12):
         d = quotient_diagram(k)
         assert d.d == k + 1
         assert check_theorem(d).verified
+        texts.append(serialize_diagram(d))
+    # md5 of `hypo-diagram --k K` concatenated over K = 2..11
+    digest = hashlib.md5("".join(texts).encode()).hexdigest()
+    assert digest == "2d877d39b9c27862ac8cd166de1e49eb"
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_numeric_fibers_agree_with_the_sweep(k):
+    d = quotient_diagram(k)
+    sw = sweep_ranks(d)
+    line_token = d.components.index("l") + 1
+    # the sweep's intervals in x order, L's interval counted once
+    intervals = sw.intervals["left"][::-1] + sw.intervals["right"][1:]
+    tr = trace_quotient(k)
+    xs = sorted(ev.x for ev in tr.events)
+    assert len(intervals) == len(xs) + 1
+    for (a, b), strands in zip(zip(xs, xs[1:]), intervals[1:-1]):
+        arcs = [arc for _, arc in _heights(tr, 0.5 * (a + b))]
+        assert len(arcs) == len(strands)
+        assert arcs.index(LINE) == strands.index(line_token)
 
 
 @pytest.mark.parametrize("k", range(3, 9))
