@@ -16,10 +16,16 @@ a transversal line crossing, and the on-axis cusp becomes a contact-order
 3 crossing with the line.  Every node is a parameter pair pi*m/n +- delta:
 closed-form centre angle, delta a root of one scalar equation.  k = 2..11
 trace; from k = 12 two events lie closer than the separation tolerance and
-tracing stops with a ``TracingError``.  Killing the squares of the line
-meridians in the resulting Wirtinger presentation gives an orbifold group
-that is compared, via invariant profiles, against the semidirect product of
-the (2k-1)-gon Artin group with Z/2 (``ngon_semidirect``).
+tracing stops with a ``TracingError``.
+
+Strands are ranked in one fiber per slab between consecutive events: the
+real fold pieces by w = y^2 > 0, then the line, then the arc with imaginary
+y (w < 0) on its side of the transversal crossing.
+
+Killing the squares of the line meridians in the resulting Wirtinger
+presentation gives an orbifold group that is compared, via invariant
+profiles, against the semidirect product of the (2k-1)-gon Artin group with
+Z/2 (``ngon_semidirect``).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, cosh, gcd, log2, pi, remainder, sin, sinh
+from math import cos, gcd, log2, pi, remainder, sin
 
 from .diagram import CurveDiagram, Crossing, Cusp, Event, check_theorem
 from .fpgroups import Presentation, Word, ngon_semidirect
@@ -198,40 +204,19 @@ def critical_parameters(params: HypoParams, tol: float = _RESIDUAL_TOL) -> Criti
 
 
 # ---------------------------------------------------------------------------
-# folded trace: real arcs in w = y^2, plus the two imaginary-angle arcs
+# folded trace: real arcs in w = y^2 > 0, the line w = 0, imaginary arcs w < 0
 # ---------------------------------------------------------------------------
 
 def _w(params: HypoParams, t: float) -> float:
     return _y(params, t) ** 2
 
 
-# The two arcs with real x but imaginary y come from the angle substitutions
-# t = i*s and t = pi + i*s; their w = y^2 values are negative, so they are
-# the continuations of the folded curve below the horizontal line.
-
-def _psi1_x(params: HypoParams, s: float) -> float:
-    k, l, n = params.k, params.ell, params.n
-    return (k * cosh(l * s) + l * cosh(k * s)) / n
-
-
-def _psi1_w(params: HypoParams, s: float) -> float:
-    k, l, n = params.k, params.ell, params.n
-    return -(((k * sinh(l * s) - l * sinh(k * s)) / n) ** 2)
-
-
-def _psi2_x(params: HypoParams, s: float) -> float:
-    k, l, n = params.k, params.ell, params.n
-    sign = 1.0 if k % 2 == 1 else -1.0
-    return sign * (k * cosh(l * s) - l * cosh(k * s)) / n
-
-
-def _psi2_w(params: HypoParams, s: float) -> float:
-    k, l, n = params.k, params.ell, params.n
-    return -(((k * sinh(l * s) + l * sinh(k * s)) / n) ** 2)
-
+# The arcs with real x but imaginary y, t = i*s and t = pi + i*s, have w < 0,
+# so each lies below the line wherever it exists: t = i*s over x > 1, right
+# of every event, and PSI2 (t = pi + i*s) on one side of the transversal
+# crossing at x(pi).  No fiber needs their w.
 
 LINE = ("line",)
-PSI1 = ("psi", 1)
 PSI2 = ("psi", 2)
 
 
@@ -273,39 +258,24 @@ def _piece_w_at(params: HypoParams, piece: tuple[float, float], x0: float) -> fl
     return _w(params, _piece_t_at(params, piece, x0))
 
 
-def _arc_s_bound(xfun, params: HypoParams, x0: float) -> float:
-    s = 1.0
-    while abs(xfun(params, s)) < abs(x0) + 1.0:
-        s *= 2.0
-        if s > 1e6:
-            raise TracingError("imaginary arc bound search diverged")
-    return s
-
-
-def _psi_w_at(params: HypoParams, which: int, x0: float) -> float:
-    xfun = _psi1_x if which == 1 else _psi2_x
-    wfun = _psi1_w if which == 1 else _psi2_w
-    hi = _arc_s_bound(xfun, params, x0)
-    s = _bisect(lambda u: xfun(params, u) - x0, 0.0, hi)
-    return wfun(params, s)
-
-
-def _heights(tr: TracedCurve, x0: float) -> list[tuple[float, tuple]]:
-    """All strand heights at the fiber over x0, top to bottom, as
-    (w, arc id) pairs.  x0 must avoid event x-values."""
+def _heights(tr: TracedCurve, x0: float) -> list[tuple]:
+    """Arc ids of the strands over x0, top to bottom: the real fold pieces
+    by w, the line, then PSI2 if present.  x0 must avoid event x-values and
+    must not exceed 1, where the t = i*s arc joins the fiber."""
     p = tr.params
-    out: list[tuple[float, tuple]] = [(0.0, LINE)]
+    if x0 > 1.0:
+        raise TracingError("no fiber is traced right of x = 1: x=%.6f" % x0)
+    real = []
     for i, piece in enumerate(tr.pieces):
         lo, hi = _piece_x_range(p, piece)
         if lo < x0 < hi:
-            out.append((_piece_w_at(p, piece, x0), ("phi", i)))
-    if x0 > 1.0:
-        out.append((_psi_w_at(p, 1, x0), PSI1))
+            real.append((_piece_w_at(p, piece, x0), ("phi", i)))
+    real.sort(key=lambda pair: -pair[0])
+    out = [arc for _, arc in real] + [LINE]
     xpi = tr.transversal_x
     on_psi2_side = x0 < xpi if p.k % 2 == 1 else x0 > xpi
     if on_psi2_side:
-        out.append((_psi_w_at(p, 2, x0), PSI2))
-    out.sort(key=lambda pair: -pair[0])
+        out.append(PSI2)
     return out
 
 
@@ -438,19 +408,21 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
     for a, b in zip(xs, xs[1:]):
         if b - a < 1e-6:
             raise TracingError("event separation below tolerance: %.3e" % (b - a))
-    nxt = min(x for x in xs if x > tr.transversal_x)
-    l_float = 0.5 * (tr.transversal_x + nxt)
+    # the strand order changes only at events, so one fiber per slab
+    # between consecutive events serves every event beside it; L sits at
+    # the midpoint of the slab right of the transversal crossing
+    mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+    fibers = [_heights(tr, x) for x in mids]
+    l_slab = xs.index(tr.transversal_x)
+    l_float = mids[l_slab]
 
     events: list[Event] = []
-    for ev in raw:
-        gaps = [abs(ev.x - other.x) for other in raw if other is not ev]
-        delta = min(gaps + [abs(ev.x - l_float)]) / 4.0
-        if ev.kind == "cusp":
-            block_sign = 1.0 if ev.branch_side == "right" else -1.0
-        else:
-            block_sign = 1.0 if ev.x < l_float else -1.0
-        hs = _heights(tr, ev.x + block_sign * delta)
-        ranks = {arc: r for r, (_, arc) in enumerate(hs, start=1)}
+    for i, ev in enumerate(raw):
+        right = ev.branch_side == "right" if ev.kind == "cusp" else ev.x < l_float
+        slab = i if right else i - 1
+        if not 0 <= slab < len(fibers):
+            raise TracingError("no slab on the block side of %s x=%.6f" % (ev.kind, ev.x))
+        ranks = {arc: r for r, arc in enumerate(fibers[slab], start=1)}
         try:
             r1, r2 = sorted(ranks[a] for a in ev.arcs)
         except KeyError:
@@ -465,12 +437,12 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
     if len(set(snapped)) != len(snapped):
         raise TracingError("x-coordinate snapping collided")
 
-    fiber = _heights(tr, l_float)
+    fiber = fibers[l_slab]
     if len(fiber) != k + 1:
         raise TracingError(
             "strand-count mismatch at L: found %d, expected %d" % (len(fiber), k + 1)
         )
-    components = tuple("l" if arc == LINE else "c" for _, arc in fiber)
+    components = tuple("l" if arc == LINE else "c" for arc in fiber)
     diagram = CurveDiagram(
         k + 1, _snap(l_float), components, tuple(events),
         name or "hypocycloid-quotient-k%d" % k,

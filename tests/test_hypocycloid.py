@@ -8,6 +8,7 @@ from wirtlab.dsl import serialize_diagram
 from wirtlab.hypocycloid import (
     LINE,
     HypoParams,
+    TracingError,
     _heights,
     _node_deltas,
     _piece_w_at,
@@ -104,9 +105,11 @@ def test_numeric_fibers_agree_with_the_sweep(k):
     xs = sorted(ev.x for ev in tr.events)
     assert len(intervals) == len(xs) + 1
     for (a, b), strands in zip(zip(xs, xs[1:]), intervals[1:-1]):
-        arcs = [arc for _, arc in _heights(tr, 0.5 * (a + b))]
+        arcs = _heights(tr, 0.5 * (a + b))
         assert len(arcs) == len(strands)
         assert arcs.index(LINE) == strands.index(line_token)
+    with pytest.raises(TracingError):
+        _heights(tr, 1.5)  # the t = i*s arc joins the fiber right of x = 1
 
 
 @pytest.mark.parametrize("k", range(3, 9))
