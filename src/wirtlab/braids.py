@@ -62,9 +62,8 @@ class Braid:
     def __pow__(self, k: int) -> "Braid":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Braid.identity(self.n)
-        for _ in range(k):
-            out = out * self
+        out = Braid(self.n)  # the letters are already checked
+        out.letters = self.letters * k
         return out
 
     def __eq__(self, other) -> bool:

@@ -89,19 +89,6 @@ def _print_presentation(p: Presentation, fmt: str) -> None:
         sys.stdout.write(p.to_gap())
 
 
-def _verdict(verified: bool, violations: list[str]) -> str:
-    if verified:
-        return "Verified"
-    for prefix, name in (
-        ("connectivity:", "ConnectivityViolation"),
-        ("facing:", "FacingViolation"),
-        ("region:", "NoValidRegion"),
-    ):
-        if any(v.startswith(prefix) for v in violations):
-            return name
-    return "StructuralViolation"
-
-
 def _cmd_validate(args) -> int:
     diagram = _load_diagram(args.file)
     theorem = check_theorem(diagram)
@@ -112,7 +99,7 @@ def _cmd_validate(args) -> int:
             "d": diagram.d,
             "validation": theorem.validation.to_json(),
             "theorem": theorem.to_json(),
-            "verdict": _verdict(theorem.verified, theorem.violations),
+            "verdict": theorem.verdict,
         }
     )
     return 0

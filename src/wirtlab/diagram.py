@@ -12,6 +12,12 @@ an affine plane curve together with a vertical base line L:
   side (``Cusp``, m even >= 2), or a simple vertical tangency, the A_0
   point (``Tangency``).
 
+Each kind has a ``size`` (the strands in its block) and a ``twist``: its
+local braid is Delta^twist, the power of its block's half twist, so 2 for
+an ordinary point and m + 1 for an A_m point (1 for a tangency).  The
+outward sweep pairs a through block's near and far edges by the half braid
+Delta^(twist // 2), which reverses the block when twist // 2 is odd.
+
 ``top`` is the rank of the block's highest strand in the interval between
 the event and L; for cusps and tangencies whose branches point away from L
 (so the block does not exist on the L side) it is the rank on the far side.
@@ -49,6 +55,8 @@ class Ordinary:
     def size(self) -> int:
         return self.m
 
+    twist = 2
+
 
 @dataclass(frozen=True)
 class Crossing:
@@ -61,6 +69,7 @@ class Crossing:
             raise DiagramError("crossing needs odd m >= 1")
 
     size = 2
+    twist = property(lambda self: self.m + 1)
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,7 @@ class Cusp:
             raise DiagramError("branch_side must be 'left' or 'right'")
 
     size = 2
+    twist = property(lambda self: self.m + 1)
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,7 @@ class Tangency:
 
     m = 0
     size = 2
+    twist = 1
 
 
 EventKind = Union[Ordinary, Crossing, Cusp, Tangency]
@@ -283,14 +294,9 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 new_edges = list(range(edge_counter + 1, edge_counter + 1 + size))
                 edge_counter += size
                 # far position i continues the line of near position
-                # pairing[i]: an ordinary point reverses its block; an A_m
-                # crossing swaps its strands for m = 4k+1, not for m = 4k-1
-                if isinstance(event.kind, Ordinary):
-                    pairing = list(reversed(range(size)))
-                elif event.kind.m % 4 == 1:
-                    pairing = [1, 0]
-                else:
-                    pairing = [0, 1]
+                # pairing[i]: the half local braid Delta^(twist // 2)
+                # reverses the block when its exponent is odd
+                pairing = range(size)[::-1] if event.kind.twist // 2 % 2 else range(size)
                 far_strands = [0] * size
                 cont = [0] * size
                 for far_pos, near_pos in enumerate(pairing):
@@ -610,6 +616,9 @@ class TheoremReport:
     violations: list[str]
     region: Optional[RegionReport]
     validation: ValidationReport  # the structural checks, not in to_json
+    # Verified, or the first failing check: StructuralViolation,
+    # ConnectivityViolation, FacingViolation or NoValidRegion; not in to_json
+    verdict: str
 
     def to_json(self) -> dict:
         return {
@@ -629,14 +638,18 @@ def check_theorem(diagram: CurveDiagram) -> TheoremReport:
 
 def _check_theorem(sw: SweepResult) -> TheoremReport:
     validation = _validate(sw)
-    violations = list(validation.violations)
     if not validation.ok:
-        return TheoremReport(False, violations, None, validation)
-    violations += check_connectivity(sw)
-    violations += check_facing(sw.diagram)
+        return TheoremReport(
+            False, list(validation.violations), None, validation, "StructuralViolation"
+        )
+    connectivity = check_connectivity(sw)
+    violations = connectivity + check_facing(sw.diagram)
     region = None
-    if not violations:
+    if violations:
+        verdict = "ConnectivityViolation" if connectivity else "FacingViolation"
+    else:
         region = auto_region_B(sw)
+        verdict = "Verified" if region.ok else "NoValidRegion"
         if not region.ok:
             violations.append("region: " + region.message)
-    return TheoremReport(not violations, violations, region, validation)
+    return TheoremReport(not violations, violations, region, validation, verdict)

@@ -119,11 +119,12 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
         for j in range(m):
             relators.append(y[j] * (x[j].conjugated_by(xbar[j])).inverse())
     else:
-        # an A_m point; a tangency's (A_0) relator x1 x2^-1 is trivial, since
-        # its two edges share a generator
-        relators.append(artin_relator(x[0], x[1], kind.m + 1))
+        # an A_m point: the Artin relation of length twist = m + 1; a
+        # tangency's (A_0) relator x1 x2^-1 is trivial, since its two edges
+        # share a generator
+        relators.append(artin_relator(x[0], x[1], kind.twist))
         if rec.action == "through":
-            conj = (x[1] * x[0]) ** ((kind.m + 1) // 4)
+            conj = (x[1] * x[0]) ** (kind.twist // 4)
             for i in (0, 1):
                 relators.append(y[i] * (x[i].conjugated_by(conj)).inverse())
     return [r for r in relators if r]
@@ -188,14 +189,12 @@ def projective_closure(p: Presentation, fiber: tuple[str, ...] | None = None) ->
 # ---------------------------------------------------------------------------
 
 def local_braid(kind, half: bool = False) -> Braid:
-    """Local braid of an event kind, on its own strands: Delta_m^2 for an
-    ordinary m-fold point and sigma_1^(m+1) for an A_m point (a tangency
-    is A_0).  With ``half=True``: Delta_m, or sigma_1^((m+1)//2), the
-    square root for odd m and the obstruction loop's twist for even m."""
-    if isinstance(kind, Ordinary):
-        delta = half_twist(kind.m)
-        return delta if half else delta * delta
-    return Braid.sigma(2, 1, (kind.m + 1) // 2 if half else kind.m + 1)
+    """Local braid of an event kind, on its own strands: Delta^twist, the
+    kind's power of its block's half twist, so Delta_m^2 for an ordinary
+    m-fold point and sigma_1^(m+1) for an A_m point (a tangency is A_0).
+    With ``half=True``: Delta^(twist // 2), the square root for an ordinary
+    point and for odd m, and the obstruction loop's twist for even m."""
+    return half_twist(kind.size) ** (kind.twist // 2 if half else kind.twist)
 
 
 def _meridian_words(sw: SweepResult) -> dict:
@@ -335,7 +334,7 @@ def _conjugated_relator(rec: EventRecord, crossed: list[EventRecord], gens: Gene
     conj = z if rec.side == "left" else z.inverse()
     a, b = (gens.word(e) for e in _block_side_edges(rec))
     b_hat = b.conjugated_by(conj.inverse())  # conj * b * conj^-1
-    rel = artin_relator(a, b_hat, rec.event.kind.m + 1)
+    rel = artin_relator(a, b_hat, rec.event.kind.twist)
     return [rel] if rel else []
 
 

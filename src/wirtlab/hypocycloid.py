@@ -13,10 +13,11 @@ This module traces that folded arrangement numerically and assembles its
 node pairs give crossings, axis nodes become simple tangencies with the
 line (intersection multiplicity 2), the single vertical tangency becomes
 a transversal line crossing, and the on-axis cusp becomes a contact-order
-3 crossing with the line.  Every node is a parameter pair pi*m/n +- delta:
-closed-form centre angle, delta a root of one scalar equation.  k = 2..11
-trace; from k = 12 two events lie closer than the separation tolerance and
-tracing stops with a ``TracingError``.
+3 crossing with the line; a crossing of contact order c is the A_(2c-1)
+point.  Every node is a parameter pair pi*m/n +- delta: closed-form centre
+angle, delta a root of one scalar equation.  k = 2..11 trace; from k = 12
+two events lie closer than the separation tolerance and tracing stops with
+a ``TracingError``.
 
 Strands are ranked in one fiber per slab between consecutive events: the
 real fold pieces by w = y^2 > 0, then the line, then the arc with imaginary
@@ -227,7 +228,9 @@ class RawEvent:
     kind: str  # cusp | tacnode | crossing | transversal | inflection
     arcs: tuple  # the two arc ids forming the event's strand block
     branch_side: str | None = None  # cusps only
-    contact_order: int | None = None  # line events only (measured)
+    # contact order c of the two strands, so the event is the A_(2c-1)
+    # crossing: measured for line events, 1 for nodes, None for cusps
+    contact_order: int | None = None
 
 
 @dataclass
@@ -320,37 +323,24 @@ def trace_quotient(k: int) -> TracedCurve:
                      (("phi", j), ("phi", j + 1)), branch_side=side)
         )
 
-    # axis nodes fold to simple tangencies between the curve and the line
-    for t in crit.axis_node_angles:
-        piece = piece_of(t)
-        x0 = _x(params, t)
-        order = _contact_order(
-            lambda h: _piece_w_at(params, pieces[piece[1]], x0 + h)
-            if _piece_x_range(params, pieces[piece[1]])[1] > x0 + h
-            else _piece_w_at(params, pieces[piece[1]], x0 - h),
-            2, "tacnode x=%.6f" % x0,
-        )
-        tr.events.append(RawEvent(x0, 0.0, "tacnode", (piece, LINE), contact_order=order))
-
-    # the vertical tangency folds to a transversal line crossing
+    # line events: axis nodes fold to simple tangencies with the line
+    # (contact order 2), the vertical tangency to a transversal crossing
+    # (order 1) and the on-axis cusp to an order-3 crossing at x = 1.  Each
+    # is (kind, parameter, piece, block arc, order), and its contact is
+    # sampled on the side of x0 where the piece extends.
     last = len(pieces) - 1
-    phi_side_right = _ddx(params, pi) > 0  # side where the real fold approaches
-    order = _contact_order(
-        lambda h: _piece_w_at(params, pieces[last], xpi + (h if phi_side_right else -h)),
-        1, "transversal x=%.6f" % xpi,
-    )
-    tr.events.append(
-        RawEvent(xpi, 0.0, "transversal",
-                 (("phi", last) if phi_side_right else PSI2, LINE),
-                 contact_order=order)
-    )
-
-    # the on-axis cusp folds to a contact-order-3 line crossing at x = 1
-    order = _contact_order(
-        lambda h: _piece_w_at(params, pieces[0], 1.0 - h),
-        3, "inflection x=1",
-    )
-    tr.events.append(RawEvent(1.0, 0.0, "inflection", (("phi", 0), LINE), contact_order=order))
+    line_events = [("tacnode", t, piece_of(t)[1], piece_of(t), 2) for t in crit.axis_node_angles]
+    line_events += [
+        ("transversal", pi, last, ("phi", last) if _ddx(params, pi) > 0 else PSI2, 1),
+        ("inflection", 0.0, 0, ("phi", 0), 3),
+    ]
+    for kind, t, i, arc, expected in line_events:
+        x0, hi = _x(params, t), _piece_x_range(params, pieces[i])[1]
+        order = _contact_order(
+            lambda h: _piece_w_at(params, pieces[i], x0 + h if hi > x0 + h else x0 - h),
+            expected, "%s x=%.6f" % (kind, x0),
+        )
+        tr.events.append(RawEvent(x0, 0.0, kind, (arc, LINE), contact_order=order))
 
     # folded node pairs pi*m/n +- delta for m = 1..k-1 (n-m is the mirror of m)
     for m in range(1, k):
@@ -362,7 +352,8 @@ def trace_quotient(k: int) -> TracedCurve:
                                    % (residual, _RESIDUAL_TOL, m, d))
             f1, f2 = abs(remainder(t1, 2 * pi)), abs(remainder(t2, 2 * pi))
             arcs = (piece_of(f1), piece_of(f2))
-            tr.events.append(RawEvent(_x(params, f1), _w(params, f1), "crossing", arcs))
+            tr.events.append(RawEvent(_x(params, f1), _w(params, f1), "crossing", arcs,
+                                      contact_order=1))
 
     expected = {
         "cusp": k - 1,
@@ -385,15 +376,6 @@ _SNAP = 10 ** 7
 
 def _snap(x: float) -> Fraction:
     return Fraction(round(x * _SNAP), _SNAP)
-
-
-_KIND_BUILDERS = {
-    "cusp": lambda ev: Cusp(2, ev.branch_side),
-    "tacnode": lambda ev: Crossing(3),
-    "crossing": lambda ev: Crossing(1),
-    "transversal": lambda ev: Crossing(1),
-    "inflection": lambda ev: Crossing(5),
-}
 
 
 def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
@@ -431,7 +413,8 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
             raise TracingError(
                 "block strands not adjacent beside %s x=%.6f" % (ev.kind, ev.x)
             )
-        events.append(Event(_snap(ev.x), _KIND_BUILDERS[ev.kind](ev), r1))
+        kind = Crossing(2 * ev.contact_order - 1) if ev.contact_order else Cusp(2, ev.branch_side)
+        events.append(Event(_snap(ev.x), kind, r1))
 
     snapped = [e.x for e in events] + [_snap(l_float)]
     if len(set(snapped)) != len(snapped):

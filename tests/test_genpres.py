@@ -2,7 +2,16 @@ import pytest
 
 from wirtlab.abelian import abelianization
 from wirtlab.braids import Braid
-from wirtlab.diagram import Crossing, Cusp, DiagramError, Ordinary, Tangency
+from wirtlab.diagram import (
+    Crossing,
+    CurveDiagram,
+    Cusp,
+    DiagramError,
+    Event,
+    Ordinary,
+    Tangency,
+    sweep_ranks,
+)
 from wirtlab.fpgroups import Presentation, braid_relator, tietze_simplify
 from wirtlab.genpres import (
     UnsupportedConfiguration,
@@ -127,3 +136,19 @@ def test_tangency_local_braid_is_that_of_a0():
     for side in ("left", "right"):
         assert local_braid(Tangency(side), half=True) == Braid.identity(2)
         assert local_braid(Tangency(side)) == Braid.sigma(2, 1)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [Ordinary(m) for m in range(2, 9)] + [Crossing(m) for m in range(1, 12, 2)],
+    ids=repr,
+)
+@pytest.mark.parametrize("x", [-1, 1], ids=["left", "right"])
+def test_sweep_pairing_follows_the_half_local_braid(kind, x):
+    # one event on the whole fiber: the strand at near position i goes on
+    # as the far edge at the final position of strand i under Delta^(twist//2)
+    n = kind.size
+    d = CurveDiagram(n, 0, ("c",) * n, (Event(x, kind, 1),))
+    (rec,) = sweep_ranks(d).records
+    perm = local_braid(kind, half=True).permutation()
+    assert rec.continued == tuple(rec.far_edges[p - 1] for p in perm)

@@ -1,14 +1,17 @@
 import hashlib
 import math
+import re
 
 import pytest
 
 from wirtlab.diagram import check_theorem, sweep_ranks
+from wirtlab import hypocycloid
 from wirtlab.dsl import serialize_diagram
 from wirtlab.hypocycloid import (
     LINE,
     HypoParams,
     TracingError,
+    _contact_order,
     _heights,
     _node_deltas,
     _piece_w_at,
@@ -140,3 +143,34 @@ def test_verify_case_with_the_default_bound(k):
     for side in (result.profile_left, result.profile_right):
         assert (side.abelian.free_rank, side.abelian.torsion) == (1, (2,))
         assert dict(side.hom_counts) == {"S3": 12, "S4": 72}
+
+
+def test_contact_order_refusals():
+    assert _contact_order(lambda h: 5 * h ** 2, 2, "probe x=0.5") == 2
+    with pytest.raises(TracingError, match=r"contact order at probe x=0\.5 measured 2\.0+ .*expected 3"):
+        _contact_order(lambda h: h ** 2, 3, "probe x=0.5")
+    with pytest.raises(TracingError, match="degenerate contact samples at probe x=0.5"):
+        _contact_order(lambda h: 0.0, 2, "probe x=0.5")
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_every_line_event_keeps_the_contact_order_refusals(k, monkeypatch):
+    """Each line event's samples go through ``_contact_order`` with its
+    expected order: doubling their order, or zeroing them, is refused."""
+    measured = []
+
+    def checked(sample, expected, label):
+        pattern = re.escape(label)
+        with pytest.raises(TracingError, match="contact order at " + pattern):
+            _contact_order(lambda h: sample(h) ** 2, expected, label)
+        with pytest.raises(TracingError, match="degenerate contact samples at " + pattern):
+            _contact_order(lambda h: 0.0, expected, label)
+        measured.append((label, expected))
+        return _contact_order(sample, expected, label)
+
+    monkeypatch.setattr(hypocycloid, "_contact_order", checked)
+    tr = trace_quotient(k)
+    line = [ev for ev in tr.events if LINE in ev.arcs]
+    assert [ev.kind for ev in line] == ["tacnode"] * (k - 2) + ["transversal", "inflection"]
+    assert measured == [("%s x=%.6f" % (ev.kind, ev.x), ev.contact_order) for ev in line]
+    assert [ev.contact_order for ev in line] == [2] * (k - 2) + [1, 3]
