@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .words import Word, alternating, format_word
@@ -148,8 +149,9 @@ def _cyclic_canonical(w: Word) -> tuple:
     return best
 
 
-def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove) -> None:
-    """Apply one move to ``rels``; ``gone`` holds the eliminated generators."""
+def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove) -> list[int]:
+    """Apply one move to ``rels``; ``gone`` holds the eliminated generators.
+    Returns the indices of the relators that a IIa move rewrote."""
     if move.kind == "I" and move.action in ("reduce", "delete"):
         if not 0 <= move.index < len(rels) or (
             move.action == "reduce" and move.word != rels[move.index].cyclically_reduced()
@@ -159,42 +161,42 @@ def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove)
             rels[move.index] = move.word
         else:
             del rels[move.index]
-    elif move.kind == "IIa" and move.action == "eliminate":
+        return []
+    if move.kind == "IIa" and move.action == "eliminate":
         k = move.index
         if not 1 <= k <= n_gens or k in gone or any(
             g == k or g in gone or g > n_gens for g, _ in move.word
         ):
             raise ValueError("%r is not a IIa move on the remaining generators" % (move,))
+        images, inverses = {k: move.word}, {}
+        rewritten = []
         for i, r in enumerate(rels):
             if (k, 1) in r.letters or (k, -1) in r.letters:
-                rels[i] = r.substitute({k: move.word})
+                rels[i] = r.substitute(images, inverses)
+                rewritten.append(i)
         gone.add(k)
-    else:
-        raise ValueError("unsupported Tietze move %r/%r" % (move.kind, move.action))
+        return rewritten
+    raise ValueError("unsupported Tietze move %r/%r" % (move.kind, move.action))
 
 
 def _renumber(generators: Sequence[str], relators: Sequence[Word], eliminated: set[int]) -> Presentation:
-    """Drop the eliminated generators; number the rest 1.. in source order."""
+    """Drop the eliminated generators; number the rest 1.. in source order.
+    The map is one-to-one, so the renumbered words stay reduced."""
     kept = [i for i in range(1, len(generators) + 1) if i not in eliminated]
     index = {old: new for new, old in enumerate(kept, start=1)}
     return Presentation(
         tuple(generators[i - 1] for i in kept),
-        tuple(Word([(index[g], e) for g, e in r]) for r in relators),
+        tuple(Word._reduced(tuple([(index[g], e) for g, e in r])) for r in relators),
     )
 
 
-def _defining_letter(rels: list[Word]) -> tuple[int, int, int, int] | None:
-    """(length, generator, relator index, letter position) of a generator
-    that occurs exactly once in a relator, or None.  Prefers the shortest
-    relator, then the lowest generator index, so runs are deterministic."""
-    best = None
-    for ri, r in enumerate(rels):
-        if best is None or len(r) <= best[0]:
-            counts = Counter(g for g, _ in r.letters)
-            for pos, (g, _) in enumerate(r.letters):
-                if counts[g] == 1 and (best is None or (len(r), g) < best[:2]):
-                    best = (len(r), g, ri, pos)
-    return best
+def _facts(w: Word) -> tuple[tuple, int | None]:
+    """The shape of a relator, (length, generator -> count), the same for
+    every rotation and for the inverse; and its lowest generator that occurs
+    exactly once, or None."""
+    counts = Counter(map(itemgetter(0), w.letters))
+    once = min((g for g, c in counts.items() if c == 1), default=None)
+    return (len(w), frozenset(counts.items())), once
 
 
 def replay_transcript(source: Presentation, transcript: TietzeTranscript) -> Presentation:
@@ -212,36 +214,70 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
     IIa (generator elimination via a relator containing it exactly once) are
     performed, each recorded and applied as :func:`replay_transcript` does;
     type IIb moves (adding generators) are never generated.
+
+    After cyclic reduction and the deletion of trivial relators and of each
+    relator equal, up to rotation and inversion, to an earlier one, the
+    shortest relator in which some generator occurs exactly once defines its
+    lowest such generator, ties going to the earlier relator; repeat until
+    no relator has such a generator.  Each relator's shape, defining letter
+    and cyclic key are cached until a move rewrites it, so a move costs
+    about what it changed.
     """
     rels = list(p.relators)
     gone: set[int] = set()
     moves: list[TietzeMove] = []
+    # per relator, None until computed and again once a move rewrites it:
+    # _facts of the relator, and its _cyclic_canonical key
+    facts: list = [None] * len(rels)
+    keys: list = [None] * len(rels)
 
     def apply(move: TietzeMove) -> None:
         moves.append(move)
-        _apply_move(len(p.generators), gone, rels, move)
+        for i in _apply_move(len(p.generators), gone, rels, move):
+            facts[i] = keys[i] = None
+        if move.action == "delete":
+            del facts[move.index], keys[move.index]
+
+    def key(i: int) -> tuple:
+        if keys[i] is None:
+            keys[i] = _cyclic_canonical(rels[i])
+        return keys[i]
 
     def normalise() -> None:
-        # cyclic reduction, trivial and duplicate removal
-        i = 0
+        # cyclic reduction, trivial and duplicate removal, in relator order.
+        # Relators whose facts are cached are already cyclically reduced,
+        # nontrivial and pairwise distinct, so only the rewritten ones and
+        # those of the same shape as one of them are visited, and keys are
+        # compared only within a shape that more than one of them has.
+        reduced = {}
+        for i, f in enumerate(facts):
+            if f is None:
+                reduced[i] = rels[i].cyclically_reduced()
+                facts[i] = _facts(reduced[i])
+        fresh = {facts[i][0] for i in reduced}
+        visit = [i for i, f in enumerate(facts) if f[0] in fresh]
+        sharing = Counter(facts[i][0] for i in visit)
         seen: set[tuple] = set()
-        while i < len(rels):
-            reduced = rels[i].cyclically_reduced()
-            if reduced != rels[i]:
-                apply(TietzeMove("I", "reduce", i, reduced))
-            key = _cyclic_canonical(rels[i])
-            if not rels[i] or key in seen:
-                apply(TietzeMove("I", "delete", i))
-                continue
-            seen.add(key)
-            i += 1
+        deleted = 0
+        for i in visit:
+            j = i - deleted
+            if i in reduced and len(reduced[i]) < len(rels[j]):
+                apply(TietzeMove("I", "reduce", j, reduced[i]))
+            shared = sharing[facts[j][0]] > 1
+            if not rels[j] or (shared and key(j) in seen):
+                apply(TietzeMove("I", "delete", j))
+                deleted += 1
+            elif shared:
+                seen.add(key(j))
 
     normalise()
-    while (found := _defining_letter(rels)) is not None:
-        _, g, ri, pos = found
+    while candidates := [(f[0][0], f[1], i) for i, f in enumerate(facts) if f[1] is not None]:
+        _, g, ri = min(candidates)
         ls = rels[ri].letters
-        # r ~ g^e * w, so g = w^-1 if e == 1 else w
-        rest = Word(ls[pos + 1 :] + ls[:pos])
+        pos = list(map(itemgetter(0), ls)).index(g)
+        # r ~ g^e * w, so g = w^-1 if e == 1 else w; a rotation of a
+        # cyclically reduced word less one letter is reduced
+        rest = Word._reduced(ls[pos + 1 :] + ls[:pos])
         apply(TietzeMove("I", "delete", ri))
         apply(TietzeMove("IIa", "eliminate", g, rest.inverse() if ls[pos][1] == 1 else rest))
         normalise()

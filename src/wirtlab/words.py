@@ -8,7 +8,7 @@ the identity.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 Letter = Tuple[int, int]
 
@@ -34,6 +34,16 @@ def _cancel(letters: Iterable[Letter]) -> tuple[Letter, ...]:
         else:
             stack.append(letter)
     return tuple(stack)
+
+
+def _append_reduced(out: list[Letter], run: Sequence[Letter]) -> None:
+    """Append the freely reduced ``run`` to the freely reduced ``out``,
+    keeping it reduced: only the seam between them can cancel."""
+    j, n = 0, len(run)
+    while out and j < n and out[-1][0] == run[j][0] and out[-1][1] == -run[j][1]:
+        out.pop()
+        j += 1
+    out.extend(run[j:] if j else run)
 
 
 class Word:
@@ -86,10 +96,10 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word()
+        out: list[Letter] = []
         for _ in range(n):
-            out = out * self
-        return out
+            _append_reduced(out, self.letters)
+        return Word._reduced(tuple(out))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -112,22 +122,34 @@ class Word:
     def exponent_sum(self, i: int) -> int:
         return sum(e for g, e in self.letters if g == i)
 
-    def substitute(self, images: dict[int, "Word"]) -> "Word":
+    def substitute(
+        self, images: dict[int, "Word"], inverses: dict[int, "Word"] | None = None
+    ) -> "Word":
         """Replace each generator by its image word (missing ones map to
-        themselves)."""
+        themselves).
+
+        The runs of untouched letters and the images are reduced already,
+        so they are copied whole and only the seams between them cancel.
+        ``inverses`` caches the inverted images by generator; a caller that
+        substitutes the same images into many words passes one dict, so
+        each image is inverted once."""
+        ls = self.letters
+        if inverses is None:
+            inverses = {}
         out: list[Letter] = []
-        inverses: dict[int, tuple[Letter, ...]] = {}
-        for g, e in self.letters:
-            image = images.get(g)
-            if image is None:
-                out.append((g, e))
-            elif e == 1:
-                out.extend(image.letters)
+        start = 0
+        for i in [i for i, (g, _) in enumerate(ls) if g in images]:
+            _append_reduced(out, ls[start:i])
+            g, e = ls[i]
+            if e == 1:
+                _append_reduced(out, images[g].letters)
             else:
                 if g not in inverses:
-                    inverses[g] = image.inverse().letters
-                out.extend(inverses[g])
-        return Word._reduced(_cancel(out))
+                    inverses[g] = images[g].inverse()
+                _append_reduced(out, inverses[g].letters)
+            start = i + 1
+        _append_reduced(out, ls[start:])
+        return Word._reduced(tuple(out))
 
     def cyclically_reduced(self) -> "Word":
         ls = self.letters

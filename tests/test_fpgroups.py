@@ -1,14 +1,25 @@
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from tests.conftest import all_corpus_stems, load
-from wirtlab.abelian import abelianization
-from wirtlab.fpgroups import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+
+import gen  # noqa: E402
+
+from tests.conftest import all_corpus_stems, load  # noqa: E402
+from wirtlab import fpgroups  # noqa: E402
+from wirtlab.abelian import abelianization  # noqa: E402
+from wirtlab.dsl import parse_diagram  # noqa: E402
+from wirtlab.fpgroups import (  # noqa: E402
     Presentation,
     TietzeMove,
     TietzeTranscript,
+    _apply_move,
     _cyclic_canonical,
+    _renumber,
     artin_from_graph,
     artin_relator,
     braid_relator,
@@ -18,10 +29,15 @@ from wirtlab.fpgroups import (
     replay_transcript,
     tietze_simplify,
 )
-from wirtlab.genpres import wirtinger_presentation
-from wirtlab.homcount import count_homs, symmetric_group
-from wirtlab.profiles import profile, profiles_equal
-from wirtlab.words import Word
+from wirtlab.genpres import (  # noqa: E402
+    diagram_braid_monodromy,
+    wirtinger_presentation,
+    zvk_presentation,
+)
+from wirtlab.homcount import count_homs, symmetric_group  # noqa: E402
+from wirtlab.hypocycloid import orbifold_presentation  # noqa: E402
+from wirtlab.profiles import profile, profiles_equal  # noqa: E402
+from wirtlab.words import Word  # noqa: E402
 
 
 def test_presentation_json_round_trip():
@@ -179,3 +195,89 @@ def test_cyclic_canonical_matches_all_rotations():
         w = Word(core).conjugated_by(conj)
         assert _cyclic_canonical(w) == all_rotations_key(w), w
     assert _cyclic_canonical(Word()) == ()
+
+
+def rescanning_tietze(p: Presentation):
+    """The reference loop: after every elimination, cyclically reduce and
+    key every relator, and search every relator for a defining letter."""
+    rels, gone, moves = list(p.relators), set(), []
+
+    def apply(move):
+        moves.append(move)
+        _apply_move(len(p.generators), gone, rels, move)
+
+    def normalise():
+        i, seen = 0, set()
+        while i < len(rels):
+            reduced = rels[i].cyclically_reduced()
+            if reduced != rels[i]:
+                apply(TietzeMove("I", "reduce", i, reduced))
+            key = _cyclic_canonical(rels[i])
+            if not rels[i] or key in seen:
+                apply(TietzeMove("I", "delete", i))
+                continue
+            seen.add(key)
+            i += 1
+
+    def defining_letter():
+        best = None
+        for ri, r in enumerate(rels):
+            counts = Counter(g for g, _ in r)
+            for pos, (g, _) in enumerate(r):
+                if counts[g] == 1 and (best is None or (len(r), g) < best[:2]):
+                    best = (len(r), g, ri, pos)
+        return best
+
+    normalise()
+    while (found := defining_letter()) is not None:
+        _, g, ri, pos = found
+        ls = rels[ri].letters
+        rest = Word(ls[pos + 1 :] + ls[:pos])
+        apply(TietzeMove("I", "delete", ri))
+        apply(TietzeMove("IIa", "eliminate", g, rest.inverse() if ls[pos][1] == 1 else rest))
+        normalise()
+    return _renumber(p.generators, rels, gone), moves
+
+
+def wide_presentations(m: int, sides: str) -> tuple[Presentation, Presentation]:
+    """Wirtinger and ZvK presentations of ordinary m-fold points on the
+    given sides of L."""
+    d = parse_diagram(gen.wide_diagram(random.Random("w:%d" % m), m, sides).dsl)
+    return wirtinger_presentation(d).presentation, zvk_presentation(d.d, diagram_braid_monodromy(d))
+
+
+REFERENCE_CASES = [
+    pytest.param(lambda m=m, s=s, i=i: wide_presentations(m, s)[i], id="%s-w%d-%s" % (route, m, s))
+    for m in (3, 5, 8, 12)
+    for s in ("r", "llr")
+    for i, route in enumerate(("wirtinger", "zvk"))
+] + [
+    pytest.param(lambda k=k, f=f: f(k), id="%s-%d" % (f.__name__, k))
+    for f in (orbifold_presentation, ngon_semidirect)
+    for k in range(2, 7)
+]
+
+
+@pytest.mark.parametrize("make", REFERENCE_CASES)
+def test_tietze_simplify_matches_the_rescanning_loop(make):
+    p = make()
+    q, transcript = tietze_simplify(p)
+    ref, moves = rescanning_tietze(p)
+    assert q.to_json() == ref.to_json()
+    assert list(transcript.moves) == moves
+
+
+def test_tietze_keys_relators_only_where_shapes_collide(monkeypatch):
+    """Work count, no timing: the rescanning loop keys every relator after
+    each of the 36 eliminations here, 1562 keys in all."""
+    calls = []
+    original = fpgroups._cyclic_canonical
+
+    def counted(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(fpgroups, "_cyclic_canonical", counted)
+    q, transcript = tietze_simplify(wide_presentations(12, "llr")[0])
+    assert sum(m.kind == "IIa" for m in transcript.moves) == 36
+    assert len(calls) < 200

@@ -82,3 +82,38 @@ def test_format_word_uses_names():
 def test_free_reduce_function_matches_word_constructor():
     letters = [(1, 1), (1, 1), (1, -1), (2, -1), (2, 1), (1, -1)]
     assert free_reduce(letters) == tuple(Word(letters))
+
+
+def test_substitute_cancels_across_seams():
+    x = Word.gen
+    # x1 -> x2^-1 x3 cancels the x2 before each x1 and the x3^-1 before
+    # that; x4 -> 1 lets the runs beside it meet, so the whole word cancels
+    w = x(3, -1) * x(2) * x(1) * x(4) * x(1, -1) * x(2, -1) * x(3)
+    assert w.substitute({1: x(2, -1) * x(3), 4: Word()}) == Word()
+
+    rng = random.Random(1984)
+    for _ in range(500):
+        w = random_word(rng, 5, rng.randint(0, 16))
+        ls = w.letters
+        images = {}
+        for g in rng.sample(range(1, 6), rng.randint(1, 3)):
+            pick = rng.random()
+            if pick < 0.25:
+                images[g] = Word()
+            elif pick < 0.75 and any(h == g for h, _ in ls):
+                # undo the run just before (or after) an occurrence of g
+                i = rng.choice([i for i, (h, _) in enumerate(ls) if h == g])
+                k = rng.randint(1, 4)
+                before, after = Word(ls[max(0, i - k) : i]), Word(ls[i + 1 : i + 1 + k])
+                tail = random_word(rng, 5, rng.randint(0, 2))
+                image = before.inverse() * tail if rng.random() < 0.5 else tail * after.inverse()
+                images[g] = image if ls[i][1] == 1 else image.inverse()
+            else:
+                images[g] = random_word(rng, 5, rng.randint(1, 4))
+        naive = []
+        for g, e in ls:
+            image = images.get(g, Word.gen(g))
+            naive.extend(image.letters if e == 1 else image.inverse().letters)
+        assert w.substitute(images).letters == Word(naive).letters, (w, images)
+        n = rng.randint(0, 4)
+        assert (w ** n).letters == free_reduce(ls * n)
