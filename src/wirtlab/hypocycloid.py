@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, gcd, log2, pi, remainder, sin
+from math import copysign, cos, gcd, log2, pi, remainder, sin
 
 from .diagram import CurveDiagram, Crossing, Cusp, Event, check_theorem
 from .fpgroups import Presentation, Word, ngon_semidirect
@@ -130,24 +130,61 @@ def _ddx(params: HypoParams, t: float) -> float:
     return -k * l * (l * cos(l * t) + k * cos(k * t)) / n
 
 
-def _bisect(f, a: float, b: float) -> float:
+# Stop width of a root solve: the certifying bracket is at most this wide,
+# relative to the root once it exceeds 1 in magnitude.
+_ROOT_WIDTH = 1e-15
+
+
+def _solve(f, df, a: float, b: float, what: str) -> float:
+    """Root of f in the sign-change bracket [a, b] by safeguarded Newton
+    (Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4, rtsafe); df
+    is f'.  It starts at the regula-falsi point, and every evaluation
+    shrinks the bracket to the side where f changes sign.  A Newton step
+    that leaves the bracket, meets f' = 0, or is longer than half the step
+    before last (rtsafe's guard against slow progress, which also stops
+    Newton bouncing in the rounding noise around the root) is replaced by
+    a bisection step.  One shorter than half the stop width is lengthened
+    to it, so that the next iterate lands across the root.
+
+    Certificate: the result r is either a point where the computed f is
+    exactly 0, or the midpoint of an interval [p, q] with q - p <=
+    w(r) = 1e-15 * max(1, |r|) over whose ends the computed f changes sign;
+    without one the solve goes on.  So if |computed f - f| <= E on [p, q]
+    and |f'| >= D > 0 near it, a root of the exact f lies within
+    w(r) / 2 + E / D of r: either the exact f changes sign over [p, q], or
+    |f| <= E at one of its ends.  ``what`` names the solve in errors."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if (fa > 0) == (fb > 0):
-        raise TracingError("bisection bracket does not straddle a root")
+        raise TracingError("%s: bracket [%.17g, %.17g] does not straddle a root (f = %.3e, %.3e)"
+                           % (what, a, b, fa, fb))
+    if fa > 0:
+        a, b, fa, fb = b, a, fb, fa  # from here on f(a) < 0 < f(b)
+    t = a - fa * (b - a) / (fb - fa)
+    older = last = b - a
     for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) <= 1e-15 * max(1.0, abs(m)):
-            return m
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
+        ft = f(t)
+        if ft == 0.0:
+            return t
+        if ft < 0.0:
+            a = t
         else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
+            b = t
+        mid = 0.5 * (a + b)
+        if abs(b - a) <= _ROOT_WIDTH * max(1.0, abs(mid)):
+            return mid
+        d = df(t)
+        step = -ft / d if d else 0.0
+        if 0.0 < step / ((b if ft < 0.0 else a) - t) < 1.0 and abs(step) <= 0.5 * abs(older):
+            nxt = t + copysign(max(abs(step), 0.5 * _ROOT_WIDTH * max(1.0, abs(t))), step)
+        else:
+            nxt = mid  # Newton leaves the bracket or stalls: bisect
+        older, last = last, nxt - t
+        t = nxt
+    raise TracingError("%s: no certified root in [%.17g, %.17g] after 200 steps" % (what, a, b))
 
 
 # The node scan stays this far inside (0, pi): at delta -> pi the pair meets
@@ -161,14 +198,18 @@ def _node_deltas(params: HypoParams, m: int) -> list[float]:
     With z(t) = (k e^{i ell t} + ell e^{-ikt})/n, z(theta+delta) - z(theta-delta) =
     (2i/n)(k sin(ell delta) e^{i ell theta} - ell sin(k delta) e^{-ik theta}), so they
     solve k sin(ell delta) = (-1)^m ell sin(k delta).  Its frequency is at most k,
-    so 64k scan steps put each root in a bracket of its own."""
+    so 64k scan steps put each root in a sign-change bracket of its own, and
+    ``_solve`` (Newton on f' = k ell (cos(ell delta) -+ cos(k delta))) certifies
+    it there."""
     k, l = params.k, params.ell
     sign = -1.0 if m % 2 else 1.0
     f = lambda d: k * sin(l * d) - sign * l * sin(k * d)
+    df = lambda d: k * l * (cos(l * d) - sign * cos(k * d))
     lo, hi, steps = _NODE_MARGIN, pi - _NODE_MARGIN, 64 * k
     ds = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
     fs = [f(d) for d in ds]
-    return [_bisect(f, ds[i - 1], ds[i])
+    what = "node m=%d" % m
+    return [_solve(f, df, ds[i - 1], ds[i], what)
             for i in range(1, steps + 1) if fs[i] == 0.0 or fs[i - 1] * fs[i] < 0.0]
 
 
@@ -253,12 +294,12 @@ def _piece_x_range(params: HypoParams, piece: tuple[float, float]) -> tuple[floa
     return (min(xa, xb), max(xa, xb))
 
 
-def _piece_t_at(params: HypoParams, piece: tuple[float, float], x0: float) -> float:
-    return _bisect(lambda t: _x(params, t) - x0, piece[0], piece[1])
+def _piece_t_at(params: HypoParams, piece: tuple[float, float], x0: float, what: str) -> float:
+    return _solve(lambda t: _x(params, t) - x0, lambda t: _dx(params, t), piece[0], piece[1], what)
 
 
-def _piece_w_at(params: HypoParams, piece: tuple[float, float], x0: float) -> float:
-    return _w(params, _piece_t_at(params, piece, x0))
+def _piece_w_at(params: HypoParams, piece: tuple[float, float], x0: float, what: str) -> float:
+    return _w(params, _piece_t_at(params, piece, x0, what))
 
 
 def _heights(tr: TracedCurve, x0: float) -> list[tuple]:
@@ -272,7 +313,7 @@ def _heights(tr: TracedCurve, x0: float) -> list[tuple]:
     for i, piece in enumerate(tr.pieces):
         lo, hi = _piece_x_range(p, piece)
         if lo < x0 < hi:
-            real.append((_piece_w_at(p, piece, x0), ("phi", i)))
+            real.append((_piece_w_at(p, piece, x0, "fiber x=%.6f piece %d" % (x0, i)), ("phi", i)))
     real.sort(key=lambda pair: -pair[0])
     out = [arc for _, arc in real] + [LINE]
     xpi = tr.transversal_x
@@ -336,9 +377,11 @@ def trace_quotient(k: int) -> TracedCurve:
     ]
     for kind, t, i, arc, expected in line_events:
         x0, hi = _x(params, t), _piece_x_range(params, pieces[i])[1]
+        label = "%s x=%.6f" % (kind, x0)
+        what = "contact sample at " + label
         order = _contact_order(
-            lambda h: _piece_w_at(params, pieces[i], x0 + h if hi > x0 + h else x0 - h),
-            expected, "%s x=%.6f" % (kind, x0),
+            lambda h: _piece_w_at(params, pieces[i], x0 + h if hi > x0 + h else x0 - h, what),
+            expected, label,
         )
         tr.events.append(RawEvent(x0, 0.0, kind, (arc, LINE), contact_order=order))
 

@@ -15,6 +15,7 @@ from wirtlab.hypocycloid import (
     _heights,
     _node_deltas,
     _piece_w_at,
+    _solve,
     critical_parameters,
     hypo_point,
     hypo_stats,
@@ -127,7 +128,8 @@ def test_closed_form_nodes_agree_with_x_inversion(k):
         (_, i), (_, j) = ev.arcs
         assert i != j
         for piece in (tr.pieces[i], tr.pieces[j]):
-            assert _piece_w_at(params, piece, ev.x) == pytest.approx(ev.w, abs=1e-9)
+            w = _piece_w_at(params, piece, ev.x, "crossing x=%.6f" % ev.x)
+            assert w == pytest.approx(ev.w, abs=1e-9)
 
 
 def test_orbifold_presentation_adds_involution_relators():
@@ -174,3 +176,189 @@ def test_every_line_event_keeps_the_contact_order_refusals(k, monkeypatch):
     assert [ev.kind for ev in line] == ["tacnode"] * (k - 2) + ["transversal", "inflection"]
     assert measured == [("%s x=%.6f" % (ev.kind, ev.x), ev.contact_order) for ev in line]
     assert [ev.contact_order for ev in line] == [2] * (k - 2) + [1, 3]
+
+
+# ---------------------------------------------------------------------------
+# the certified root solve
+# ---------------------------------------------------------------------------
+
+def _stop_width(r):
+    return 1e-15 * max(1.0, abs(r))
+
+
+def _reference_bisect(f, a, b):
+    """Plain bisection to the same stop width (the tracer's solve before
+    Newton), the reference ``_solve``'s roots are compared with."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0 or (b - a) <= 1e-15 * max(1.0, abs(m)):
+            return m
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return 0.5 * (a + b)
+
+
+def _certified(evals, r):
+    """``_solve``'s certificate, read off the (t, f(t)) pairs it evaluated:
+    f(r) was computed as exactly 0, or r lies between two neighbouring
+    evaluated points no further apart than the stop width, where the
+    computed f has opposite signs."""
+    if (r, 0.0) in evals:
+        return True
+    pts = sorted(evals)
+    return any(
+        (fp > 0) != (fq > 0) and fp != 0.0 and fq != 0.0
+        and p <= r <= q and q - p <= _stop_width(r)
+        for (p, fp), (q, fq) in zip(pts, pts[1:])
+    )
+
+
+def _recorded_solve(f, df, a, b, what="probe"):
+    evals = []
+
+    def recording(t):
+        v = f(t)
+        evals.append((t, v))
+        return v
+
+    r = _solve(recording, df, a, b, what)
+    return r, evals
+
+
+def _evaluation_error(k, t):
+    """Bound on the rounding error of both solved functions at t, each a sum
+    of two terms c * trig(j * t) with c, j <= k:
+    (k cos(ell t) + ell cos(k t))/n - x0, and k sin(ell d) -+ ell sin(k d).
+    The product j * t is off by up to j|t|u, which the trig function passes
+    on; the trig value adds 2u, the product by c one u more, and the sum,
+    quotient and subtraction a few u of values at most k."""
+    u = 2.0 ** -53
+    return 2 * k * u * (k * abs(t) + 5)
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_every_solve_is_certified_and_agrees_with_bisection(k, monkeypatch):
+    """Each root solve in ``quotient_diagram(k)`` (fibers, contact samples,
+    nodes) carries its certificate, and lies within the docstring bound of
+    the root plain bisection finds: each is within w/2 + E/|f'| of the one
+    root in the bracket, where w is the stop width and E bounds the rounding
+    error of f.  Where E/|f'| exceeds w, the computed f changes sign more
+    than once (or is exactly 0 over a stretch), and the two certified
+    roots may differ by more than w."""
+    solves = []
+
+    def recording(f, df, a, b, what):
+        r, evals = _recorded_solve(f, df, a, b, what)
+        solves.append((f, df, a, b, what, r, evals))
+        return r
+
+    monkeypatch.setattr(hypocycloid, "_solve", recording)
+    quotient_diagram(k)
+    kinds = {what.split(" ")[0] for *_, what, _, _ in solves}
+    assert kinds == ({"fiber", "contact", "node"} if k > 2 else {"fiber", "contact"})
+    for f, df, a, b, what, r, evals in solves:
+        assert _certified(evals, r), what
+        rb = _reference_bisect(f, a, b)
+        bound = (_stop_width(r) + _stop_width(rb)) / 2 + 2 * _evaluation_error(k, r) / abs(df(r))
+        assert abs(r - rb) <= bound, (what, r, rb)
+
+
+def test_solve_refuses_a_bracket_without_a_sign_change():
+    with pytest.raises(TracingError, match=r"^probe: bracket \[0, 1\] does not straddle a root"):
+        _solve(lambda t: t + 1.0, lambda t: 1.0, 0.0, 1.0, "probe")
+    with pytest.raises(TracingError, match="does not straddle"):
+        _solve(lambda t: (t - 0.5) ** 2 + 1e-3, lambda t: 2 * (t - 0.5), 0.0, 1.0, "probe")
+
+
+def test_solve_returns_a_root_at_a_bracket_end_as_is():
+    for a, b in ((0.25, 1.0), (-1.0, 0.25), (1.0, 0.25)):
+        r, evals = _recorded_solve(lambda t: t - 0.25, lambda t: 1.0, a, b)
+        assert r == 0.25
+        assert len(evals) <= 2
+
+
+@pytest.mark.parametrize(
+    "f, df, a, b, root",
+    [
+        # f' = 0 inside, where the regula-falsi start sends Newton outside
+        (lambda t: t ** 3 - t, lambda t: 3 * t * t - 1, 0.3, 1.5, 1.0),
+        # f' = 0 at the root itself (a triple root)
+        (lambda t: (t - 0.3) ** 3, lambda t: 3 * (t - 0.3) ** 2, 0.0, 1.0, 0.3),
+        # a derivative that is always 0: every step bisects
+        (lambda t: t - 0.7, lambda t: 0.0, 0.0, 1.0, 0.7),
+    ],
+)
+def test_solve_certifies_where_the_derivative_vanishes(f, df, a, b, root):
+    for lo, hi in ((a, b), (b, a)):
+        r, evals = _recorded_solve(f, df, lo, hi)
+        assert _certified(evals, r)
+        assert r == pytest.approx(root, abs=1e-5)  # the triple root is flat to 1e-5
+
+
+@pytest.mark.parametrize("k", [2, 7])
+def test_solve_on_pieces_ending_at_cusps(k):
+    """x(t) - x0 on every fold piece, whose ends are cusps or the axis
+    points t = 0 and pi where x'(t) = 0, with x0 close to either end."""
+    tr = trace_quotient(k)
+    params = tr.params
+    for a, b in tr.pieces:
+        xa, xb = hypocycloid._x(params, a), hypocycloid._x(params, b)
+        for x0 in (xa + 1e-9 * (xb - xa), xb - 1e-9 * (xb - xa), 0.5 * (xa + xb)):
+            r, evals = _recorded_solve(lambda t: hypocycloid._x(params, t) - x0,
+                                       lambda t: hypocycloid._dx(params, t), a, b)
+            assert _certified(evals, r)
+            assert min(a, b) <= r <= max(a, b)
+
+
+def test_tracing_evaluation_count(monkeypatch):
+    """x(t) and x'(t) evaluations made by quotient_diagram(6), a count with
+    no timing in it: 8878 under plain bisection, about 2650 with the Newton
+    solve."""
+    calls = [0]
+    for name in ("_x", "_dx"):
+        def counted(params, t, real=getattr(hypocycloid, name)):
+            calls[0] += 1
+            return real(params, t)
+
+        monkeypatch.setattr(hypocycloid, name, counted)
+    quotient_diagram(6)
+    assert calls[0] <= 4500
+
+
+def _break_solves(monkeypatch, stage):
+    """Give every solve whose label starts with ``stage`` the one-point
+    bracket [a, a], which does not straddle a root."""
+    def broken(f, df, a, b, what):
+        return _solve(f, df, a, a if what.startswith(stage) else b, what)
+
+    monkeypatch.setattr(hypocycloid, "_solve", broken)
+
+
+@pytest.mark.parametrize(
+    "stage, pattern",
+    [
+        ("node", r"^node m=0: bracket \[\S+, \S+\] does not straddle a root"),
+        ("contact", r"^contact sample at tacnode x=-?\d\.\d{6}: bracket \[\S+, \S+\] does not"),
+    ],
+)
+def test_solve_failures_name_the_solve(stage, pattern, monkeypatch):
+    _break_solves(monkeypatch, stage)
+    with pytest.raises(TracingError, match=pattern):
+        quotient_diagram(3)
+
+
+def test_a_fiber_over_a_piece_that_misses_it_names_the_fiber(monkeypatch):
+    """A piece wrongly taken to span the fiber gives a bracket of its ends
+    with no sign change, and the error names the fiber's x and the piece."""
+    tr = trace_quotient(3)
+    monkeypatch.setattr(hypocycloid, "_piece_x_range", lambda params, piece: (-2.0, 2.0))
+    with pytest.raises(TracingError, match=r"^fiber x=0\.990000 piece \d+: bracket .* does not straddle"):
+        _heights(tr, 0.99)
