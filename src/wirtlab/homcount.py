@@ -9,8 +9,16 @@ conjugacy in the target (Holt, Eick and O'Brien, *Handbook of Computational
 Group Theory*, 2005): the first generator takes one representative of each
 conjugacy class, weighted by the class size, and the second one
 representative of each orbit of the first image's centralizer, weighted by
-the orbit size.  Each relator is checked at the depth where its last
-generator gets an image, from segment values computed once per parent node.
+the orbit size.
+
+The order is greedy: the next generator is the one that completes the most
+relators, then the one in the most relators it leaves open, then the lowest.
+Each relator is checked at the depth where its last generator gets an
+image, and there the candidates are filtered one relator at a time: the
+relator's segment values (the products between its letters of the new
+generator) are computed once per parent node, the candidates that fail it
+are dropped, and the node is abandoned as soon as none is left, so later
+relators are never evaluated for it.
 """
 
 from __future__ import annotations
@@ -22,11 +30,12 @@ from itertools import permutations
 
 from .fpgroups import Presentation
 
-# Measured on one core of a shared 2-core Xeon: 1-5 us per node in searches
-# of 10^4 nodes or more (6.5 us on the 5792 letters of the k = 8 orbifold
-# group into S4), up to 27 us in small searches over long relators.  So the
-# default stops a search after about a minute, and after 4.5 minutes at
-# the worst rate seen.
+# Measured on one core of a shared 2-core Xeon: 1.2-2.7 us per node in
+# searches of 5,000 nodes or more (S4 on the simplified orbifold groups of
+# k = 5..11, up to 7,070 letters), 6 us on the 5,792 letters of k = 8 and
+# 18 us on the 24,582 of k = 10, and up to 69 us in small searches over
+# long relators (S3 at k = 10, 4,396 nodes).  So the default stops a search
+# after 10 to 30 s at the common rates, and after 3 minutes at 18 us.
 DEFAULT_HOM_BOUND = 10**7
 HOM_BOUND_ENV = "WIRTLAB_HOM_BOUND"
 
@@ -127,17 +136,21 @@ def _candidates(
 
 def _search_order(supports: list[frozenset[int]], n: int) -> list[int]:
     """Order generators so relators become fully assigned (and hence
-    checkable) as early as possible."""
+    checkable) as early as possible: the next generator is the one that
+    completes the most relators, then the one in the most relators it
+    leaves open (so they close soon after), then the lowest."""
     order: list[int] = []
+    chosen: set[int] = set()
     remaining = set(range(1, n + 1))
     while remaining:
-        def score(g: int) -> tuple[int, int]:
-            chosen = set(order) | {g}
-            done = sum(1 for s in supports if s and s <= chosen)
-            return (done, -g)
+        def score(g: int) -> tuple[int, int, int]:
+            unassigned = [len(s - chosen) for s in supports if g in s]
+            done = unassigned.count(1)
+            return (done, len(unassigned) - done, -g)
 
         best = max(remaining, key=score)
         order.append(best)
+        chosen.add(best)
         remaining.discard(best)
     return order
 
@@ -189,6 +202,7 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
 
     classes, orbits, every, cols = _candidates(table)
     inv = table.inverse
+    inv_cols = tuple(cols[inv[x]] for x in range(table.size))
     identity = table.identity
     assign = [identity] * n
     nodes = 0
@@ -215,27 +229,31 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
                 "simplify the presentation or raise %s"
                 % (table.name, n, nodes, bound, HOM_BOUND_ENV)
             )
-        # each relator as (positive, column of the segment's value) pairs
-        rels = [
-            [(positive, cols[value(segment)]) for positive, segment in rel]
-            for rel in checks[depth]
-        ]
-        last = depth == n - 1
+        # relator by relator: evaluate its segments, keep the candidates
+        # that satisfy it, and stop once none is left
+        for rel in checks[depth]:
+            # (columns of x or of x^-1, column of the segment's value) pairs
+            segments = [
+                (cols if positive else inv_cols, cols[value(segment)])
+                for positive, segment in rel
+            ]
+            kept = []
+            for candidate in candidates:
+                x = candidate[0]
+                acc = identity
+                for side, segment in segments:
+                    acc = segment[side[x][acc]]
+                if acc == identity:
+                    kept.append(candidate)
+            if not kept:
+                return 0
+            candidates = kept
+        if depth == n - 1:
+            return sum(weight for _, weight in candidates)
         total = 0
         for x, weight in candidates:
-            ax, ai = cols[x], cols[inv[x]]
-            for rel in rels:
-                acc = identity
-                for positive, segment in rel:
-                    acc = segment[(ax if positive else ai)[acc]]
-                if acc != identity:
-                    break
-            else:
-                if last:
-                    total += weight
-                else:
-                    assign[depth] = x
-                    total += weight * count(depth + 1)
+            assign[depth] = x
+            total += weight * count(depth + 1)
         return total
 
     try:

@@ -200,7 +200,7 @@ def _node_deltas(params: HypoParams, m: int) -> list[float]:
     solve k sin(ell delta) = (-1)^m ell sin(k delta).  Its frequency is at most k,
     so 64k scan steps put each root in a sign-change bracket of its own, and
     ``_solve`` (Newton on f' = k ell (cos(ell delta) -+ cos(k delta))) certifies
-    it there."""
+    it there.  Only the parity of m enters, and solve errors name m mod 2."""
     k, l = params.k, params.ell
     sign = -1.0 if m % 2 else 1.0
     f = lambda d: k * sin(l * d) - sign * l * sin(k * d)
@@ -208,7 +208,7 @@ def _node_deltas(params: HypoParams, m: int) -> list[float]:
     lo, hi, steps = _NODE_MARGIN, pi - _NODE_MARGIN, 64 * k
     ds = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
     fs = [f(d) for d in ds]
-    what = "node m=%d" % m
+    what = "node m=%d" % (m % 2)
     return [_solve(f, df, ds[i - 1], ds[i], what)
             for i in range(1, steps + 1) if fs[i] == 0.0 or fs[i - 1] * fs[i] < 0.0]
 
@@ -385,9 +385,12 @@ def trace_quotient(k: int) -> TracedCurve:
         )
         tr.events.append(RawEvent(x0, 0.0, kind, (arc, LINE), contact_order=order))
 
-    # folded node pairs pi*m/n +- delta for m = 1..k-1 (n-m is the mirror of m)
+    # folded node pairs pi*m/n +- delta for m = 1..k-1 (n-m is the mirror of m);
+    # delta depends on m only through its parity, and for even m the deltas
+    # are the axis-node angles
+    deltas = (crit.axis_node_angles, _node_deltas(params, 1))
     for m in range(1, k):
-        for d in _node_deltas(params, m):
+        for d in deltas[m % 2]:
             t1, t2 = pi * m / n + d, pi * m / n - d
             residual = abs(complex(*hypo_point(params, t1)) - complex(*hypo_point(params, t2)))
             if residual > _RESIDUAL_TOL:

@@ -46,8 +46,8 @@ def profile(
     """Compute the invariant profile, Tietze-simplifying first by default.
 
     S5 is deliberately not a default target: on the traced orbifold groups
-    at k = 6, 7 and 8 its search visits 16 to 33 times as many nodes as S4
-    and takes 0.3 to 4 s, against 0.06 to 0.55 s for S4.  Pass
+    at k = 6, 7 and 8 its search visits 16 to 21 times as many nodes as S4
+    and takes 0.27 to 2.7 s, against 0.05 to 0.51 s for S4.  Pass
     ``targets=("S3", "S4", "S5")`` to opt in.
     """
     q = tietze_simplify(p)[0] if simplify else p

@@ -1,14 +1,16 @@
 import pytest
 
 from wirtlab.dsl import parse_diagram
-from wirtlab.fpgroups import Presentation, braid_relator, tietze_simplify
+from wirtlab.fpgroups import Presentation, braid_relator, ngon_semidirect, tietze_simplify
 from wirtlab.genpres import wirtinger_presentation
 from wirtlab.homcount import (
     HOM_BOUND_ENV,
     ResourceGuardError,
+    _search_order,
     count_homs,
     symmetric_group,
 )
+from wirtlab.hypocycloid import orbifold_presentation
 from wirtlab.profiles import profile, profiles_equal
 from wirtlab.words import Word
 from tests.conftest import all_corpus_stems, load
@@ -108,6 +110,24 @@ def test_refusal_names_nodes_target_and_generators():
     assert 1000 < nodes <= 1000 + 24
 
 
+def test_search_order_closes_relators_then_keeps_them_open():
+    # no generator closes a relator first; 3 and 4 are in three each, and
+    # 3 is the lower.  Then 2 and 4 each close one, but 4 leaves two open
+    # ({1, 4} and {3, 4, 5}) where 2 leaves none.  Ranking by relators
+    # closed and then index alone gives [1, 4, 3, 2, 5].
+    supports = [frozenset(s) for s in ({1, 4}, {2, 3}, {3, 4}, {3, 4, 5})]
+    assert _search_order(supports, 5) == [3, 4, 1, 2, 5]
+
+
+def test_k4_s4_count_fits_a_small_node_budget():
+    """A count, not a timing: S4 on the simplified k = 4 Wirtinger group
+    tries 5,160 candidate images when relators close early and candidates
+    are filtered relator by relator, and tried 37,752 when 11 of its 13
+    relators closed only at the last depth."""
+    q = simplified_wirtinger(load("hypocycloid_quotient_k4"))
+    assert count_homs(q, symmetric_group(4), bound=10**4) == 120
+
+
 def test_symmetric_groups_are_built_once():
     assert symmetric_group(4) is symmetric_group(4)
 
@@ -134,6 +154,13 @@ def test_counts_match_plain_search_on_seeded_diagrams(seed):
     q = simplified_wirtinger(parse_diagram(sample(seed).dsl))
     if len(q.generators) <= MAX_GENERATORS:
         _assert_counts_match(q, with_s4=len(q.generators) <= MAX_S4_GENERATORS)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("side", [orbifold_presentation, ngon_semidirect])
+def test_counts_match_plain_search_on_hypocycloid_sides(side, k):
+    q = tietze_simplify(side(k))[0]
+    _assert_counts_match(q, with_s4=len(q.generators) <= MAX_S4_GENERATORS)
 
 
 def test_s5_counts_match_plain_search():

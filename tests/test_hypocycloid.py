@@ -138,7 +138,7 @@ def test_orbifold_presentation_adds_involution_relators():
     assert squares, "expected generator-squared relators for the line component"
 
 
-@pytest.mark.parametrize("k", [5, 6, 7, 8])
+@pytest.mark.parametrize("k", [5, 6, 7, 8, 11])
 def test_verify_case_with_the_default_bound(k):
     result = verify_case(k)
     assert result.equal, result.note
@@ -333,6 +333,20 @@ def test_tracing_evaluation_count(monkeypatch):
     assert calls[0] <= 4500
 
 
+def test_node_half_separations_are_solved_once_per_parity(monkeypatch):
+    """delta depends on m only through its parity, so a trace solves for
+    m = 0 (the axis nodes) and for m = 1 once each, whatever k is."""
+    calls = []
+
+    def counted(params, m, real=hypocycloid._node_deltas):
+        calls.append(m)
+        return real(params, m)
+
+    monkeypatch.setattr(hypocycloid, "_node_deltas", counted)
+    trace_quotient(7)
+    assert sorted(calls) == [0, 1]
+
+
 def _break_solves(monkeypatch, stage):
     """Give every solve whose label starts with ``stage`` the one-point
     bracket [a, a], which does not straddle a root."""
@@ -346,6 +360,7 @@ def _break_solves(monkeypatch, stage):
     "stage, pattern",
     [
         ("node", r"^node m=0: bracket \[\S+, \S+\] does not straddle a root"),
+        ("node m=1", r"^node m=1: bracket \[\S+, \S+\] does not straddle a root"),
         ("contact", r"^contact sample at tacnode x=-?\d\.\d{6}: bracket \[\S+, \S+\] does not"),
     ],
 )
