@@ -19,6 +19,18 @@ relator's segment values (the products between its letters of the new
 generator) are computed once per parent node, the candidates that fail it
 are dropped, and the node is abandoned as soon as none is left, so later
 relators are never evaluated for it.
+
+Generators that the presentation makes conjugate share a class.  A
+cyclically reduced relator that is u a^e u^-1 b^-e after some rotation,
+with a != b generators and e = +-1, says b^e = u a^e u^-1, so every
+homomorphism maps b into the conjugacy class of a's image; such pairs are
+merged with a union-find.  A generator whose class already has an image at
+a lower depth takes as candidates only that image's conjugacy class: at
+depth 1 (sharing the class of depth 0) the first image's centralizer orbits
+inside it, with their orbit sizes, and otherwise each member of it, weight
+1.  Only a single letter a^e is sound: u a^2 u^-1 b^-2 makes the squares
+conjugate, not a and b (in <a, b | a^2 b^-2>, a -> 1, b -> (12) is a
+homomorphism into S3).
 """
 
 from __future__ import annotations
@@ -30,12 +42,12 @@ from itertools import permutations
 
 from .fpgroups import Presentation
 
-# Measured on one core of a shared 2-core Xeon: 1.2-2.7 us per node in
-# searches of 5,000 nodes or more (S4 on the simplified orbifold groups of
+# Measured on one core of a shared 2-core Xeon: 1.2-2.8 us per node in
+# searches of 4,000 nodes or more (S5 on the simplified orbifold groups of
 # k = 5..11, up to 7,070 letters), 6 us on the 5,792 letters of k = 8 and
-# 18 us on the 24,582 of k = 10, and up to 69 us in small searches over
-# long relators (S3 at k = 10, 4,396 nodes).  So the default stops a search
-# after 10 to 30 s at the common rates, and after 3 minutes at 18 us.
+# 12 us on the 24,582 of k = 10, and up to 212 us in small searches over
+# long relators (S3 at k = 10, 177 nodes).  So the default stops a search
+# after 12 to 28 s at the common rates, and after 2 minutes at 12 us.
 DEFAULT_HOM_BOUND = 10**7
 HOM_BOUND_ENV = "WIRTLAB_HOM_BOUND"
 
@@ -105,11 +117,21 @@ _Weighted = tuple[tuple[int, int], ...]  # (image, weight) pairs
 @cache
 def _candidates(
     table: FiniteGroupTable,
-) -> tuple[_Weighted, dict[int, _Weighted], _Weighted, tuple[tuple[int, ...], ...]]:
+) -> tuple[
+    _Weighted,
+    dict[int, _Weighted],
+    dict[int, _Weighted],
+    tuple[_Weighted, ...],
+    _Weighted,
+    tuple[tuple[int, ...], ...],
+]:
     """The weighted images of the first generator (class representatives
     and class sizes), those of the second for each first image (centralizer
-    orbits), those of every other generator (each element, weight 1), and
-    the columns of the multiplication table (``cols[x][a]`` is ``a * x``)."""
+    orbits, and those of them inside the first image's class), those of a
+    generator conjugate to an earlier one with image x (``conjugates[x]``,
+    each member of x's class, weight 1), those of every other generator
+    (each element, weight 1), and the columns of the multiplication table
+    (``cols[x][a]`` is ``a * x``)."""
     size, mult, inv = table.size, table.mult, table.inverse
 
     def orbits(acting: list[int]) -> _Weighted:
@@ -129,9 +151,17 @@ def _candidates(
         a: orbits([t for t in range(size) if mult[a][t] == mult[t][a]])
         for a, _ in classes
     }
+    members = [
+        sorted({mult[mult[inv[t]][x]][t] for t in range(size)}) for x in range(size)
+    ]
+    class_orbits = {
+        a: tuple(o for o in centralizer_orbits[a] if o[0] in members[a])
+        for a, _ in classes
+    }
+    conjugates = tuple(tuple((y, 1) for y in m) for m in members)
     every = tuple((x, 1) for x in range(size))
     cols = tuple(tuple(mult[a][x] for a in range(size)) for x in range(size))
-    return classes, centralizer_orbits, every, cols
+    return classes, centralizer_orbits, class_orbits, conjugates, every, cols
 
 
 def _search_order(supports: list[frozenset[int]], n: int) -> list[int]:
@@ -155,6 +185,44 @@ def _search_order(supports: list[frozenset[int]], n: int) -> list[int]:
     return order
 
 
+def _conjugacy_roots(p: Presentation) -> list[int]:
+    """A union-find root for each generator (index 0 unused), merging a and
+    b whenever a cyclically reduced relator is u a^e u^-1 b^-e after some
+    rotation (e = +-1; see the module docstring for why not a^2).  In such
+    a rotation a sits at some centre c and b^-e at the antipode c + L/2,
+    and the letters at c + t and c - t are inverse for t = 1 .. L/2 - 1;
+    each centre's check stops at its first mismatch."""
+    root = list(range(len(p.generators) + 1))
+
+    def find(g: int) -> int:
+        while root[g] != g:
+            root[g] = root[root[g]]
+            g = root[g]
+        return g
+
+    for r in p.relators:
+        w = r.letters
+        i, j = 0, len(w)
+        while j - i > 1 and w[i] == (w[j - 1][0], -w[j - 1][1]):
+            i, j = i + 1, j - 1
+        w = w[i:j]
+        if len(w) % 2:
+            continue
+        half = len(w) // 2
+        # centres c and c + half are one check, so c < half suffices
+        for c in range(half):
+            (a, e), (b, f) = w[c], w[c + half]
+            if a == b or e != -f or find(a) == find(b):
+                continue
+            for t in range(1, half):
+                g, x = w[c + t]
+                if w[c - t] != (g, -x):
+                    break
+            else:
+                root[find(a)] = find(b)
+    return [find(g) for g in range(len(root))]
+
+
 def _compile(letters: list[tuple[int, int]], depth: int):
     """Split a relator, as ``(depth, exp)`` letters with ``depth`` its last,
     at the letters of the generator at that depth: one ``(exp > 0, segment)``
@@ -175,10 +243,12 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
     """Number of homomorphisms from the presented group into the group.
 
     Backtracking over generator images up to conjugacy, with relator
-    pruning.  The bound is a node budget: the number of candidate generator
-    images the search may try (``WIRTLAB_HOM_BOUND`` environment variable,
-    default 1e7).  :class:`ResourceGuardError` is raised as soon as the
-    count passes it; callers should Tietze-simplify first.
+    pruning; a generator that a relator makes conjugate to an earlier one
+    takes its images from that one's conjugacy class.  The bound is a node
+    budget: the number of candidate generator images the search may try
+    (``WIRTLAB_HOM_BOUND`` environment variable, default 1e7).
+    :class:`ResourceGuardError` is raised as soon as the count passes it;
+    callers should Tietze-simplify first.
     """
     if bound is None:
         bound = hom_bound()
@@ -199,8 +269,12 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
             checks[depth].append(_compile(letters, depth))
     for c in checks:
         c.sort(key=len)
+    # the lowest depth of each depth's class of conjugate generators
+    roots = _conjugacy_roots(p)
+    first: dict[int, int] = {}
+    anchor = [first.setdefault(roots[g], d) for d, g in enumerate(order)]
 
-    classes, orbits, every, cols = _candidates(table)
+    classes, orbits, class_orbits, conjugates, every, cols = _candidates(table)
     inv = table.inverse
     inv_cols = tuple(cols[inv[x]] for x in range(table.size))
     identity = table.identity
@@ -216,8 +290,11 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
 
     def count(depth: int) -> int:
         nonlocal nodes
+        a = anchor[depth]
         if depth == 0:
             candidates = classes
+        elif a < depth:
+            candidates = class_orbits[assign[0]] if depth == 1 else conjugates[assign[a]]
         elif depth == 1:
             candidates = orbits[assign[0]]
         else:

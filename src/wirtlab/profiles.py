@@ -45,10 +45,10 @@ def profile(
 ) -> InvariantProfile:
     """Compute the invariant profile, Tietze-simplifying first by default.
 
-    S5 is deliberately not a default target: on the traced orbifold groups
-    at k = 6, 7 and 8 its search visits 16 to 21 times as many nodes as S4
-    and takes 0.27 to 2.7 s, against 0.05 to 0.51 s for S4.  Pass
-    ``targets=("S3", "S4", "S5")`` to opt in.
+    S5 is not a default target: adding it would change every profile.  On the
+    traced orbifold groups at k = 6, 7 and 8 its search visits 5 to 6 times
+    as many nodes as S4 and takes 9 to 66 ms, against 6 to 43 ms for S4.
+    Pass ``targets=("S3", "S4", "S5")`` to opt in.
     """
     q = tietze_simplify(p)[0] if simplify else p
     counts = tuple(

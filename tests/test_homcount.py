@@ -6,6 +6,7 @@ from wirtlab.genpres import wirtinger_presentation
 from wirtlab.homcount import (
     HOM_BOUND_ENV,
     ResourceGuardError,
+    _conjugacy_roots,
     _search_order,
     count_homs,
     symmetric_group,
@@ -126,6 +127,68 @@ def test_k4_s4_count_fits_a_small_node_budget():
     relators closed only at the last depth."""
     q = simplified_wirtinger(load("hypocycloid_quotient_k4"))
     assert count_homs(q, symmetric_group(4), bound=10**4) == 120
+
+
+def test_orbifold_k10_s4_count_fits_a_small_node_budget():
+    """A count, not a timing: S4 on the simplified orbifold group at k = 10
+    (11 generators, 24,582 letters) tries 4,031 candidate images when
+    conjugate generators take images in one conjugacy class, and 359,908
+    when every generator past the second tried all 24 elements."""
+    q = tietze_simplify(orbifold_presentation(10))[0]
+    assert count_homs(q, symmetric_group(4), bound=10**4) == 72
+
+
+def test_k4_s4_count_fits_a_thousand_nodes():
+    """S4 on the simplified k = 4 Wirtinger group: 469 candidate images
+    with classes of conjugate generators, 5,160 without."""
+    q = simplified_wirtinger(load("hypocycloid_quotient_k4"))
+    assert count_homs(q, symmetric_group(4), bound=10**3) == 120
+
+
+def _conjugate_pairs(relators, n: int) -> set[frozenset[int]]:
+    roots = _conjugacy_roots(Presentation(tuple("g%d" % i for i in range(n)), tuple(relators)))
+    classes: dict[int, set[int]] = {}
+    for g in range(1, n + 1):
+        classes.setdefault(roots[g], set()).add(g)
+    return {frozenset(c) for c in classes.values() if len(c) > 1}
+
+
+def test_conjugacy_detector_merges_single_letter_conjugates():
+    a, b, c = Word.gen(1), Word.gen(2), Word.gen(3)
+    # the braid relator a b a b^-1 a^-1 b^-1 is a u^-1 b^-1 u with u = a^-1 b^-1
+    assert _conjugate_pairs([braid_relator(a, b)], 2) == {frozenset({1, 2})}
+    # a Wirtinger relator x_j^-1 w^-1 x_i w, with x_i = 1, x_j = 2, w = c a^-1 c
+    w = c * a.inverse() * c
+    wirtinger = b.inverse() * w.inverse() * a * w
+    rotated = Word(wirtinger.letters[3:] + wirtinger.letters[:3])
+    conjugated = c * wirtinger * c.inverse()  # not cyclically reduced
+    for r in (wirtinger, wirtinger.inverse(), rotated, conjugated):
+        assert _conjugate_pairs([r], 3) == {frozenset({1, 2})}, r.letters
+
+
+def test_conjugacy_detector_refuses_other_relators():
+    a, b = Word.gen(1), Word.gen(2)
+    odd = a * b * a.inverse() * b.inverse() ** 2
+    squares = a ** 2 * b ** 2
+    commutator = a * b * a.inverse() * b.inverse()
+    for r in (odd, squares, commutator):
+        assert _conjugate_pairs([r], 2) == set(), r.letters
+
+
+def test_conjugate_squares_do_not_merge_generators():
+    """Only a single letter makes a class: u a^2 u^-1 b^-2 makes a^2 and b^2
+    conjugate, and a -> 1, b -> (12) is a homomorphism into S3 of both
+    groups below, so merging a and b would lose it."""
+    a, b, c = Word.gen(1), Word.gen(2), Word.gen(3)
+    groups = [
+        Presentation(("a", "b"), (a ** 2 * b.inverse() ** 2,)),
+        Presentation(("a", "b", "c"), (c * a ** 2 * c.inverse() * b.inverse() ** 2,)),
+    ]
+    for p in groups:
+        assert _conjugate_pairs(p.relators, len(p.generators)) == set()
+        for n in (3, 4):
+            table = symmetric_group(n)
+            assert count_homs(p, table) == reference_count(p, table), (p.describe(), n)
 
 
 def test_symmetric_groups_are_built_once():

@@ -138,7 +138,7 @@ def test_orbifold_presentation_adds_involution_relators():
     assert squares, "expected generator-squared relators for the line component"
 
 
-@pytest.mark.parametrize("k", [5, 6, 7, 8, 11])
+@pytest.mark.parametrize("k", [5, 6, 7, 8, 9, 10, 11])
 def test_verify_case_with_the_default_bound(k):
     result = verify_case(k)
     assert result.equal, result.note
