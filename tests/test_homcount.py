@@ -234,3 +234,46 @@ def test_s5_counts_match_plain_search():
     groups += [Presentation(tuple("g%d" % i for i in range(r)), ()) for r in (0, 1, 2)]
     for p in groups:
         assert count_homs(p, s5) == reference_count(p, s5), p.describe()
+
+
+# (target, hom count, candidate images tried) for each simplified corpus
+# Wirtinger group, and for S4 on each simplified hypocycloid side
+CORPUS_NODES = {
+    "cardioid": [("S3", 6, 3), ("S4", 24, 5), ("S5", 120, 7)],
+    "concentric_circles": [("S3", 36, 14), ("S4", 576, 48), ("S5", 14400, 168)],
+    "cuspidal_cubic": [("S3", 12, 8), ("S4", 96, 18), ("S5", 600, 42)],
+    "deltoid": [("S3", 30, 17), ("S4", 384, 62), ("S5", 2520, 261)],
+    "hypocycloid_quotient_k2": [("S3", 30, 32), ("S4", 312, 183), ("S5", 2400, 1246)],
+    "hypocycloid_quotient_k3": [("S3", 18, 49), ("S4", 120, 298), ("S5", 960, 2116)],
+    "hypocycloid_quotient_k4": [("S3", 18, 68), ("S4", 120, 469), ("S5", 840, 3520)],
+    "nodal_cubic": [("S3", 6, 3), ("S4", 24, 5), ("S5", 120, 7)],
+    "parabola_two_lines": [("S3", 90, 74), ("S4", 1320, 816), ("S5", 16680, 8568)],
+    "smooth_cubic": [("S3", 36, 14), ("S4", 576, 48), ("S5", 14400, 168)],
+}
+SIDE_S4_NODES = {
+    orbifold_presentation: [(2, 192, 107), (3, 72, 175), (4, 72, 293), (5, 72, 613), (6, 72, 707)],
+    ngon_semidirect: [(2, 192, 87), (3, 72, 175), (4, 72, 263), (5, 72, 351), (6, 72, 439)],
+}
+
+
+def _assert_exact_nodes(q: Presentation, table, count: int, nodes: int) -> None:
+    assert count_homs(q, table, bound=nodes) == count
+    with pytest.raises(ResourceGuardError):
+        count_homs(q, table, bound=nodes - 1)
+
+
+@pytest.mark.parametrize("stem", sorted(CORPUS_NODES))
+def test_exact_node_counts_on_corpus(stem):
+    """The search itself, not only its result: each count tries exactly
+    this many candidate images, so a change that reorders, widens or
+    narrows the candidate lists shows here even when the counts agree."""
+    q = simplified_wirtinger(load(stem))
+    for name, count, nodes in CORPUS_NODES[stem]:
+        _assert_exact_nodes(q, symmetric_group(int(name[1])), count, nodes)
+
+
+@pytest.mark.parametrize("side", list(SIDE_S4_NODES), ids=lambda f: f.__name__)
+def test_exact_s4_node_counts_on_hypocycloid_sides(side):
+    for k, count, nodes in SIDE_S4_NODES[side]:
+        q = tietze_simplify(side(k))[0]
+        _assert_exact_nodes(q, symmetric_group(4), count, nodes)
