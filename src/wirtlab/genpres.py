@@ -101,10 +101,17 @@ class WirtingerResult:
     passed: dict  # event index -> indices of the obstruction events passed
 
 
-def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
+def _vertex_relators(rec: EventRecord, crossed: list[EventRecord], gens: GeneratorMap) -> list[Word]:
     """Relators contributed by one vertex, in terms of edge generators.
     x-side = the block edges on the L side (far side for vertices whose
-    branches point away); x1 is the topmost x-edge."""
+    branches point away); x1 is the topmost x-edge.  A one-sided vertex
+    beyond the obstruction points ``crossed`` conjugates x2 by the loops
+    around them before relating it to x1."""
+    if crossed and rec.action == "through":
+        raise UnsupportedConfiguration(
+            "%s lies beyond an obstruction point; only one-sided "
+            "vertices are supported there" % rec.event.label()
+        )
     kind = rec.event.kind
     x = [gens.word(e) for e in _block_side_edges(rec)]
     y = [gens.word(e) for e in rec.continued]  # the far edge continuing x_i
@@ -120,9 +127,16 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
             relators.append(y[j] * (x[j].conjugated_by(xbar[j])).inverse())
     else:
         # an A_m point: the Artin relation of length twist = m + 1; a
-        # tangency's (A_0) relator x1 x2^-1 is trivial, since its two edges
-        # share a generator
-        relators.append(artin_relator(x[0], x[1], kind.twist))
+        # tangency's (A_0) relator x1 x2^-1 is trivial when it passed no
+        # obstruction point, since its two edges then share a generator
+        b = x[1]
+        if crossed:
+            z = Word.identity()
+            for qrec in crossed:
+                z = z * _obstruction_loop(qrec, gens)
+            # z b z^-1 on the left side, z^-1 b z on the right
+            b = b.conjugated_by(z.inverse() if rec.side == "left" else z)
+        relators.append(artin_relator(x[0], b, kind.twist))
         if rec.action == "through":
             conj = (x[1] * x[0]) ** (kind.twist // 4)
             for i in (0, 1):
@@ -132,9 +146,7 @@ def _vertex_relators(rec: EventRecord, gens: GeneratorMap) -> list[Word]:
 
 def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
     """The Wirtinger presentation of one valid sweep.  ``passed`` maps each
-    event index to the obstruction records passed on the way out from L.
-    A vertex that passed none contributes its own relators; a one-sided
-    vertex that passed some contributes the conjugated relator."""
+    event index to the obstruction records passed on the way out from L."""
     # tangencies identify their two edges only when no obstruction point
     # stands between them and L
     gens = _build_generators(sw, [
@@ -144,10 +156,7 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
     ])
     relators: list[Word] = []
     for rec in sw.records:
-        if passed[rec.index]:
-            relators.extend(_conjugated_relator(rec, passed[rec.index], gens))
-        else:
-            relators.extend(_vertex_relators(rec, gens))
+        relators.extend(_vertex_relators(rec, passed[rec.index], gens))
     pres = Presentation(gens.names, tuple(relators))
     fiber = tuple(gens.names[gens.edge_gen[e] - 1] for e in sw.fiber_edges)
     edge_component = {
@@ -317,25 +326,6 @@ def _obstruction_loop(qrec: EventRecord, gens: GeneratorMap) -> Word:
     twist = local_braid(qrec.event.kind, half=True)
     y1 = braid_images(twist.inverse())[0].substitute({1: a, 2: b})
     return y1 if qrec.event.kind.branch_side == "left" else y1.inverse()
-
-
-def _conjugated_relator(rec: EventRecord, crossed: list[EventRecord], gens: GeneratorMap) -> list[Word]:
-    """Relator of a one-sided vertex beyond the obstruction points
-    ``crossed``: its lower block-side generator is conjugated by the loops
-    around them before the two are related."""
-    if rec.action == "through":
-        raise UnsupportedConfiguration(
-            "%s lies beyond an obstruction point; only one-sided "
-            "vertices are supported there" % rec.event.label()
-        )
-    z = Word.identity()
-    for qrec in crossed:
-        z = z * _obstruction_loop(qrec, gens)
-    conj = z if rec.side == "left" else z.inverse()
-    a, b = (gens.word(e) for e in _block_side_edges(rec))
-    b_hat = b.conjugated_by(conj.inverse())  # conj * b * conj^-1
-    rel = artin_relator(a, b_hat, rec.event.kind.twist)
-    return [rel] if rel else []
 
 
 def extended_wirtinger(diagram: CurveDiagram) -> WirtingerResult:

@@ -6,10 +6,14 @@ proxy for group isomorphism testing.
 
 The search backtracks over generator images in a fixed order, up to
 conjugacy in the target (Holt, Eick and O'Brien, *Handbook of Computational
-Group Theory*, 2005): the first generator takes one representative of each
-conjugacy class, weighted by the class size, and the second one
-representative of each orbit of the first image's centralizer, weighted by
-the orbit size.
+Group Theory*, 2005), by one rule: a depth's candidates are the orbits of
+the first image's centralizer acting by conjugation on the allowed images,
+one (the least member) per orbit, weighted by the orbit size.  At depth 0
+the first image is still the identity, so the orbits are the conjugacy
+classes; past depth 1 nothing acts, and each image has weight 1.  The
+allowed images are the conjugacy class of the image of a conjugate
+generator at a lower depth (see below), if there is one, and otherwise the
+whole group; a class is closed under conjugation, so no orbit leaves it.
 
 The order is greedy: the next generator is the one that completes the most
 relators, then the one in the most relators it leaves open, then the lowest.
@@ -24,11 +28,9 @@ Generators that the presentation makes conjugate share a class.  A
 cyclically reduced relator that is u a^e u^-1 b^-e after some rotation,
 with a != b generators and e = +-1, says b^e = u a^e u^-1, so every
 homomorphism maps b into the conjugacy class of a's image; such pairs are
-merged with a union-find.  A generator whose class already has an image at
-a lower depth takes as candidates only that image's conjugacy class: at
-depth 1 (sharing the class of depth 0) the first image's centralizer orbits
-inside it, with their orbit sizes, and otherwise each member of it, weight
-1.  Only a single letter a^e is sound: u a^2 u^-1 b^-2 makes the squares
+merged with a union-find.
+
+Only a single letter a^e is sound: u a^2 u^-1 b^-2 makes the squares
 conjugate, not a and b (in <a, b | a^2 b^-2>, a -> 1, b -> (12) is a
 homomorphism into S3).
 """
@@ -111,57 +113,37 @@ def hom_bound() -> int:
     return int(value)
 
 
-_Weighted = tuple[tuple[int, int], ...]  # (image, weight) pairs
-
-
 @cache
-def _candidates(
-    table: FiniteGroupTable,
-) -> tuple[
-    _Weighted,
-    dict[int, _Weighted],
-    dict[int, _Weighted],
-    tuple[_Weighted, ...],
-    _Weighted,
-    tuple[tuple[int, ...], ...],
-]:
-    """The weighted images of the first generator (class representatives
-    and class sizes), those of the second for each first image (centralizer
-    orbits, and those of them inside the first image's class), those of a
-    generator conjugate to an earlier one with image x (``conjugates[x]``,
-    each member of x's class, weight 1), those of every other generator
-    (each element, weight 1), and the columns of the multiplication table
-    (``cols[x][a]`` is ``a * x``)."""
+def _tables(table: FiniteGroupTable):
+    """Each element's conjugacy class and centralizer, as sorted lists; the
+    columns of the multiplication table (``cols[x][a]`` is ``a * x``); and
+    the candidate lists that searches into the group have built so far
+    (see :func:`_orbits`), filled on first use."""
     size, mult, inv = table.size, table.mult, table.inverse
-
-    def orbits(acting: list[int]) -> _Weighted:
-        # orbits of the conjugation action of `acting` on the whole group
-        seen = [False] * size
-        out = []
-        for x in range(size):
-            if not seen[x]:
-                orbit = {mult[mult[inv[t]][x]][t] for t in acting}
-                for y in orbit:
-                    seen[y] = True
-                out.append((x, len(orbit)))
-        return tuple(out)
-
-    classes = orbits(list(range(size)))
-    centralizer_orbits = {
-        a: orbits([t for t in range(size) if mult[a][t] == mult[t][a]])
-        for a, _ in classes
-    }
-    members = [
+    classes = tuple(
         sorted({mult[mult[inv[t]][x]][t] for t in range(size)}) for x in range(size)
-    ]
-    class_orbits = {
-        a: tuple(o for o in centralizer_orbits[a] if o[0] in members[a])
-        for a, _ in classes
-    }
-    conjugates = tuple(tuple((y, 1) for y in m) for m in members)
-    every = tuple((x, 1) for x in range(size))
+    )
+    centralizers = tuple(
+        [t for t in range(size) if mult[x][t] == mult[t][x]] for x in range(size)
+    )
     cols = tuple(tuple(mult[a][x] for a in range(size)) for x in range(size))
-    return classes, centralizer_orbits, class_orbits, conjugates, every, cols
+    return classes, centralizers, cols, {}
+
+
+def _orbits(table: FiniteGroupTable, acting: int | None, allowed: int | None) -> tuple[tuple[int, int], ...]:
+    """The orbits of the centralizer of ``acting`` (of the trivial group if
+    None) acting by conjugation on the conjugacy class of ``allowed`` (on
+    the whole group if None): each orbit's least member and size, in
+    increasing order of least member."""
+    classes, centralizers, _, _ = _tables(table)
+    mult, inv = table.mult, table.inverse
+    group = [table.identity] if acting is None else centralizers[acting]
+    out = []
+    for x in range(table.size) if allowed is None else classes[allowed]:
+        orbit = {mult[mult[inv[t]][x]][t] for t in group}
+        if min(orbit) == x:  # one entry per orbit, at its least member
+            out.append((x, len(orbit)))
+    return tuple(out)
 
 
 def _search_order(supports: list[frozenset[int]], n: int) -> list[int]:
@@ -201,11 +183,7 @@ def _conjugacy_roots(p: Presentation) -> list[int]:
         return g
 
     for r in p.relators:
-        w = r.letters
-        i, j = 0, len(w)
-        while j - i > 1 and w[i] == (w[j - 1][0], -w[j - 1][1]):
-            i, j = i + 1, j - 1
-        w = w[i:j]
+        w = r.cyclically_reduced().letters
         if len(w) % 2:
             continue
         half = len(w) // 2
@@ -269,16 +247,20 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
             checks[depth].append(_compile(letters, depth))
     for c in checks:
         c.sort(key=len)
-    # the lowest depth of each depth's class of conjugate generators
+    # a depth's candidates are _orbits(table, acting, allowed), with acting
+    # the first image at depths 0 and 1, allowed the image at the lowest
+    # depth of its class of conjugate generators if lower, and else None
     roots = _conjugacy_roots(p)
     first: dict[int, int] = {}
     anchor = [first.setdefault(roots[g], d) for d, g in enumerate(order)]
+    anchor = [a if a < d else n for d, a in enumerate(anchor)]
+    acting = [0 if d < 2 else n for d in range(n)]
 
-    classes, orbits, class_orbits, conjugates, every, cols = _candidates(table)
+    _, _, cols, orbits = _tables(table)
     inv = table.inverse
     inv_cols = tuple(cols[inv[x]] for x in range(table.size))
     identity = table.identity
-    assign = [identity] * n
+    assign: list[int | None] = [identity] * n + [None]  # assign[n] reads None
     nodes = 0
 
     def value(segment) -> int:
@@ -290,15 +272,10 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
 
     def count(depth: int) -> int:
         nonlocal nodes
-        a = anchor[depth]
-        if depth == 0:
-            candidates = classes
-        elif a < depth:
-            candidates = class_orbits[assign[0]] if depth == 1 else conjugates[assign[a]]
-        elif depth == 1:
-            candidates = orbits[assign[0]]
-        else:
-            candidates = every
+        key = (assign[acting[depth]], assign[anchor[depth]])
+        candidates = orbits.get(key)
+        if candidates is None:
+            candidates = orbits[key] = _orbits(table, *key)
         nodes += len(candidates)
         if nodes > bound:
             raise ResourceGuardError(

@@ -78,13 +78,9 @@ class Word:
         return Word([letter] * abs(exp))
 
     def __mul__(self, other: "Word") -> "Word":
-        # both factors are reduced, so only the seam between them can cancel
-        a, b = self.letters, other.letters
-        i, j, n = len(a), 0, len(b)
-        while i and j < n and a[i - 1][0] == b[j][0] and a[i - 1][1] == -b[j][1]:
-            i -= 1
-            j += 1
-        return Word._reduced(a[:i] + b[j:])
+        out = list(self.letters)
+        _append_reduced(out, other.letters)
+        return Word._reduced(tuple(out))
 
     def inverse(self) -> "Word":
         return Word._reduced(tuple([(g, -e) for g, e in reversed(self.letters)]))

@@ -12,6 +12,7 @@ from wirtlab.diagram import (
     Tangency,
     sweep_ranks,
 )
+from wirtlab.dsl import parse_diagram
 from wirtlab.fpgroups import Presentation, braid_relator, tietze_simplify
 from wirtlab.genpres import (
     UnsupportedConfiguration,
@@ -115,6 +116,22 @@ def test_extended_equals_plain_when_region_is_valid():
 def test_extended_records_passed_obstructions_on_cardioid():
     res = extended_wirtinger(load("cardioid"))
     assert any(res.passed[idx] for idx in res.passed)
+
+
+def test_through_vertex_beyond_an_obstruction_point_is_unsupported():
+    # the cardioid with its outer left tangency made a double point of the
+    # two strands that enclose the cusp's pair
+    d = parse_diagram(
+        "diagram\ndegree_y 4\nline_L at 1/2\n"
+        + "".join("strand %d component c\n" % i for i in range(1, 5))
+        + "event at -2 ordinary m=2 top=1\n"
+        "event at 0 cusp m=2 side=right top=2\n"
+        "event at 1 tangency side=left top=1\n"
+        "event at 9/8 tangency side=left top=1\nend\n"
+    )
+    assert wirtinger_presentation(d).presentation.generators
+    with pytest.raises(UnsupportedConfiguration, match="ordinary at x=-2 lies beyond"):
+        extended_wirtinger(d)
 
 
 @pytest.mark.parametrize(
