@@ -117,8 +117,8 @@ def hom_bound() -> int:
 def _tables(table: FiniteGroupTable):
     """Each element's conjugacy class and centralizer, as sorted lists; the
     columns of the multiplication table (``cols[x][a]`` is ``a * x``); and
-    the candidate lists that searches into the group have built so far
-    (see :func:`_orbits`), filled on first use."""
+    the candidate lists ``_orbits(table, acting, allowed)`` that searches
+    have built so far, keyed by ``(acting, allowed)``."""
     size, mult, inv = table.size, table.mult, table.inverse
     classes = tuple(
         sorted({mult[mult[inv[t]][x]][t] for t in range(size)}) for x in range(size)

@@ -153,7 +153,7 @@ class Word:
         while i < j and ls[i][0] == ls[j][0] and ls[i][1] == -ls[j][1]:
             i += 1
             j -= 1
-        return Word._reduced(ls[i : j + 1])
+        return Word._reduced(ls[i : j + 1]) if i else self
 
     def __repr__(self) -> str:
         return "Word(%s)" % format_word(self)
