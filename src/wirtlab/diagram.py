@@ -176,6 +176,7 @@ class EventRecord:
     top: int  # block top position on the block side
     near_edges: tuple[int, ...]  # block edges on the L side (empty for birth)
     far_edges: tuple[int, ...]  # block edges on the far side (empty for death)
+    block_edges: tuple[int, ...]  # far edges for a birth, else near edges
     # the far edge continuing each near edge, in near order (through only)
     continued: tuple[int, ...]
     block_strands: tuple[int, ...]  # persistent strand tokens of the block
@@ -201,12 +202,6 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
-
-    def classes(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 @dataclass
@@ -277,7 +272,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 edge_counter += 2
                 strand_counter += 2
                 branch.union(new_edges[0], new_edges[1])
-                block_strands = new_strands
+                block_edges, block_strands = new_edges, new_strands
                 live_edges[top - 1: top - 1] = new_edges
                 live_strands[top - 1: top - 1] = new_strands
                 near, far, continued = (), tuple(new_edges), ()
@@ -307,8 +302,8 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 live_strands[top - 1: top - 1 + size] = far_strands
                 near, far, continued = tuple(block_edges), tuple(new_edges), tuple(cont)
             recs.append(EventRecord(
-                idx, pos, event, side, action, top, near, far, continued,
-                tuple(block_strands),
+                idx, pos, event, side, action, top, near, far,
+                tuple(block_edges), continued, tuple(block_strands),
             ))
         ivs.append(tuple(live_strands))
         intervals[side] = ivs
@@ -394,13 +389,12 @@ def faces(sw: SweepResult) -> FaceComplex:
     # the slabs in x order: the left intervals from the outside in, then
     # the right intervals from L outward
     slabs = sw.intervals["left"][::-1] + sw.intervals["right"]
-    line_cut = len(sw.outward["left"])
 
     uf = UnionFind()
     total_points = 0
     glued: list[tuple[tuple, tuple]] = []
-    for ci, rec in enumerate(sw.records):
-        ci += ci >= line_cut  # L is a cut too, between the two sides
+    for rec in sw.records:
+        ci = rec.index + (rec.side == "right")  # L is a cut too, between the two sides
         # the strands on the block side of the cut: the interval just
         # inside the event, or just outside it for a birth
         block_side = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
@@ -433,43 +427,6 @@ def faces(sw: SweepResult) -> FaceComplex:
         for face, frags in face_frags.items()
     }
     return FaceComplex(sw, slabs, face_of, face_frags, bounded, total_points, glued)
-
-
-# ---------------------------------------------------------------------------
-# obstruction points
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ObstructionPoint:
-    """The forbidden point sitting beside a tangency or an A_{2k} point,
-    on the side opposite the real branches (local model y^2 = x has its
-    branches on the right and the obstruction on the left)."""
-
-    event_index: int
-    side: str  # side of the event the point lies on
-
-    def label(self, diagram: CurveDiagram) -> str:
-        ev = diagram.events[self.event_index]
-        return "obstruction %s of %s" % (self.side, ev.label())
-
-
-def obstruction_points(sw: SweepResult) -> list[ObstructionPoint]:
-    out = []
-    for rec in sw.records:
-        if rec.action == "through":
-            continue
-        side = "left" if rec.event.kind.branch_side == "right" else "right"
-        out.append(ObstructionPoint(rec.index, side))
-    return out
-
-
-def locate_obstruction(fc: FaceComplex, ob: ObstructionPoint) -> tuple[int, int]:
-    """Fragment containing an obstruction point.  The point lies just
-    beside its event's point, on the side away from the block, so just
-    below that slab's strand top - 1."""
-    rec = fc.sweep.records[ob.event_index]
-    ci = ob.event_index + (rec.side == "right")
-    return (ci if ob.side == "left" else ci + 1, rec.top - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +475,20 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
     that the union is connected exactly when the characteristic is 1."""
     complex_ = faces(sw)
     blocked: dict[int, list[str]] = {}
-    for ob in obstruction_points(sw):
-        frag = locate_obstruction(complex_, ob)
-        face = complex_.faces[frag]
+    for rec in sw.records:
+        if rec.action == "through":
+            continue
+        # a tangency or an A_{2k} point has a forbidden point on the side
+        # away from its real branches (y^2 = x has its branches on the right
+        # and the point on the left), just beside the event's point, away
+        # from the block, so just below that slab's strand top - 1
+        side = "left" if rec.event.kind.branch_side == "right" else "right"
+        cut = rec.index + (rec.side == "right")
+        face = complex_.faces[cut + (side == "right"), rec.top - 1]
         if complex_.bounded[face]:
-            blocked.setdefault(face, []).append(ob.label(sw.diagram))
+            blocked.setdefault(face, []).append(
+                "obstruction %s of %s" % (side, rec.event.label())
+            )
     chosen = [face for face, is_b in complex_.bounded.items() if is_b]
     blocked_faces = [
         "bounded face must belong to the region but contains %s"

@@ -84,7 +84,7 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
     degree_y = None
     line_x = None
     strands: dict[int, str] = {}
-    events: list[Event] = []
+    events: list[tuple[int, Event]] = []  # with the line each is on
     seen_header = False
     seen_end = False
 
@@ -124,7 +124,7 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
                 continue
             event = _parse_event(line)
             if event is not None:
-                events.append(event)
+                events.append((lineno, event))
                 continue
         except DiagramError as exc:
             raise DiagramParseError(lineno, str(exc)) from exc
@@ -143,14 +143,18 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
     ranks = sorted(strands)
     if ranks != list(range(1, len(ranks) + 1)):
         raise DiagramParseError(1, "strand ranks must be exactly 1..d")
-    xs = [e.x for e in events]
-    if len(set(xs)) != len(xs):
-        raise DiagramParseError(1, "two events share an x-coordinate")
-    if line_x in xs:
-        raise DiagramParseError(1, "line_L passes through an event")
+    line_of_x: dict = {}  # x -> the line of the first event there
+    for lineno, event in events:
+        if event.x in line_of_x:
+            raise DiagramParseError(lineno, "two events share an x-coordinate")
+        line_of_x[event.x] = lineno
+    if line_x in line_of_x:
+        raise DiagramParseError(line_of_x[line_x], "line_L passes through an event")
     components = tuple(strands[r] for r in ranks)
     try:
-        return CurveDiagram(degree_y, line_x, components, tuple(events), name=name)
+        return CurveDiagram(
+            degree_y, line_x, components, tuple(e for _, e in events), name=name
+        )
     except DiagramError as exc:
         raise DiagramParseError(1, str(exc)) from exc
 

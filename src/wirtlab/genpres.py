@@ -47,31 +47,18 @@ class UnsupportedConfiguration(DiagramError):
 # generator bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GeneratorMap:
-    names: tuple[str, ...]  # generator names, index order
-    edge_gen: dict  # extended edge id -> generator index (1-based)
-
-    def word(self, edge: int) -> Word:
-        return Word.gen(self.edge_gen[edge])
-
-
-def _build_generators(sweep: SweepResult, merges) -> GeneratorMap:
+def _edge_generators(sw: SweepResult, merges) -> dict:
+    """Extended edge id -> generator index (1-based).  The edges that
+    ``merges`` identify share a generator; generators are numbered in order
+    of their least edge."""
     uf = UnionFind()
-    for e in range(1, sweep.edge_count + 1):
-        uf.add(e)
     for a, b in merges:
         uf.union(a, b)
-    classes = sorted(
-        (min(members), tuple(sorted(members)))
-        for members in uf.classes().values()
-    )
-    index_of_root = {}
-    for i, (_, members) in enumerate(classes, start=1):
-        for e in members:
-            index_of_root[e] = i
-    names = tuple("x%d" % i for i in range(1, len(classes) + 1))
-    return GeneratorMap(names, index_of_root)
+    index_of_root: dict = {}
+    return {
+        e: index_of_root.setdefault(uf.find(e), len(index_of_root) + 1)
+        for e in range(1, sw.edge_count + 1)
+    }
 
 
 def _require_valid(sw: SweepResult) -> None:
@@ -80,10 +67,6 @@ def _require_valid(sw: SweepResult) -> None:
         raise DiagramError(
             "invalid diagram: " + "; ".join(report.violations)
         )
-
-
-def _block_side_edges(rec: EventRecord) -> tuple[int, ...]:
-    return rec.far_edges if rec.action == "birth" else rec.near_edges
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +78,13 @@ class WirtingerResult:
     presentation: Presentation
     diagram: CurveDiagram
     sweep: SweepResult
-    gens: GeneratorMap
+    edge_gen: dict  # extended edge id -> generator index (1-based)
     fiber_generators: tuple[str, ...]  # generator name per rank, top to bottom
     generator_components: dict  # generator name -> component name or None
     passed: dict  # event index -> indices of the obstruction events passed
 
 
-def _vertex_relators(rec: EventRecord, crossed: list[EventRecord], gens: GeneratorMap) -> list[Word]:
+def _vertex_relators(rec: EventRecord, crossed: list[EventRecord], edge_gen: dict) -> list[Word]:
     """Relators contributed by one vertex, in terms of edge generators.
     x-side = the block edges on the L side (far side for vertices whose
     branches point away); x1 is the topmost x-edge.  A one-sided vertex
@@ -113,8 +96,8 @@ def _vertex_relators(rec: EventRecord, crossed: list[EventRecord], gens: Generat
             "vertices are supported there" % rec.event.label()
         )
     kind = rec.event.kind
-    x = [gens.word(e) for e in _block_side_edges(rec)]
-    y = [gens.word(e) for e in rec.continued]  # the far edge continuing x_i
+    x = [Word.gen(edge_gen[e]) for e in rec.block_edges]
+    y = [Word.gen(edge_gen[e]) for e in rec.continued]  # the far edge continuing x_i
     relators: list[Word] = []
     if isinstance(kind, Ordinary):
         m = kind.m
@@ -133,7 +116,7 @@ def _vertex_relators(rec: EventRecord, crossed: list[EventRecord], gens: Generat
         if crossed:
             z = Word.identity()
             for qrec in crossed:
-                z = z * _obstruction_loop(qrec, gens)
+                z = z * _obstruction_loop(qrec, edge_gen)
             # z b z^-1 on the left side, z^-1 b z on the right
             b = b.conjugated_by(z.inverse() if rec.side == "left" else z)
         relators.append(artin_relator(x[0], b, kind.twist))
@@ -149,16 +132,17 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
     event index to the obstruction records passed on the way out from L."""
     # tangencies identify their two edges only when no obstruction point
     # stands between them and L
-    gens = _build_generators(sw, [
-        _block_side_edges(rec)
+    edge_gen = _edge_generators(sw, [
+        rec.block_edges
         for rec in sw.records
         if isinstance(rec.event.kind, Tangency) and not passed[rec.index]
     ])
     relators: list[Word] = []
     for rec in sw.records:
-        relators.extend(_vertex_relators(rec, passed[rec.index], gens))
-    pres = Presentation(gens.names, tuple(relators))
-    fiber = tuple(gens.names[gens.edge_gen[e] - 1] for e in sw.fiber_edges)
+        relators.extend(_vertex_relators(rec, passed[rec.index], edge_gen))
+    generators = tuple("x%d" % i for i in range(1, len(set(edge_gen.values())) + 1))
+    pres = Presentation(generators, tuple(relators))
+    fiber = tuple("x%d" % edge_gen[e] for e in sw.fiber_edges)
     edge_component = {
         e: names[0] if names else None
         for edges, _, names in sw.clusters
@@ -166,10 +150,9 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
     }
     gen_comp: dict = {}
     for e in range(1, sw.edge_count + 1):
-        name = gens.names[gens.edge_gen[e] - 1]
-        gen_comp.setdefault(name, edge_component[e])
+        gen_comp.setdefault("x%d" % edge_gen[e], edge_component[e])
     crossed = {rec.index: [q.index for q in passed[rec.index]] for rec in sw.records}
-    return WirtingerResult(pres, sw.diagram, sw, gens, fiber, gen_comp, crossed)
+    return WirtingerResult(pres, sw.diagram, sw, edge_gen, fiber, gen_comp, crossed)
 
 
 def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
@@ -319,10 +302,10 @@ def _passed_obstructions(sw: SweepResult, rec: EventRecord, inward: list[EventRe
     return out
 
 
-def _obstruction_loop(qrec: EventRecord, gens: GeneratorMap) -> Word:
+def _obstruction_loop(qrec: EventRecord, edge_gen: dict) -> Word:
     """Counterclockwise loop around the obstruction point of a one-sided
     vertex, in terms of the vertex's own block-side edge generators."""
-    a, b = (gens.word(e) for e in _block_side_edges(qrec))
+    a, b = (Word.gen(edge_gen[e]) for e in qrec.block_edges)
     twist = local_braid(qrec.event.kind, half=True)
     y1 = braid_images(twist.inverse())[0].substitute({1: a, 2: b})
     return y1 if qrec.event.kind.branch_side == "left" else y1.inverse()

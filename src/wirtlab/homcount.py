@@ -58,9 +58,11 @@ class ResourceGuardError(RuntimeError):
     """Raised when a homomorphism search tries more images than the bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroupTable:
-    """A finite group as a multiplication table on element indices."""
+    """A finite group as a multiplication table on element indices.  It
+    hashes and compares by identity: the caches keyed by it would otherwise
+    hash the whole table on every lookup."""
 
     name: str
     size: int

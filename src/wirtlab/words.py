@@ -14,25 +14,18 @@ Letter = Tuple[int, int]
 
 
 def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Check the letters, then cancel adjacent inverse pairs until no
+    """Check each letter and cancel adjacent inverse pairs until no
     cancellation remains."""
-    checked: list[Letter] = []
+    stack: list[Letter] = []
     for gen, exp in letters:
         if gen < 1:
             raise ValueError("generator indices start at 1, got %r" % gen)
         if exp not in (1, -1):
             raise ValueError("letter exponents must be +1 or -1, got %r" % exp)
-        checked.append((gen, exp))
-    return _cancel(checked)
-
-
-def _cancel(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for letter in letters:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
+        if stack and stack[-1][0] == gen and stack[-1][1] == -exp:
             stack.pop()
         else:
-            stack.append(letter)
+            stack.append((gen, exp))
     return tuple(stack)
 
 

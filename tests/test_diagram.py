@@ -15,7 +15,6 @@ from wirtlab.diagram import (
     check_theorem,
     event_action,
     faces,
-    obstruction_points,
     sweep_ranks,
     validate_wirtinger_type,
 )
@@ -128,14 +127,14 @@ def test_obstruction_points_census(corpus):
         expected = sum(
             1 for e in d.events if isinstance(e.kind, (Cusp, Tangency))
         )
-        obs = obstruction_points(sweep_ranks(d))
-        assert len(obs) == expected, stem
+        recs = sweep_ranks(d).records
+        assert sum(1 for r in recs if r.action != "through") == expected, stem
 
 
 def test_tangency_extends_edge_count(corpus):
     for stem, d in corpus.items():
         w = wirtinger_presentation(d)
-        edge_gen = w.gens.edge_gen
+        edge_gen = w.edge_gen
         classes = {}
         for e, gen in edge_gen.items():
             classes.setdefault(gen, []).append(e)

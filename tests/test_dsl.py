@@ -91,3 +91,49 @@ def test_near_miss_event_lines_are_unrecognized(line):
         parse_diagram(_HEAD + line + "\nend\n")
     assert exc.value.lineno == 6
     assert str(exc.value) == "line 6: unrecognized line: %r" % line
+
+
+_CROSSING_AT = "event at %s crossing m=1 top=1\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("# a comment\n\ndegree_y 2\n", 3, "expected 'diagram' header"),
+        ("", 1, "missing 'diagram' header"),
+        (_HEAD + "end\nend\n", 7, "content after 'end'"),
+        (_HEAD + "degree_y 3\nend\n", 6, "duplicate degree_y"),
+        (_HEAD + "line_L at 1\nend\n", 6, "duplicate line_L"),
+        (_HEAD + "strand 2 component d\nend\n", 6, "duplicate strand rank 2"),
+        (_HEAD, 1, "missing 'end'"),
+        ("diagram\nline_L at 0\nstrand 1 component c\nend\n", 1, "missing degree_y"),
+        ("diagram\ndegree_y 1\nstrand 1 component c\nend\n", 1, "missing line_L"),
+        (
+            "diagram\ndegree_y 2\nline_L at 0\n"
+            "strand 1 component c\nstrand 3 component c\nend\n",
+            1,
+            "strand ranks must be exactly 1..d",
+        ),
+        (
+            _HEAD + _CROSSING_AT % 1 + _CROSSING_AT % 2 + _CROSSING_AT % 1 + "end\n",
+            8,
+            "two events share an x-coordinate",
+        ),
+        (
+            _HEAD + _CROSSING_AT % 1 + _CROSSING_AT % 0 + "end\n",
+            7,
+            "line_L passes through an event",
+        ),
+    ],
+    ids=[
+        "missing-header", "empty-file", "content-after-end",
+        "duplicate-degree", "duplicate-line", "duplicate-rank",
+        "missing-end", "missing-degree", "missing-line",
+        "rank-gap", "repeated-x", "line-through-event",
+    ],
+)
+def test_structural_errors_name_their_line(text, lineno, message):
+    with pytest.raises(DiagramParseError) as exc:
+        parse_diagram(text)
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == "line %d: %s" % (lineno, message)

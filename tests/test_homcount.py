@@ -195,6 +195,12 @@ def test_symmetric_groups_are_built_once():
     assert symmetric_group(4) is symmetric_group(4)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tables_hash_by_identity(n):
+    t = symmetric_group(n)
+    assert hash(t) == object.__hash__(t)
+
+
 # The plain search takes about 70 s for S4 on the 5-generator groups of the
 # seeds, so S4 runs there only up to 4 generators.
 MAX_GENERATORS = 5
