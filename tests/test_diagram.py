@@ -1,4 +1,7 @@
+import hashlib
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from wirtlab.diagram import (
     Cusp,
     DiagramError,
     Event,
+    EventRecord,
     Ordinary,
     Tangency,
     auto_region_B,
@@ -18,8 +22,10 @@ from wirtlab.diagram import (
     sweep_ranks,
     validate_wirtinger_type,
 )
+from wirtlab.dsl import parse_diagram
 from wirtlab.genpres import wirtinger_presentation
-from tests.conftest import all_corpus_stems
+from wirtlab.hypocycloid import quotient_diagram
+from tests.conftest import all_corpus_stems, corpus_path
 
 
 def circle_diagram():
@@ -249,3 +255,89 @@ def test_faces_partition_fragments(corpus):
                 assert frag not in seen
                 seen.add(frag)
         assert seen == set(fc.faces)
+
+
+def sweep_dump(sw) -> str:
+    """Every field of each record, then the sweep's own fields, one per line."""
+    lines = [repr([getattr(r, f.name) for f in fields(EventRecord)]) for r in sw.records]
+    for name in ("intervals", "edge_count", "fiber_edges", "clusters", "violations"):
+        lines.append(repr(getattr(sw, name)))
+    return "\n".join(lines)
+
+
+def pinned_diagram(name: str) -> CurveDiagram:
+    if name.startswith("quotient_diagram_k"):
+        return quotient_diagram(int(name[len("quotient_diagram_k"):]))
+    path = Path(__file__).parent / "golden" / "inputs" / (name + ".wd")
+    if not path.exists():
+        path = corpus_path(name)
+    return parse_diagram(path.read_text(), name=name)
+
+
+# md5 of sweep_dump(sweep_ranks(d)) for every corpus diagram, every golden
+# input (the two invalid ones included) and quotient_diagram(k), k = 5..8
+SWEEP_MD5 = {
+    "block_out_of_range": "749c3eeade551722ed3d7afde2cdfc74",
+    "cardioid": "e55ba2610a398f7b9247c24a1754afb4",
+    "component_mismatch": "2e13ce801ec2d26eaf6d8726c73fe20a",
+    "concentric_circles": "1cdd7b438d3bcab264767f33fb2d9b77",
+    "crosscheck_1": "58eea8d4e966bb401365ca9207c4b2fa",
+    "crosscheck_18": "213f55fff6e87b2c5275881fbd4f058d",
+    "crosscheck_19": "fbba918412967a4892b45cd708513c2d",
+    "crosscheck_2": "be4c01a961aebe3581f5b319d0214334",
+    "crosscheck_22": "32e1453db90c6cc1e7c5007b956ea735",
+    "crosscheck_3": "c031dd91de57c8fe50ed55a3873bda65",
+    "crosscheck_35": "433e4debc36fc22deeee6eed2f5ab205",
+    "crosscheck_4": "b5951b71953be7d8480d016a28f41f96",
+    "crosscheck_5": "c276e625ffcb6bd1e165646ddc0b2623",
+    "crosscheck_8": "d5a0f3929f89de8895c99a994ae33868",
+    "cuspidal_cubic": "9ea22cabf7eb52e7251e683247d4a623",
+    "deltoid": "8698035e444a729e58f34620870e8db4",
+    "hypocycloid_quotient_k2": "08e1b8fe7eaabcde6065dc2c789eb58d",
+    "hypocycloid_quotient_k3": "1ad9fd308cbb96b1820db5f6baae3c82",
+    "hypocycloid_quotient_k4": "40ff1971f3b5092354a4ad65c26abc17",
+    "long_100": "7c84992ec478c14665b012131c1856d0",
+    "nodal_cubic": "000bd65953243cbbedb9c5aa951a5aba",
+    "parabola_two_lines": "0f7ebbe2e093a234c536a8eb7dcd80d0",
+    "quotient_diagram_k5": "09c6fc95eb88defc00f5d5b144a1fc83",
+    "quotient_diagram_k6": "1cc25f1dd13a0bdfeaab55b76c5211fe",
+    "quotient_diagram_k7": "01aab78d08b66a1f022dd098dcad749b",
+    "quotient_diagram_k8": "f4a5561d0b50f5d4124c273fa88d3c52",
+    "smooth_cubic": "1e6bf526502a67344fc5021c86eed574",
+}
+
+
+def test_sweep_pin_covers_every_diagram():
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    names = all_corpus_stems() + [p.stem for p in inputs.glob("*.wd")]
+    names += ["quotient_diagram_k%d" % k for k in range(5, 9)]
+    assert sorted(names) == sorted(SWEEP_MD5)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MD5))
+def test_sweep_is_pinned(name):
+    dump = sweep_dump(sweep_ranks(pinned_diagram(name)))
+    assert hashlib.md5(dump.encode()).hexdigest() == SWEEP_MD5[name]
+
+
+# d = 2 strands at L and one event at x = 1: a birth may open its block
+# anywhere from above the top strand to below the bottom one (top <= 3);
+# any other block must fit among the two live strands (top <= 1)
+@pytest.mark.parametrize("kind, last_top", [
+    (Tangency("right"), 3),
+    (Cusp(2, "right"), 3),
+    (Tangency("left"), 1),
+    (Crossing(1), 1),
+    (Ordinary(2), 1),
+])
+def test_range_check_edges(kind, last_top):
+    def sweep_violations(top):
+        event = Event(Fraction(1), kind, top)
+        return sweep_ranks(CurveDiagram(2, Fraction(0), ("c", "c"), (event,))).violations
+
+    assert sweep_violations(last_top) == []
+    top = last_top + 1
+    assert sweep_violations(top) == [
+        "sweep: block [%d..%d] out of range among 2 strands at %s at x=1"
+        % (top, top + 1, type(kind).__name__.lower())
+    ]
