@@ -227,7 +227,13 @@ class SweepResult:
 def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     """Sweep outward from L on both sides, deriving live-strand orderings,
     extended edges and branch connectivity.  Structural violations are
-    collected rather than raised."""
+    collected rather than raised.
+
+    Every event follows one rule: its block replaces its near slice of the
+    live strands (none for a birth) with its far slice of fresh edges (none
+    for a death).  A through block's far strands continue its near ones by
+    the pairing of its half braid; a one-sided block's two strands are one
+    branch, and a birth brings fresh strand tokens."""
     d = diagram.d
     violations: list[str] = []
     if d != diagram.deg_y:
@@ -257,53 +263,40 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
             ivs.append(tuple(live_strands))
             action = event_action(diagram, event)
             size = event.kind.size
-            top = event.top
-            n = len(live_edges)
-            in_range = top <= n + 1 if action == "birth" else top + size - 1 <= n
-            if not in_range:
+            lo = event.top - 1
+            n_near = 0 if action == "birth" else size
+            n_far = 0 if action == "death" else size
+            hi = lo + n_near
+            if hi > len(live_edges):
                 violations.append(
                     "sweep: block [%d..%d] out of range among %d strands at %s"
-                    % (top, top + size - 1, n, event.label())
+                    % (event.top, event.top + size - 1, len(live_edges), event.label())
                 )
                 continue
-            if action == "birth":
-                new_edges = [edge_counter + 1, edge_counter + 2]
-                new_strands = [strand_counter + 1, strand_counter + 2]
-                edge_counter += 2
-                strand_counter += 2
-                branch.union(new_edges[0], new_edges[1])
-                block_edges, block_strands = new_edges, new_strands
-                live_edges[top - 1: top - 1] = new_edges
-                live_strands[top - 1: top - 1] = new_strands
-                near, far, continued = (), tuple(new_edges), ()
-            elif action == "death":
-                block_edges = live_edges[top - 1: top - 1 + size]
-                block_strands = live_strands[top - 1: top - 1 + size]
-                branch.union(block_edges[0], block_edges[1])
-                del live_edges[top - 1: top - 1 + size]
-                del live_strands[top - 1: top - 1 + size]
-                near, far, continued = tuple(block_edges), (), ()
-            else:  # through
-                block_edges = live_edges[top - 1: top - 1 + size]
-                block_strands = live_strands[top - 1: top - 1 + size]
-                new_edges = list(range(edge_counter + 1, edge_counter + 1 + size))
-                edge_counter += size
-                # far position i continues the line of near position
-                # pairing[i]: the half local braid Delta^(twist // 2)
-                # reverses the block when its exponent is odd
-                pairing = range(size)[::-1] if event.kind.twist // 2 % 2 else range(size)
-                far_strands = [0] * size
-                cont = [0] * size
-                for far_pos, near_pos in enumerate(pairing):
-                    branch.union(new_edges[far_pos], block_edges[near_pos])
-                    far_strands[far_pos] = block_strands[near_pos]
-                    cont[near_pos] = new_edges[far_pos]
-                live_edges[top - 1: top - 1 + size] = new_edges
-                live_strands[top - 1: top - 1 + size] = far_strands
-                near, far, continued = tuple(block_edges), tuple(new_edges), tuple(cont)
+            near, near_strands = tuple(live_edges[lo:hi]), tuple(live_strands[lo:hi])
+            far = tuple(range(edge_counter + 1, edge_counter + 1 + n_far))
+            edge_counter += n_far
+            block_edges = near or far
+            if action == "through":
+                # far position i continues the line of position i of
+                # near[pairing]: the half local braid Delta^(twist // 2)
+                # reverses the block when its exponent is odd.  Either
+                # pairing is its own inverse, so far[pairing] lists the far
+                # edge continuing each near edge.
+                pairing = slice(None, None, -1 if event.kind.twist // 2 % 2 else 1)
+                far_strands, continued = near_strands[pairing], far[pairing]
+                for far_edge, near_edge in zip(far, near[pairing]):
+                    branch.union(far_edge, near_edge)
+            else:  # a one-sided block's two strands are one branch
+                branch.union(*block_edges)
+                far_strands = tuple(range(strand_counter + 1, strand_counter + 1 + n_far))
+                strand_counter += n_far
+                continued = ()
+            live_edges[lo:hi] = far
+            live_strands[lo:hi] = far_strands
             recs.append(EventRecord(
-                idx, pos, event, side, action, top, near, far,
-                tuple(block_edges), continued, tuple(block_strands),
+                idx, pos, event, side, action, event.top, near, far,
+                block_edges, continued, near_strands or far_strands,
             ))
         ivs.append(tuple(live_strands))
         intervals[side] = ivs
@@ -395,17 +388,16 @@ def faces(sw: SweepResult) -> FaceComplex:
     glued: list[tuple[tuple, tuple]] = []
     for rec in sw.records:
         ci = rec.index + (rec.side == "right")  # L is a cut too, between the two sides
-        # the strands on the block side of the cut: the interval just
-        # inside the event, or just outside it for a birth
-        block_side = sw.intervals[rec.side][rec.pos + (rec.action == "birth")]
         top, size = rec.top, rec.event.kind.size
+        left, right = slabs[ci], slabs[ci + 1]
         # The cut's gaps, from the top, lie between its points.  Those
         # above the block's point are the slab gaps with the same index on
         # both sides; those below it count from the bottom of each slab.
-        # The block's inner gaps end at its point and are not glued.
-        points = len(block_side) - size + 1
+        # The block's inner gaps end at its point and are not glued.  The
+        # block side is the slab with more strands (for a through block
+        # both have as many).
+        points = max(len(left), len(right)) - size + 1
         total_points += points
-        left, right = slabs[ci], slabs[ci + 1]
         for s in range(points + 1):
             lf = (ci, s if s < top else s + len(left) - points)
             rf = (ci + 1, s if s < top else s + len(right) - points)
