@@ -35,7 +35,7 @@ from .genpres import (
 )
 from .homcount import ResourceGuardError
 from .hypocycloid import HypoParams, hypo_stats, quotient_diagram, verify_case
-from .profiles import profile, profiles_equal
+from .profiles import DEFAULT_TARGETS, profile, profiles_equal
 
 # diagram, DSL, configuration, tracing and usage errors all subclass ValueError
 _USER_ERRORS = (ValueError, ResourceGuardError, OSError)
@@ -206,13 +206,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("invariants", help="invariant profile of a presentation JSON file")
     sp.add_argument("file")
-    sp.add_argument("--targets", default="s3,s4")
+    sp.add_argument("--targets", default=",".join(DEFAULT_TARGETS))
     sp.set_defaults(func=_cmd_invariants)
 
     sp = sub.add_parser("compare", help="profile equality of two presentation files")
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.add_argument("--targets", default="s3,s4")
+    sp.add_argument("--targets", default=",".join(DEFAULT_TARGETS))
     sp.set_defaults(func=_cmd_compare)
 
     sp = sub.add_parser("hypo-stats", help="hypocycloid singularity statistics")
@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hypo-verify", help="orbifold vs polygon Artin comparison")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--targets", default="s3,s4")
+    sp.add_argument("--targets", default=",".join(DEFAULT_TARGETS))
     sp.set_defaults(func=_cmd_hypo_verify)
 
     return parser

@@ -151,12 +151,9 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
     if line_x in line_of_x:
         raise DiagramParseError(line_of_x[line_x], "line_L passes through an event")
     components = tuple(strands[r] for r in ranks)
-    try:
-        return CurveDiagram(
-            degree_y, line_x, components, tuple(e for _, e in events), name=name
-        )
-    except DiagramError as exc:
-        raise DiagramParseError(1, str(exc)) from exc
+    return CurveDiagram(
+        degree_y, line_x, components, tuple(e for _, e in events), name=name
+    )
 
 
 def _fmt_rational(q: Fraction) -> str:

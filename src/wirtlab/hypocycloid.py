@@ -37,9 +37,10 @@ from fractions import Fraction
 from math import copysign, cos, gcd, log2, pi, remainder, sin
 
 from .diagram import CurveDiagram, Crossing, Cusp, Event, check_theorem
-from .fpgroups import Presentation, Word, ngon_semidirect
+from .fpgroups import Presentation, ngon_semidirect
 from .genpres import wirtinger_presentation
 from .profiles import DEFAULT_TARGETS, InvariantProfile, profile, profiles_equal
+from .words import Word
 
 
 class TracingError(ValueError):
