@@ -4,7 +4,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from wirtlab.abelian import abelianization, smith_normal_form
+from wirtlab.abelian import AbelianInvariants, abelianization, smith_normal_form
 from wirtlab.fpgroups import Presentation
 from wirtlab.words import Word
 
@@ -61,3 +61,8 @@ def test_abelianization_known_groups():
     )
     ab3 = abelianization(p3)
     assert (ab3.free_rank, ab3.torsion) == (1, ())
+
+
+def test_abelian_invariants_print_as_a_sum():
+    assert str(AbelianInvariants(1, (2,))) == "Z + Z/2"
+    assert str(AbelianInvariants(0, ())) == "trivial"

@@ -245,3 +245,52 @@ def test_readme_example_runs(capsys, monkeypatch, argv):
     monkeypatch.chdir(ROOT)
     code, out, err = run(capsys, *argv)
     assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"generators": ["a", "a"], "relators": []}', "duplicate generator name 'a'"),
+        ('{"generators": ["a"], "relators": [[[2, 1]]]}', "relator Word(x2) uses an unknown generator"),
+        ('{"generators": ["a"], "relators": [[[0, 1]]]}', "generator indices start at 1, got 0"),
+        ('{"generators": ["a"], "relators": [[[1, 2]]]}', "letter exponents must be +1 or -1, got 2"),
+        ('{"generators": "ab", "relators": []}', "presentation 'generators' must be a list of names"),
+    ],
+    ids=["duplicate-name", "index-past-end", "index-zero", "exponent-two", "generators-not-a-list"],
+)
+def test_simplify_refuses_a_bad_presentation(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "simplify", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"schema": 1, "error": message, "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [(",", "no target groups given"), ("S6", "unknown target group 'S6'")],
+)
+def test_bad_targets_are_a_user_error(capsys, tmp_path, targets, message):
+    path = tmp_path / "z.json"
+    path.write_text('{"generators": ["a"], "relators": []}')
+    code, out, err = run(capsys, "invariants", str(path), "--targets", targets)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"schema": 1, "error": message, "type": "ValueError"}
+
+
+def test_degree_mismatch_is_a_verdict_for_validate_and_an_error_for_wirtinger(capsys, tmp_path):
+    path = tmp_path / "d3.wd"
+    path.write_text(
+        "diagram\ndegree_y 3\nline_L at 0\nstrand 1 component c\nstrand 2 component c\nend\n"
+    )
+    message = "W3: 2 strands declared at L but degree_y is 3"
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "StructuralViolation"
+    assert data["theorem"]["violations"] == data["validation"]["violations"] == [message]
+    code, out, err = run(capsys, "wirtinger", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "schema": 1, "error": "invalid diagram: " + message, "type": "DiagramError",
+    }

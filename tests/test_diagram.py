@@ -257,6 +257,14 @@ def test_faces_partition_fragments(corpus):
         assert seen == set(fc.faces)
 
 
+def test_faces_refuses_a_sweep_with_violations():
+    d = parse_diagram(
+        (Path(__file__).parent / "golden" / "inputs" / "block_out_of_range.wd").read_text()
+    )
+    with pytest.raises(DiagramError, match="^cannot build faces: sweep: block "):
+        faces(sweep_ranks(d))
+
+
 def sweep_dump(sw) -> str:
     """Every field of each record, then the sweep's own fields, one per line."""
     lines = [repr([getattr(r, f.name) for f in fields(EventRecord)]) for r in sw.records]

@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from wirtlab.abelian import abelianization
@@ -10,6 +13,7 @@ from wirtlab.diagram import (
     Event,
     Ordinary,
     Tangency,
+    check_theorem,
     sweep_ranks,
 )
 from wirtlab.dsl import parse_diagram
@@ -26,7 +30,8 @@ from wirtlab.genpres import (
 )
 from wirtlab.profiles import profile, profiles_equal
 from wirtlab.words import Word
-from tests.conftest import load
+from tests.conftest import all_corpus_stems, load
+from tests.test_zvk_differential import sample
 
 
 def canonical_relators(p: Presentation):
@@ -169,3 +174,94 @@ def test_sweep_pairing_follows_the_half_local_braid(kind, x):
     (rec,) = sweep_ranks(d).records
     perm = local_braid(kind, half=True).permutation()
     assert rec.continued == tuple(rec.far_edges[p - 1] for p in perm)
+
+
+# ---------------------------------------------------------------------------
+# no Verified diagram has a block straddling an earlier dead pair
+# ---------------------------------------------------------------------------
+
+def straddles_a_dead_pair(sw) -> bool:
+    """The fiber-slot walk of a birth-free sweep: a death's strand pair
+    leaves the real plane but keeps its fiber positions, so a later block
+    on that side straddles it when its positions are not adjacent."""
+    for side in ("left", "right"):
+        positions = list(range(1, sw.diagram.d + 1))  # fiber position of each live strand
+        for rec in sw.outward[side]:
+            lo, size = rec.event.top - 1, rec.event.kind.size
+            block = positions[lo:lo + size]
+            if block != list(range(block[0], block[0] + size)):
+                return True
+            if rec.action == "death":
+                del positions[lo:lo + size]
+    return False
+
+
+def refused_if_straddling(d: CurveDiagram) -> bool:
+    """Whether a structurally sound, birth-free ``d`` straddles a dead
+    pair; if so, check that region B refuses it, so that it is not
+    Verified, and that the braid monodromy refuses it."""
+    sw = sweep_ranks(d)
+    if sw.violations or any(rec.action == "birth" for rec in sw.records):
+        return False
+    if not straddles_a_dead_pair(sw):
+        return False
+    assert check_theorem(d).verdict == "NoValidRegion"
+    with pytest.raises(DiagramError, match="^diagram not verified: ") as exc:
+        diagram_braid_monodromy(d)
+    assert type(exc.value) is DiagramError
+    return True
+
+
+STRADDLING = {
+    "cardioid", "concentric_circles", "deltoid",
+    "crosscheck_8", "crosscheck_18", "crosscheck_19", "crosscheck_22", "crosscheck_35",
+}
+
+
+def test_straddling_corpus_and_golden_diagrams_end_at_region_b():
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    named = {stem: load(stem) for stem in all_corpus_stems()}
+    named.update((p.stem, parse_diagram(p.read_text(), name=p.stem)) for p in inputs.glob("*.wd"))
+    assert {stem for stem, d in named.items() if refused_if_straddling(d)} == STRADDLING
+
+
+def test_straddling_crosscheck_samples_end_at_region_b():
+    assert any([refused_if_straddling(parse_diagram(sample(seed).dsl)) for seed in range(60)])
+
+
+def birth_free_diagram(rng: random.Random) -> CurveDiagram:
+    """A random in-range diagram whose one-sided events all face L, with
+    each branch class at L declared as its own component, so that every
+    such diagram reaches region B."""
+    d = rng.randint(2, 6)
+    events = []
+    for sign, toward_l in ((-1, "right"), (1, "left")):
+        live = d
+        for i in range(1, rng.randint(1, 5) + 1):
+            if live < 2:
+                break
+            kind = rng.choice(
+                [Tangency(toward_l), Cusp(2, toward_l), Crossing(1), Crossing(3)]
+                + [Ordinary(m) for m in range(2, min(live, 4) + 1)]
+            )
+            events.append(Event(sign * i, kind, rng.randint(1, live - kind.size + 1)))
+            if isinstance(kind, (Cusp, Tangency)):
+                live -= 2
+    sw = sweep_ranks(CurveDiagram(d, 0, ("c",) * d, events))
+    names = ["c"] * d
+    for i, (_, ranks, _) in enumerate(sw.clusters):
+        for r in ranks:
+            names[r - 1] = "c%d" % i
+    return CurveDiagram(d, 0, tuple(names), events)
+
+
+def test_straddling_random_birth_free_diagrams_end_at_region_b():
+    rng = random.Random("straddle")
+    verified = straddling = 0
+    for _ in range(3000):
+        d = birth_free_diagram(rng)
+        if refused_if_straddling(d):
+            straddling += 1
+        else:
+            verified += check_theorem(d).verified
+    assert straddling > 100 and verified > 100
