@@ -166,14 +166,10 @@ def event_action(diagram: CurveDiagram, event: Event) -> str:
 
 @dataclass
 class EventRecord:
-    index: int  # position in diagram.events
-    # position among its side's events, from L outward; intervals[side][pos]
-    # is the interval just inside the event
-    pos: int
+    index: int  # position in diagram.events; slabs[index + 1] lies just inside it
     event: Event
     side: str
     action: str  # through | death | birth
-    top: int  # block top position on the block side
     near_edges: tuple[int, ...]  # block edges on the L side (empty for birth)
     far_edges: tuple[int, ...]  # block edges on the far side (empty for death)
     block_edges: tuple[int, ...]  # far edges for a birth, else near edges
@@ -210,9 +206,11 @@ class SweepResult:
     presentations are all read off this one object."""
 
     diagram: CurveDiagram
-    # side -> the persistent strand tokens (top to bottom) live in each open
-    # x-interval between consecutive events, ordered from L outward
-    intervals: dict
+    # the persistent strand tokens (top to bottom) live in each open
+    # x-interval between consecutive events, in x order, L's interval once
+    # for each side: slab i lies between cuts i-1 and i (L is a cut too),
+    # and slabs[index + 1] is the slab just inside diagram.events[index]
+    slabs: list[tuple[int, ...]]
     records: list[EventRecord]  # in diagram event order
     outward: dict  # side -> list[EventRecord], ordered from L outward
     edge_count: int
@@ -244,7 +242,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     strand_counter = d
     fiber_edges = tuple(range(1, d + 1))
     branch = UnionFind()
-    intervals: dict = {}
+    slabs: list[tuple[int, ...]] = []
     outward: dict = {}
     # diagram.events is sorted by x, so each side's events are a run of it
     n_left = sum(1 for e in diagram.events if e.x < diagram.line_x)
@@ -258,7 +256,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         live_strands = list(range(1, d + 1))
         ivs: list[tuple[int, ...]] = []
         recs: list[EventRecord] = []
-        for pos, idx in enumerate(order):
+        for idx in order:
             event = diagram.events[idx]
             ivs.append(tuple(live_strands))
             action = event_action(diagram, event)
@@ -295,11 +293,11 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
             live_edges[lo:hi] = far
             live_strands[lo:hi] = far_strands
             recs.append(EventRecord(
-                idx, pos, event, side, action, event.top, near, far,
+                idx, event, side, action, near, far,
                 block_edges, continued, near_strands or far_strands,
             ))
         ivs.append(tuple(live_strands))
-        intervals[side] = ivs
+        slabs += ivs[::-1] if side == "left" else ivs  # the left side runs first
         outward[side] = recs
 
     classes: dict = {}
@@ -312,7 +310,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         clusters.append((edges, ranks, names))
     return SweepResult(
         diagram,
-        intervals,
+        slabs,
         outward["left"][::-1] + outward["right"],
         outward,
         edge_counter,
@@ -366,7 +364,6 @@ def _validate(sw: SweepResult) -> ValidationReport:
 @dataclass
 class FaceComplex:
     sweep: SweepResult
-    slabs: list[tuple[int, ...]]  # strand tokens; slab i lies between cuts i-1 and i
     faces: dict  # fragment -> face id
     face_fragments: dict  # face id -> list of fragments
     bounded: dict  # face id -> bool
@@ -379,17 +376,14 @@ def faces(sw: SweepResult) -> FaceComplex:
     L, by slab-gap fragments glued across the event cuts."""
     if sw.violations:
         raise DiagramError("cannot build faces: " + "; ".join(sw.violations))
-    # the slabs in x order: the left intervals from the outside in, then
-    # the right intervals from L outward
-    slabs = sw.intervals["left"][::-1] + sw.intervals["right"]
 
     uf = UnionFind()
     total_points = 0
     glued: list[tuple[tuple, tuple]] = []
     for rec in sw.records:
         ci = rec.index + (rec.side == "right")  # L is a cut too, between the two sides
-        top, size = rec.top, rec.event.kind.size
-        left, right = slabs[ci], slabs[ci + 1]
+        top, size = rec.event.top, rec.event.kind.size
+        left, right = sw.slabs[ci], sw.slabs[ci + 1]
         # The cut's gaps, from the top, lie between its points.  Those
         # above the block's point are the slab gaps with the same index on
         # both sides; those below it count from the bottom of each slab.
@@ -407,18 +401,18 @@ def faces(sw: SweepResult) -> FaceComplex:
     face_of: dict = {}
     face_frags: dict = {}
     face_ids: dict = {}
-    for si, slab in enumerate(slabs):
+    for si, slab in enumerate(sw.slabs):
         for g in range(len(slab) + 1):
             face = face_ids.setdefault(uf.find((si, g)), len(face_ids))
             face_of[si, g] = face
             face_frags.setdefault(face, []).append((si, g))
 
-    last = len(slabs) - 1
+    last = len(sw.slabs) - 1
     bounded = {
-        face: all(0 < si < last and 0 < g < len(slabs[si]) for si, g in frags)
+        face: all(0 < si < last and 0 < g < len(sw.slabs[si]) for si, g in frags)
         for face, frags in face_frags.items()
     }
-    return FaceComplex(sw, slabs, face_of, face_frags, bounded, total_points, glued)
+    return FaceComplex(sw, face_of, face_frags, bounded, total_points, glued)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +470,7 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
         # from the block, so just below that slab's strand top - 1
         side = "left" if rec.event.kind.branch_side == "right" else "right"
         cut = rec.index + (rec.side == "right")
-        face = complex_.faces[cut + (side == "right"), rec.top - 1]
+        face = complex_.faces[cut + (side == "right"), rec.event.top - 1]
         if complex_.bounded[face]:
             blocked.setdefault(face, []).append(
                 "obstruction %s of %s" % (side, rec.event.label())
@@ -508,14 +502,15 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
 def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
     """Euler characteristic and connectivity of closed(B) + C_R + L_R."""
     d = fc.sweep.diagram.d
+    slabs = fc.sweep.slabs
     frags = [frag for face in chosen for frag in fc.face_fragments[face]]
     # vertices: the curve's points on the event cuts, the d points of L and
     # its two clip ends, and a clip vertex at each unbounded strand end
-    n_vertices = fc.points + d + 2 + len(fc.slabs[0]) + len(fc.slabs[-1])
+    n_vertices = fc.points + d + 2 + len(slabs[0]) + len(slabs[-1])
     # edges: a segment of each live strand in each slab, the d + 1 pieces of
     # L, and the cut gap of each glued pair inside B
     n_edges = (
-        sum(map(len, fc.slabs)) + d + 1
+        sum(map(len, slabs)) + d + 1
         + sum(fc.faces[lf] in chosen for lf, _ in fc.glued)
     )
     euler = n_vertices - n_edges + len(frags)
@@ -530,9 +525,9 @@ def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
         for tok in rec.block_strands[1:]:
             uf.union(rec.block_strands[0], tok)
     for si, g in frags:
-        uf.union(fc.slabs[si][g - 1], fc.slabs[si][g])
+        uf.union(slabs[si][g - 1], slabs[si][g])
     root = uf.find(0)
-    connected = all(uf.find(tok) == root for slab in fc.slabs for tok in slab)
+    connected = all(uf.find(tok) == root for slab in slabs for tok in slab)
     return euler, connected
 
 

@@ -38,9 +38,9 @@ from .words import Word
 
 
 class UnsupportedConfiguration(DiagramError):
-    """The diagram mixes obstruction points with vertex types for which no
-    conjugation recipe is implemented (only double points and tangencies
-    may sit beyond an obstruction point)."""
+    """The extended method has no conjugation recipe for a vertex beyond
+    an obstruction point: only one-sided vertices (cusps and tangencies)
+    may sit there."""
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +230,14 @@ class MonodromyDatum:
 
 
 def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
-    """One datum per critical point of the projection, sweeping outward on
-    both sides.  Each event's block meridians are read off the meridian
-    sweep.  One-sided vertices leave the surviving meridians untouched, and
-    their strand pair keeps its fiber positions (the pair moves off the
-    real plane but stays in the complex fiber), so a later block must not
-    straddle it."""
+    """One datum per critical point of the projection, in event order, with
+    each block's meridians read off the meridian sweep.  A death's strand
+    pair leaves the real plane but keeps its fiber positions, so no later
+    block may straddle it, and none does in a Verified diagram: let block p
+    be the first to straddle the pair of an earlier death q on its side.
+    With no births, the strands on either side of q's gap run unbroken from
+    L to p, and only p's point closes the gap, so the face holding q's
+    obstruction point is bounded and region B is refused."""
     sw = sweep_ranks(diagram)
     report = _check_theorem(sw)
     if not report.verified:
@@ -243,25 +245,10 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
             "diagram not verified: " + "; ".join(report.violations)
         )
     words = _meridian_words(sw)
-    data: dict[int, MonodromyDatum] = {}
-    for side in ("left", "right"):
-        positions = list(range(1, diagram.d + 1))  # fiber position of each live strand
-        for rec in sw.outward[side]:
-            event = rec.event
-            size = event.kind.size
-            block = positions[rec.top - 1: rec.top - 1 + size]
-            if block != list(range(block[0], block[0] + size)):
-                raise UnsupportedConfiguration(
-                    "block of %s occupies non-adjacent fiber positions %s"
-                    % (event.label(), block)
-                )
-            data[rec.index] = MonodromyDatum(
-                local_braid(event.kind),
-                tuple(words[e] for e in rec.near_edges),
-            )
-            if rec.action == "death":
-                del positions[rec.top - 1: rec.top - 1 + size]
-    return [data[i] for i in range(len(diagram.events))]
+    return [
+        MonodromyDatum(local_braid(rec.event.kind), tuple(words[e] for e in rec.near_edges))
+        for rec in sw.records
+    ]
 
 
 def zvk_presentation(d: int, data: list[MonodromyDatum]) -> Presentation:
@@ -291,12 +278,12 @@ def _passed_obstructions(sw: SweepResult, rec: EventRecord, inward: list[EventRe
     must travel around their obstruction points."""
     out = []
     for qrec in inward:
-        strands = sw.intervals[rec.side][qrec.pos]  # just inside qrec
+        strands = sw.slabs[qrec.index + 1]  # just inside qrec
         try:
             p_pos = sorted(strands.index(tok) + 1 for tok in rec.block_strands)
         except ValueError:
             continue  # the event's strands do not reach that far inward
-        q_lo, q_hi = qrec.top, qrec.top + 1
+        q_lo, q_hi = qrec.event.top, qrec.event.top + 1
         if p_pos[0] < q_lo and q_hi < p_pos[-1]:
             out.append(qrec)
     return out

@@ -13,6 +13,7 @@ from wirtlab.diagram import (
     Event,
     EventRecord,
     Ordinary,
+    SweepResult,
     Tangency,
     auto_region_B,
     check_facing,
@@ -237,10 +238,10 @@ def test_resweep_after_round_trip_is_identical(corpus):
         sw1, sw2 = sweep_ranks(d), sweep_ranks(d2)
         assert sw1.fiber_edges == sw2.fiber_edges
         assert [
-            (r.action, r.top, r.near_edges, r.far_edges, r.block_strands)
+            (r.action, r.event.top, r.near_edges, r.far_edges, r.block_strands)
             for r in sw1.records
         ] == [
-            (r.action, r.top, r.near_edges, r.far_edges, r.block_strands)
+            (r.action, r.event.top, r.near_edges, r.far_edges, r.block_strands)
             for r in sw2.records
         ]
 
@@ -266,10 +267,12 @@ def test_faces_refuses_a_sweep_with_violations():
 
 
 def sweep_dump(sw) -> str:
-    """Every field of each record, then the sweep's own fields, one per line."""
+    """Every field of each record, then every field of the sweep but the
+    diagram and its records, one per line."""
     lines = [repr([getattr(r, f.name) for f in fields(EventRecord)]) for r in sw.records]
-    for name in ("intervals", "edge_count", "fiber_edges", "clusters", "violations"):
-        lines.append(repr(getattr(sw, name)))
+    for f in fields(SweepResult):
+        if f.name not in ("diagram", "records", "outward"):
+            lines.append(repr(getattr(sw, f.name)))
     return "\n".join(lines)
 
 
@@ -285,33 +288,33 @@ def pinned_diagram(name: str) -> CurveDiagram:
 # md5 of sweep_dump(sweep_ranks(d)) for every corpus diagram, every golden
 # input (the two invalid ones included) and quotient_diagram(k), k = 5..8
 SWEEP_MD5 = {
-    "block_out_of_range": "749c3eeade551722ed3d7afde2cdfc74",
-    "cardioid": "e55ba2610a398f7b9247c24a1754afb4",
-    "component_mismatch": "2e13ce801ec2d26eaf6d8726c73fe20a",
-    "concentric_circles": "1cdd7b438d3bcab264767f33fb2d9b77",
-    "crosscheck_1": "58eea8d4e966bb401365ca9207c4b2fa",
-    "crosscheck_18": "213f55fff6e87b2c5275881fbd4f058d",
-    "crosscheck_19": "fbba918412967a4892b45cd708513c2d",
-    "crosscheck_2": "be4c01a961aebe3581f5b319d0214334",
-    "crosscheck_22": "32e1453db90c6cc1e7c5007b956ea735",
-    "crosscheck_3": "c031dd91de57c8fe50ed55a3873bda65",
-    "crosscheck_35": "433e4debc36fc22deeee6eed2f5ab205",
-    "crosscheck_4": "b5951b71953be7d8480d016a28f41f96",
-    "crosscheck_5": "c276e625ffcb6bd1e165646ddc0b2623",
-    "crosscheck_8": "d5a0f3929f89de8895c99a994ae33868",
-    "cuspidal_cubic": "9ea22cabf7eb52e7251e683247d4a623",
-    "deltoid": "8698035e444a729e58f34620870e8db4",
-    "hypocycloid_quotient_k2": "08e1b8fe7eaabcde6065dc2c789eb58d",
-    "hypocycloid_quotient_k3": "1ad9fd308cbb96b1820db5f6baae3c82",
-    "hypocycloid_quotient_k4": "40ff1971f3b5092354a4ad65c26abc17",
-    "long_100": "7c84992ec478c14665b012131c1856d0",
-    "nodal_cubic": "000bd65953243cbbedb9c5aa951a5aba",
-    "parabola_two_lines": "0f7ebbe2e093a234c536a8eb7dcd80d0",
-    "quotient_diagram_k5": "09c6fc95eb88defc00f5d5b144a1fc83",
-    "quotient_diagram_k6": "1cc25f1dd13a0bdfeaab55b76c5211fe",
-    "quotient_diagram_k7": "01aab78d08b66a1f022dd098dcad749b",
-    "quotient_diagram_k8": "f4a5561d0b50f5d4124c273fa88d3c52",
-    "smooth_cubic": "1e6bf526502a67344fc5021c86eed574",
+    "block_out_of_range": "4290ec4389112fe3b7d58d7480eb0521",
+    "cardioid": "9744e5e344ec484f5a5b9eafdbf5f71b",
+    "component_mismatch": "f5d48250643d6bda47caa1156b3e14bc",
+    "concentric_circles": "1c8bd54c9187fafb4e321ef1e2d87cb6",
+    "crosscheck_1": "b61da406e5e5c8cd2a4827b15de4e232",
+    "crosscheck_18": "f975bb3835390f99c37227e57d117704",
+    "crosscheck_19": "6a36d989d8eaa0e8a3bc31824cc03000",
+    "crosscheck_2": "d7a6c67749e5ab6e49cadd0f46f16d09",
+    "crosscheck_22": "01d557ed3506ec86e1d9d2854c9701c6",
+    "crosscheck_3": "5c153cef696ad5be3cfbc8c133781526",
+    "crosscheck_35": "d5f5b104ed3a4a6f57ad4dcda08feb99",
+    "crosscheck_4": "6ef1313eaa279408adae8c74447779f8",
+    "crosscheck_5": "db17cb2e8c52f31e114e2159554b09b8",
+    "crosscheck_8": "7f5cd18848f7197e43b516dcd5795736",
+    "cuspidal_cubic": "df4adebe959be0862fad194d9f51490e",
+    "deltoid": "65ad4d617d6dc8cd0b45a806080c7a50",
+    "hypocycloid_quotient_k2": "fbba5d079ee1325411e4a84110bf50ed",
+    "hypocycloid_quotient_k3": "da515cdc23b8e380496485af9d63e1c4",
+    "hypocycloid_quotient_k4": "159b5c6ceea5633e1e62c05dc159642b",
+    "long_100": "0ef2eaf1e5a10baa47874ac9ef087be5",
+    "nodal_cubic": "620dd093cda1401ec67a2aa03b5de25c",
+    "parabola_two_lines": "ddde94323f1facf5af4f41a622d65967",
+    "quotient_diagram_k5": "cf3f1b3422ef22613141e91bf0ed0dda",
+    "quotient_diagram_k6": "9560efbff6bfb422e8dace2e96806ea8",
+    "quotient_diagram_k7": "0b0e81d1051fca21dd509246fc6d5831",
+    "quotient_diagram_k8": "3f0b4d7d662f66ad686d6053ac9bc480",
+    "smooth_cubic": "a1b74e653041251fee3d33cead974318",
 }
 
 

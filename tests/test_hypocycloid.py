@@ -103,8 +103,9 @@ def test_numeric_fibers_agree_with_the_sweep(k):
     d = quotient_diagram(k)
     sw = sweep_ranks(d)
     line_token = d.components.index("l") + 1
-    # the sweep's intervals in x order, L's interval counted once
-    intervals = sw.intervals["left"][::-1] + sw.intervals["right"][1:]
+    # the sweep's slabs in x order, L's interval counted once
+    n_left = sum(ev.x < d.line_x for ev in d.events)
+    intervals = sw.slabs[:n_left + 1] + sw.slabs[n_left + 2:]
     tr = trace_quotient(k)
     xs = sorted(ev.x for ev in tr.events)
     assert len(intervals) == len(xs) + 1
