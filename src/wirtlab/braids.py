@@ -14,11 +14,21 @@ the free group with basis ``mu_1 .. mu_n`` is the standard right action:
 
 so that ``(w^a)^b = w^(a*b)`` with braids composed left to right.  The
 local braid of each event kind is built in :func:`wirtlab.genpres.local_braid`.
+
+Every local braid is a power of a half twist Delta_m, which acts in closed
+form (:func:`twist_images`).  With P = w_m ... w_1, the boundary word every
+braid fixes, and k = 2q + r (r in {0, 1}):
+
+    w_i ^ Delta_m^k = P^q  D_r(w_i)  P^-q,
+    D_0(w_i) = w_i,   D_1(w_i) = Q_i w_(m+1-i) Q_i^-1,   Q_i = w_m ... w_(m+2-i)
+
+so Delta_m^2 is conjugation by P, and Q_i is the product of P's first
+i - 1 factors (Q_1 = 1).  On two strands Delta = sigma_1.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .words import Word
 
@@ -127,3 +137,27 @@ def half_twist(m: int) -> Braid:
         for j in range(r, 0, -1):
             letters.append((j, 1))
     return Braid(m, letters)
+
+
+def twist_images(words: Sequence[Word], k: int) -> tuple[Word, ...]:
+    """The images of ``w_1 .. w_m`` under the right action of Delta_m^k, for
+    any integer ``k``, in O(m) word products: with P = w_m ... w_1 and
+    k = 2q + r (floor division, r in {0, 1}), w_i goes to P^q D_r(w_i) P^-q,
+    where D_0(w_i) = w_i and D_1(w_i) = Q_i w_(m+1-i) Q_i^-1 with
+    Q_i = w_m ... w_(m+2-i), the product of P's first i - 1 factors.  It
+    equals ``braid_images(half_twist(m) ** k)`` with the words substituted."""
+    q, r = divmod(k, 2)
+    prefixes = [Word.identity()]  # Q_1 .. Q_(m+1) = P
+    for w in reversed(words):
+        prefixes.append(prefixes[-1] * w)
+    if r:
+        images = [
+            q_i * w * q_i.inverse() for q_i, w in zip(prefixes, reversed(words))
+        ]
+    else:
+        images = list(words)
+    if q:
+        pq = prefixes[-1] ** q
+        pq_inv = pq.inverse()
+        images = [pq * w * pq_inv for w in images]
+    return tuple(images)

@@ -66,6 +66,8 @@ def _load_presentation(path: str) -> Presentation:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError("%s: JSON is nested too deeply" % path) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     return Presentation.from_json(data)
 
 

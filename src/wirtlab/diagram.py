@@ -211,8 +211,7 @@ class SweepResult:
     # for each side: slab i lies between cuts i-1 and i (L is a cut too),
     # and slabs[index + 1] is the slab just inside diagram.events[index]
     slabs: list[tuple[int, ...]]
-    records: list[EventRecord]  # in diagram event order
-    outward: dict  # side -> list[EventRecord], ordered from L outward
+    records: list[EventRecord]  # in diagram event order: the left run, then the right
     edge_count: int
     fiber_edges: tuple[int, ...]  # edge id of the rank-r strand at L
     # edges connected along the curve, each class with the ranks at L among
@@ -243,7 +242,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     fiber_edges = tuple(range(1, d + 1))
     branch = UnionFind()
     slabs: list[tuple[int, ...]] = []
-    outward: dict = {}
+    records: list[EventRecord] = []
     # diagram.events is sorted by x, so each side's events are a run of it
     n_left = sum(1 for e in diagram.events if e.x < diagram.line_x)
     sides = (
@@ -297,8 +296,9 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 block_edges, continued, near_strands or far_strands,
             ))
         ivs.append(tuple(live_strands))
-        slabs += ivs[::-1] if side == "left" else ivs  # the left side runs first
-        outward[side] = recs
+        # the left side runs first; both lists are in x order
+        slabs += ivs[::-1] if side == "left" else ivs
+        records += recs[::-1] if side == "left" else recs
 
     classes: dict = {}
     for e in range(1, edge_counter + 1):
@@ -311,8 +311,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     return SweepResult(
         diagram,
         slabs,
-        outward["left"][::-1] + outward["right"],
-        outward,
+        records,
         edge_counter,
         fiber_edges,
         clusters,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import Braid, braid_images, half_twist
+from .braids import Braid, half_twist, twist_images
 from .diagram import (
     CurveDiagram,
     DiagramError,
@@ -185,31 +185,35 @@ def local_braid(kind, half: bool = False) -> Braid:
     kind's power of its block's half twist, so Delta_m^2 for an ordinary
     m-fold point and sigma_1^(m+1) for an A_m point (a tangency is A_0).
     With ``half=True``: Delta^(twist // 2), the square root for an ordinary
-    point and for odd m, and the obstruction loop's twist for even m."""
+    point and for odd m, and the obstruction loop's twist for even m.  The
+    presentations never expand it: they apply each power of Delta in closed
+    form, by :func:`wirtlab.braids.twist_images`."""
     return half_twist(kind.size) ** (kind.twist // 2 if half else kind.twist)
 
 
+def _outward_runs(sw: SweepResult) -> tuple[list[EventRecord], list[EventRecord]]:
+    """Each side's run of ``sw.records``, ordered from L outward."""
+    n_left = sum(rec.side == "left" for rec in sw.records)
+    return sw.records[:n_left][::-1], sw.records[n_left:]
+
+
 def _meridian_words(sw: SweepResult) -> dict:
-    """Meridian word of each extended edge, swept outward from L: each far
-    edge of a two-sided vertex carries the image of its local generator
-    under the inverse half local braid, with the near edges' words
-    substituted for the local generators."""
-    words: dict[int, Word] = {}
-    for rank, e in enumerate(sw.fiber_edges, start=1):
-        words[e] = Word.gen(rank)
+    """Meridian word of each extended edge, swept outward from L: the far
+    edges of a two-sided vertex carry the images of its near edges' words
+    under the inverse half local braid Delta^-(twist // 2), applied in
+    closed form."""
+    words = {e: Word.gen(rank) for rank, e in enumerate(sw.fiber_edges, start=1)}
     for rec in sw.records:
         if rec.action == "birth":
             raise DiagramError(
                 "meridian sweep undefined: %s points away from L" % rec.event.label()
             )
-    for side in ("left", "right"):
-        for rec in sw.outward[side]:
-            if rec.action != "through":
-                continue
-            near = dict(enumerate((words[e] for e in rec.near_edges), start=1))
-            far = braid_images(local_braid(rec.event.kind, half=True).inverse())
-            for image, e in zip(far, rec.far_edges):
-                words[e] = image.substitute(near)
+    for run in _outward_runs(sw):
+        for rec in run:
+            if rec.action == "through":
+                near = [words[e] for e in rec.near_edges]
+                far = twist_images(near, -(rec.event.kind.twist // 2))
+                words.update(zip(rec.far_edges, far))
     return words
 
 
@@ -225,7 +229,10 @@ def edge_meridian_words(diagram: CurveDiagram) -> dict:
 
 @dataclass
 class MonodromyDatum:
-    delta: Braid  # full local braid on the block's own strands
+    """One critical point: its local braid is Delta^twist on the block's
+    own strands, whose near-side meridians are ``meridians``."""
+
+    twist: int  # the power of the block's half twist Delta
     meridians: tuple[Word, ...]  # near-side block meridians, top to bottom
 
 
@@ -246,7 +253,7 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
         )
     words = _meridian_words(sw)
     return [
-        MonodromyDatum(local_braid(rec.event.kind), tuple(words[e] for e in rec.near_edges))
+        MonodromyDatum(rec.event.kind.twist, tuple(words[e] for e in rec.near_edges))
         for rec in sw.records
     ]
 
@@ -254,14 +261,13 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
 def zvk_presentation(d: int, data: list[MonodromyDatum]) -> Presentation:
     """Fiber-meridian presentation: for each critical point, one relator
     per local strand but the last, equating the strand's meridian with its
-    image under the local braid."""
+    image under the local braid Delta^twist, applied in closed form."""
     names = tuple("mu%d" % i for i in range(1, d + 1))
     relators: list[Word] = []
     for datum in data:
-        near = dict(enumerate(datum.meridians, start=1))
-        images = braid_images(datum.delta)
+        images = twist_images(datum.meridians, datum.twist)
         for image, mu in zip(images[:-1], datum.meridians):
-            rel = image.substitute(near) * mu.inverse()
+            rel = image * mu.inverse()
             if rel:
                 relators.append(rel)
     return Presentation(names, tuple(relators))
@@ -293,8 +299,7 @@ def _obstruction_loop(qrec: EventRecord, edge_gen: dict) -> Word:
     """Counterclockwise loop around the obstruction point of a one-sided
     vertex, in terms of the vertex's own block-side edge generators."""
     a, b = (Word.gen(edge_gen[e]) for e in qrec.block_edges)
-    twist = local_braid(qrec.event.kind, half=True)
-    y1 = braid_images(twist.inverse())[0].substitute({1: a, 2: b})
+    y1 = twist_images((a, b), -(qrec.event.kind.twist // 2))[0]
     return y1 if qrec.event.kind.branch_side == "left" else y1.inverse()
 
 
@@ -305,9 +310,9 @@ def extended_wirtinger(diagram: CurveDiagram) -> WirtingerResult:
     sw = sweep_ranks(diagram)
     _require_valid(sw)
     passed: dict[int, list[EventRecord]] = {}
-    for side in ("left", "right"):
+    for run in _outward_runs(sw):
         one_sided: list[EventRecord] = []  # met so far, from L outward
-        for rec in sw.outward[side]:
+        for rec in run:
             passed[rec.index] = _passed_obstructions(sw, rec, one_sided)
             if rec.action != "through":
                 one_sided.append(rec)

@@ -1,6 +1,8 @@
 import random
 
-from wirtlab.braids import Braid, braid_act, half_twist
+import pytest
+
+from wirtlab.braids import Braid, braid_act, braid_images, half_twist, twist_images
 from wirtlab.diagram import Crossing, Cusp, Ordinary, Tangency
 from wirtlab.genpres import local_braid
 from wirtlab.words import Word, alternating
@@ -107,6 +109,56 @@ def test_half_twist_squares_to_full_twist_action():
         for i in range(1, m + 1):
             img = braid_act(Word.gen(i), full)
             assert img == boundary * Word.gen(i) * boundary.inverse()
+
+
+def substituted(images, words):
+    near = dict(enumerate(words, start=1))
+    return tuple(image.substitute(near) for image in images)
+
+
+def test_twist_images_match_the_expanded_half_twist():
+    rng = random.Random(47)
+    for m in range(2, 11):
+        gens = [Word.gen(i) for i in range(1, m + 1)]
+        for k in range(-7, 8):
+            expanded = braid_images(half_twist(m) ** k)
+            assert twist_images(gens, k) == expanded, (m, k)
+            for _ in range(3):
+                words = [random_word(rng, m + 2, rng.randint(0, 6)) for _ in range(m)]
+                assert twist_images(words, k) == substituted(expanded, words), (m, k)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [Tangency("left"), Tangency("right"), Cusp(2, "left"), Cusp(4, "right"), Cusp(6, "left")]
+    + [Crossing(m) for m in (1, 3, 5, 7)]
+    + [Ordinary(m) for m in range(2, 9)],
+    ids=repr,
+)
+def test_twist_images_apply_each_kinds_local_braid(kind):
+    # Delta^twist and Delta^(twist // 2), and their inverses, as the
+    # presentations apply them
+    rng = random.Random(repr(kind))
+    gens = [Word.gen(i) for i in range(1, kind.size + 1)]
+    for half, k in ((False, kind.twist), (True, kind.twist // 2)):
+        beta = local_braid(kind, half=half)
+        for braid, power in ((beta, k), (beta.inverse(), -k)):
+            expanded = braid_images(braid)
+            assert twist_images(gens, power) == expanded
+            words = [random_word(rng, 5, rng.randint(0, 8)) for _ in gens]
+            assert twist_images(words, power) == substituted(expanded, words)
+
+
+def test_braid_product_hash_and_repr():
+    a, b = Braid.sigma(3, 1), Braid.sigma(3, 2, -1)
+    ab = Braid(3, [(1, 1), (2, -1)])
+    assert a * b == ab and (a * b).n == 3
+    with pytest.raises(ValueError, match="^cannot compose braids on different strand counts$"):
+        a * Braid.sigma(4, 1)
+    assert a * b is not ab and hash(a * b) == hash(ab)
+    assert len({a * b, ab, b * a}) == 2
+    assert repr(Braid.identity(4)) == "Braid(4)"
+    assert repr(ab) == "Braid(3, s1*s2^-1)"
 
 
 def test_local_braid_validation():

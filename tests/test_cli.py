@@ -183,6 +183,24 @@ def test_malformed_presentation_is_a_user_error(capsys, tmp_path, text):
         assert json.loads(err)["type"] == "ValueError", argv
 
 
+def test_unreadable_presentation_errors_name_the_file(capsys, tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text('{"generators": ["a"], "relators": []}')
+    diagram = corpus_path("nodal_cubic")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"generators": ["\xe9"], "relators": []}')
+    not_json = "Expecting value: line 1 column 1 (char 0)"
+    not_utf8 = "'utf-8' codec can't decode byte 0xe9 in position 17: invalid continuation byte"
+    for argv, message in [
+        (("invariants", diagram), "%s: %s" % (diagram, not_json)),
+        (("compare", good, diagram), "%s: %s" % (diagram, not_json)),
+        (("simplify", latin1), "%s: %s" % (latin1, not_utf8)),
+    ]:
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 2 and out == "", argv
+        assert json.loads(err) == {"schema": 1, "error": message, "type": "ValueError"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

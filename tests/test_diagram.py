@@ -271,7 +271,7 @@ def sweep_dump(sw) -> str:
     diagram and its records, one per line."""
     lines = [repr([getattr(r, f.name) for f in fields(EventRecord)]) for r in sw.records]
     for f in fields(SweepResult):
-        if f.name not in ("diagram", "records", "outward"):
+        if f.name not in ("diagram", "records"):
             lines.append(repr(getattr(sw, f.name)))
     return "\n".join(lines)
 

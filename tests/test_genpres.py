@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from wirtlab import genpres
 from wirtlab.abelian import abelianization
-from wirtlab.braids import Braid
+from wirtlab.braids import Braid, braid_images
 from wirtlab.diagram import (
     Crossing,
     CurveDiagram,
@@ -31,7 +32,7 @@ from wirtlab.genpres import (
 from wirtlab.profiles import profile, profiles_equal
 from wirtlab.words import Word
 from tests.conftest import all_corpus_stems, load
-from tests.test_zvk_differential import sample
+from tests.test_zvk_differential import copies, gen, sample
 
 
 def canonical_relators(p: Presentation):
@@ -184,9 +185,10 @@ def straddles_a_dead_pair(sw) -> bool:
     """The fiber-slot walk of a birth-free sweep: a death's strand pair
     leaves the real plane but keeps its fiber positions, so a later block
     on that side straddles it when its positions are not adjacent."""
-    for side in ("left", "right"):
+    n_left = sum(rec.side == "left" for rec in sw.records)
+    for run in (sw.records[:n_left][::-1], sw.records[n_left:]):  # from L outward
         positions = list(range(1, sw.diagram.d + 1))  # fiber position of each live strand
-        for rec in sw.outward[side]:
+        for rec in run:
             lo, size = rec.event.top - 1, rec.event.kind.size
             block = positions[lo:lo + size]
             if block != list(range(block[0], block[0] + size)):
@@ -265,3 +267,112 @@ def test_straddling_random_birth_free_diagrams_end_at_region_b():
         else:
             verified += check_theorem(d).verified
     assert straddling > 100 and verified > 100
+
+
+# ---------------------------------------------------------------------------
+# local braids act in closed form: the expanded path is the oracle
+# ---------------------------------------------------------------------------
+
+def expanded_meridian_words(sw) -> dict:
+    """The meridian sweep with each inverse half local braid expanded
+    letter by letter and the near words substituted into its images."""
+    words = {e: Word.gen(rank) for rank, e in enumerate(sw.fiber_edges, start=1)}
+    n_left = sum(rec.side == "left" for rec in sw.records)
+    for run in (sw.records[:n_left][::-1], sw.records[n_left:]):
+        for rec in run:
+            if rec.action == "through":
+                near = dict(enumerate((words[e] for e in rec.near_edges), start=1))
+                far = braid_images(local_braid(rec.event.kind, half=True).inverse())
+                for image, e in zip(far, rec.far_edges):
+                    words[e] = image.substitute(near)
+    return words
+
+
+def expanded_zvk(d: CurveDiagram) -> Presentation:
+    """ZvK with every local braid expanded, from ``expanded_meridian_words``."""
+    sw = sweep_ranks(d)
+    words = expanded_meridian_words(sw)
+    relators = []
+    for rec in sw.records:
+        meridians = [words[e] for e in rec.near_edges]
+        near = dict(enumerate(meridians, start=1))
+        for image, mu in zip(braid_images(local_braid(rec.event.kind))[:-1], meridians):
+            rel = image.substitute(near) * mu.inverse()
+            if rel:
+                relators.append(rel)
+    return Presentation(tuple("mu%d" % i for i in range(1, d.deg_y + 1)), tuple(relators))
+
+
+def expanded_obstruction_loop(qrec, edge_gen) -> Word:
+    a, b = (Word.gen(edge_gen[e]) for e in qrec.block_edges)
+    twist = local_braid(qrec.event.kind, half=True)
+    y1 = braid_images(twist.inverse())[0].substitute({1: a, 2: b})
+    return y1 if qrec.event.kind.branch_side == "left" else y1.inverse()
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+
+
+def wide_diagrams() -> list[CurveDiagram]:
+    rng = random.Random("closed-form")
+    out = []
+    for m in (2, 3, 4, 5, 8, 12, 20, 40):
+        for sides in ("l", "r", "lr", "ll", "rlr"):
+            if m < 20 or len(sides) < 3:
+                out.append(parse_diagram(gen.wide_diagram(rng, m, sides).dsl))
+    return out
+
+
+def closed_form_inputs() -> list[CurveDiagram]:
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    return (
+        [load(stem) for stem in all_corpus_stems()]
+        + [parse_diagram(p.read_text(), name=p.stem) for p in sorted(inputs.glob("*.wd"))]
+        + [d for seed in range(60) for d in copies(seed)]
+        + wide_diagrams()
+    )
+
+
+def test_closed_form_equals_the_expanded_local_braids(monkeypatch):
+    checked = {"zvk": 0, "words": 0, "extended": 0}
+    for d in closed_form_inputs():
+        data = outcome(diagram_braid_monodromy, d)
+        if isinstance(data, list):
+            assert zvk_presentation(d.deg_y, data) == expanded_zvk(d)
+            checked["zvk"] += 1
+        words = outcome(edge_meridian_words, d)
+        if isinstance(words, dict):
+            assert words == expanded_meridian_words(sweep_ranks(d))
+            checked["words"] += 1
+        closed = outcome(extended_wirtinger, d)
+        with monkeypatch.context() as patch:
+            patch.setattr(genpres, "_obstruction_loop", expanded_obstruction_loop)
+            expanded = outcome(extended_wirtinger, d)
+        if isinstance(closed, tuple):
+            assert closed == expanded
+        else:
+            assert closed.presentation == expanded.presentation
+            checked["extended"] += any(closed.passed.values())
+    assert min(checked.values()) > 10, checked
+
+
+def test_zvk_on_one_wide_point_makes_linearly_many_word_products(monkeypatch):
+    m = 40
+    d = parse_diagram(gen.wide_diagram(random.Random(m), m, "l").dsl)
+    products = 0
+    real = Word.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return real(a, b)
+
+    monkeypatch.setattr(Word, "__mul__", counted)
+    p = zvk_presentation(d.deg_y, diagram_braid_monodromy(d))
+    assert len(p.relators) == m - 1
+    assert products <= 10 * m, products
