@@ -63,12 +63,11 @@ def _load_diagram(path: str) -> CurveDiagram:
 
 def _load_presentation(path: str) -> Presentation:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Presentation.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
     except RecursionError:
         raise ValueError("%s: JSON is nested too deeply" % path) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise ValueError("%s: %s" % (path, exc)) from None
-    return Presentation.from_json(data)
 
 
 def _parse_targets(spec: str) -> tuple[str, ...]:

@@ -168,7 +168,6 @@ def event_action(diagram: CurveDiagram, event: Event) -> str:
 class EventRecord:
     index: int  # position in diagram.events; slabs[index + 1] lies just inside it
     event: Event
-    side: str
     action: str  # through | death | birth
     near_edges: tuple[int, ...]  # block edges on the L side (empty for birth)
     far_edges: tuple[int, ...]  # block edges on the far side (empty for death)
@@ -212,8 +211,7 @@ class SweepResult:
     # and slabs[index + 1] is the slab just inside diagram.events[index]
     slabs: list[tuple[int, ...]]
     records: list[EventRecord]  # in diagram event order: the left run, then the right
-    edge_count: int
-    fiber_edges: tuple[int, ...]  # edge id of the rank-r strand at L
+    edge_count: int  # the rank-r strand at L has edge id r
     # edges connected along the curve, each class with the ranks at L among
     # its edges and the sorted component names declared for those ranks, in
     # order of the smallest edge id
@@ -239,7 +237,6 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         )
     edge_counter = d
     strand_counter = d
-    fiber_edges = tuple(range(1, d + 1))
     branch = UnionFind()
     slabs: list[tuple[int, ...]] = []
     records: list[EventRecord] = []
@@ -251,7 +248,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     )
 
     for side, order in sides:
-        live_edges = list(fiber_edges)
+        live_edges = list(range(1, d + 1))
         live_strands = list(range(1, d + 1))
         ivs: list[tuple[int, ...]] = []
         recs: list[EventRecord] = []
@@ -292,7 +289,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
             live_edges[lo:hi] = far
             live_strands[lo:hi] = far_strands
             recs.append(EventRecord(
-                idx, event, side, action, near, far,
+                idx, event, action, near, far,
                 block_edges, continued, near_strands or far_strands,
             ))
         ivs.append(tuple(live_strands))
@@ -308,15 +305,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         ranks = [e for e in edges if e <= d]  # the rank-r strand at L has edge id r
         names = tuple(sorted({diagram.components[r - 1] for r in ranks}))
         clusters.append((edges, ranks, names))
-    return SweepResult(
-        diagram,
-        slabs,
-        records,
-        edge_counter,
-        fiber_edges,
-        clusters,
-        violations,
-    )
+    return SweepResult(diagram, slabs, records, edge_counter, clusters, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +369,8 @@ def faces(sw: SweepResult) -> FaceComplex:
     total_points = 0
     glued: list[tuple[tuple, tuple]] = []
     for rec in sw.records:
-        ci = rec.index + (rec.side == "right")  # L is a cut too, between the two sides
+        # L is a cut too, between the two sides
+        ci = rec.index + (sw.diagram.side_of(rec.event) == "right")
         top, size = rec.event.top, rec.event.kind.size
         left, right = sw.slabs[ci], sw.slabs[ci + 1]
         # The cut's gaps, from the top, lie between its points.  Those
@@ -468,7 +458,7 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
         # and the point on the left), just beside the event's point, away
         # from the block, so just below that slab's strand top - 1
         side = "left" if rec.event.kind.branch_side == "right" else "right"
-        cut = rec.index + (rec.side == "right")
+        cut = rec.index + (sw.diagram.side_of(rec.event) == "right")
         face = complex_.faces[cut + (side == "right"), rec.event.top - 1]
         if complex_.bounded[face]:
             blocked.setdefault(face, []).append(

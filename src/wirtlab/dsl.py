@@ -83,7 +83,7 @@ def _parse_event(line: str) -> Event | None:
 def parse_diagram(text: str, name: str = "") -> CurveDiagram:
     degree_y = None
     line_x = None
-    strands: dict[int, str] = {}
+    strands: dict[int, tuple[int, str]] = {}  # rank -> its line and component
     events: list[tuple[int, Event]] = []  # with the line each is on
     seen_header = False
     seen_end = False
@@ -113,7 +113,7 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
             rank = int(m.group(1))
             if rank in strands:
                 raise DiagramParseError(lineno, "duplicate strand rank %d" % rank)
-            strands[rank] = m.group(2)
+            strands[rank] = (lineno, m.group(2))
             continue
         try:
             m = _RE_LINE.match(line)
@@ -140,9 +140,9 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
         raise DiagramParseError(1, "missing degree_y")
     if line_x is None:
         raise DiagramParseError(1, "missing line_L")
-    ranks = sorted(strands)
-    if ranks != list(range(1, len(ranks) + 1)):
-        raise DiagramParseError(1, "strand ranks must be exactly 1..d")
+    for rank, (lineno, _) in strands.items():  # the ranks are distinct
+        if not 1 <= rank <= len(strands):
+            raise DiagramParseError(lineno, "strand ranks must be exactly 1..d")
     line_of_x: dict = {}  # x -> the line of the first event there
     for lineno, event in events:
         if event.x in line_of_x:
@@ -150,7 +150,7 @@ def parse_diagram(text: str, name: str = "") -> CurveDiagram:
         line_of_x[event.x] = lineno
     if line_x in line_of_x:
         raise DiagramParseError(line_of_x[line_x], "line_L passes through an event")
-    components = tuple(strands[r] for r in ranks)
+    components = tuple(strands[r][1] for r in range(1, len(strands) + 1))
     return CurveDiagram(
         degree_y, line_x, components, tuple(e for _, e in events), name=name
     )

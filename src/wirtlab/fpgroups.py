@@ -29,9 +29,9 @@ class Presentation:
             if name in seen:
                 raise ValueError("duplicate generator name %r" % name)
             seen.add(name)
-        for r in self.relators:
+        for i, r in enumerate(self.relators, start=1):
             if r.max_generator() > len(self.generators):
-                raise ValueError("relator %r uses an unknown generator" % (r,))
+                raise ValueError("relator %d uses an unknown generator" % i)
 
     def gen(self, name: str) -> Word:
         return Word.gen(self.generators.index(name) + 1)
@@ -70,7 +70,10 @@ class Presentation:
                 raise ValueError(
                     "relator %d must be a list of [generator index, exponent] pairs" % i
                 )
-            words.append(Word([(g, e) for g, e in r]))
+            try:
+                words.append(Word([(g, e) for g, e in r]))
+            except ValueError as exc:
+                raise ValueError("relator %d: %s" % (i, exc)) from None
         return Presentation(tuple(gens), tuple(words))
 
     def to_gap(self) -> str:

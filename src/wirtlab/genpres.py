@@ -14,6 +14,13 @@ Four constructions are provided:
   candidate region must contain obstruction points, by conjugating the
   far-side generator of each affected vertex with loops around the
   obstruction points crossed on the way out.
+
+Each vertex's local braid Delta^twist acts in closed form, by
+:func:`wirtlab.braids.twist_images`.  At a Wirtinger vertex, with y_i the
+far generator continuing the block generator x_i, an ordinary point relates
+x_i to its Delta^2 image and y_i to the Delta^-1 image at position
+m + 1 - i; an A_m point has its Artin relation and relates y_i to the
+Delta^(-2 (twist // 4)) image of x_i.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .diagram import (
     _validate,
     sweep_ranks,
 )
-from .fpgroups import Presentation, artin_relator, commutator
+from .fpgroups import Presentation, artin_relator
 from .words import Word
 
 
@@ -76,7 +83,6 @@ def _require_valid(sw: SweepResult) -> None:
 @dataclass
 class WirtingerResult:
     presentation: Presentation
-    diagram: CurveDiagram
     sweep: SweepResult
     edge_gen: dict  # extended edge id -> generator index (1-based)
     fiber_generators: tuple[str, ...]  # generator name per rank, top to bottom
@@ -84,12 +90,16 @@ class WirtingerResult:
     passed: dict  # event index -> indices of the obstruction events passed
 
 
-def _vertex_relators(rec: EventRecord, crossed: list[EventRecord], edge_gen: dict) -> list[Word]:
+def _vertex_relators(sw: SweepResult, rec: EventRecord, crossed: list[EventRecord], edge_gen: dict) -> list[Word]:
     """Relators contributed by one vertex, in terms of edge generators.
     x-side = the block edges on the L side (far side for vertices whose
-    branches point away); x1 is the topmost x-edge.  A one-sided vertex
-    beyond the obstruction points ``crossed`` conjugates x2 by the loops
-    around them before relating it to x1."""
+    branches point away); x1 is the topmost x-edge, and y_i the far edge
+    continuing x_i.  An ordinary point relates x_i to its Delta^2 image and
+    y_i to the Delta^-1 image at position m + 1 - i; an A_m point has the
+    Artin relation of length twist = m + 1 and relates y_i to the
+    Delta^(-2 (twist // 4)) image of x_i.  A one-sided vertex beyond the
+    obstruction points ``crossed`` conjugates x2 by the loops around them
+    before relating it to x1."""
     if crossed and rec.action == "through":
         raise UnsupportedConfiguration(
             "%s lies beyond an obstruction point; only one-sided "
@@ -97,20 +107,12 @@ def _vertex_relators(rec: EventRecord, crossed: list[EventRecord], edge_gen: dic
         )
     kind = rec.event.kind
     x = [Word.gen(edge_gen[e]) for e in rec.block_edges]
-    y = [Word.gen(edge_gen[e]) for e in rec.continued]  # the far edge continuing x_i
-    relators: list[Word] = []
+    y = [Word.gen(edge_gen[e]) for e in rec.continued]
     if isinstance(kind, Ordinary):
-        m = kind.m
-        xbar = [Word.identity()]
-        for j in range(m):
-            xbar.append(x[j] * xbar[j])  # xbar_k = x_k ... x_1
-        for j in range(1, m + 1):
-            relators.append(commutator(xbar[m], x[j - 1]))
-        for j in range(m):
-            relators.append(y[j] * (x[j].conjugated_by(xbar[j])).inverse())
+        relators = [image * xi.inverse() for image, xi in zip(twist_images(x, 2), x)]
+        far = twist_images(x, -1)[::-1]
     else:
-        # an A_m point: the Artin relation of length twist = m + 1; a
-        # tangency's (A_0) relator x1 x2^-1 is trivial when it passed no
+        # a tangency's (A_0) relator x1 x2^-1 is trivial when it passed no
         # obstruction point, since its two edges then share a generator
         b = x[1]
         if crossed:
@@ -118,12 +120,11 @@ def _vertex_relators(rec: EventRecord, crossed: list[EventRecord], edge_gen: dic
             for qrec in crossed:
                 z = z * _obstruction_loop(qrec, edge_gen)
             # z b z^-1 on the left side, z^-1 b z on the right
-            b = b.conjugated_by(z.inverse() if rec.side == "left" else z)
-        relators.append(artin_relator(x[0], b, kind.twist))
-        if rec.action == "through":
-            conj = (x[1] * x[0]) ** (kind.twist // 4)
-            for i in (0, 1):
-                relators.append(y[i] * (x[i].conjugated_by(conj)).inverse())
+            left = sw.diagram.side_of(rec.event) == "left"
+            b = b.conjugated_by(z.inverse() if left else z)
+        relators = [artin_relator(x[0], b, kind.twist)]
+        far = twist_images(x, -2 * (kind.twist // 4)) if y else ()
+    relators += [yi * w.inverse() for yi, w in zip(y, far)]
     return [r for r in relators if r]
 
 
@@ -139,10 +140,10 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
     ])
     relators: list[Word] = []
     for rec in sw.records:
-        relators.extend(_vertex_relators(rec, passed[rec.index], edge_gen))
+        relators.extend(_vertex_relators(sw, rec, passed[rec.index], edge_gen))
     generators = tuple("x%d" % i for i in range(1, len(set(edge_gen.values())) + 1))
     pres = Presentation(generators, tuple(relators))
-    fiber = tuple("x%d" % edge_gen[e] for e in sw.fiber_edges)
+    fiber = tuple("x%d" % edge_gen[r] for r in range(1, sw.diagram.d + 1))
     edge_component = {
         e: names[0] if names else None
         for edges, _, names in sw.clusters
@@ -152,7 +153,7 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
     for e in range(1, sw.edge_count + 1):
         gen_comp.setdefault("x%d" % edge_gen[e], edge_component[e])
     crossed = {rec.index: [q.index for q in passed[rec.index]] for rec in sw.records}
-    return WirtingerResult(pres, sw.diagram, sw, edge_gen, fiber, gen_comp, crossed)
+    return WirtingerResult(pres, sw, edge_gen, fiber, gen_comp, crossed)
 
 
 def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
@@ -193,7 +194,7 @@ def local_braid(kind, half: bool = False) -> Braid:
 
 def _outward_runs(sw: SweepResult) -> tuple[list[EventRecord], list[EventRecord]]:
     """Each side's run of ``sw.records``, ordered from L outward."""
-    n_left = sum(rec.side == "left" for rec in sw.records)
+    n_left = sum(sw.diagram.side_of(rec.event) == "left" for rec in sw.records)
     return sw.records[:n_left][::-1], sw.records[n_left:]
 
 
@@ -202,7 +203,7 @@ def _meridian_words(sw: SweepResult) -> dict:
     edges of a two-sided vertex carry the images of its near edges' words
     under the inverse half local braid Delta^-(twist // 2), applied in
     closed form."""
-    words = {e: Word.gen(rank) for rank, e in enumerate(sw.fiber_edges, start=1)}
+    words = {r: Word.gen(r) for r in range(1, sw.diagram.d + 1)}  # rank r has edge r
     for rec in sw.records:
         if rec.action == "birth":
             raise DiagramError(

@@ -114,6 +114,13 @@ def test_hypo_diagram_k12_stops_at_the_separation_check(capsys):
     assert error["error"].startswith("event separation below tolerance")
 
 
+@pytest.mark.parametrize("command", ["hypo-diagram", "hypo-verify"])
+def test_hypo_commands_refuse_k_below_2(capsys, command):
+    code, out, err = run(capsys, command, "--k", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"schema": 1, "error": "need k >= 2", "type": "ValueError"}
+
+
 def test_hypo_verify_command(capsys):
     code, out, _ = run(capsys, "hypo-verify", "--k", "2")
     assert code == 0
@@ -189,12 +196,15 @@ def test_unreadable_presentation_errors_name_the_file(capsys, tmp_path):
     diagram = corpus_path("nodal_cubic")
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"generators": ["\xe9"], "relators": []}')
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text('{"generators": ["a"], "relators": [[[1, 1]], [[2, -1]]]}')
     not_json = "Expecting value: line 1 column 1 (char 0)"
     not_utf8 = "'utf-8' codec can't decode byte 0xe9 in position 17: invalid continuation byte"
     for argv, message in [
         (("invariants", diagram), "%s: %s" % (diagram, not_json)),
         (("compare", good, diagram), "%s: %s" % (diagram, not_json)),
         (("simplify", latin1), "%s: %s" % (latin1, not_utf8)),
+        (("compare", good, unknown), "%s: relator 2 uses an unknown generator" % unknown),
     ]:
         code, out, err = run(capsys, *map(str, argv))
         assert code == 2 and out == "", argv
@@ -269,9 +279,9 @@ def test_readme_example_runs(capsys, monkeypatch, argv):
     "text, message",
     [
         ('{"generators": ["a", "a"], "relators": []}', "duplicate generator name 'a'"),
-        ('{"generators": ["a"], "relators": [[[2, 1]]]}', "relator Word(x2) uses an unknown generator"),
-        ('{"generators": ["a"], "relators": [[[0, 1]]]}', "generator indices start at 1, got 0"),
-        ('{"generators": ["a"], "relators": [[[1, 2]]]}', "letter exponents must be +1 or -1, got 2"),
+        ('{"generators": ["a"], "relators": [[[2, 1]]]}', "relator 1 uses an unknown generator"),
+        ('{"generators": ["a"], "relators": [[[0, 1]]]}', "relator 1: generator indices start at 1, got 0"),
+        ('{"generators": ["a"], "relators": [[[1, 2]]]}', "relator 1: letter exponents must be +1 or -1, got 2"),
         ('{"generators": "ab", "relators": []}', "presentation 'generators' must be a list of names"),
     ],
     ids=["duplicate-name", "index-past-end", "index-zero", "exponent-two", "generators-not-a-list"],
@@ -281,7 +291,9 @@ def test_simplify_refuses_a_bad_presentation(capsys, tmp_path, text, message):
     bad.write_text(text)
     code, out, err = run(capsys, "simplify", str(bad))
     assert code == 2 and out == ""
-    assert json.loads(err) == {"schema": 1, "error": message, "type": "ValueError"}
+    assert json.loads(err) == {
+        "schema": 1, "error": "%s: %s" % (bad, message), "type": "ValueError",
+    }
 
 
 @pytest.mark.parametrize(

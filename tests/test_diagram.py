@@ -236,7 +236,6 @@ def test_resweep_after_round_trip_is_identical(corpus):
     for stem, d in corpus.items():
         d2 = parse_diagram(serialize_diagram(d), name=stem)
         sw1, sw2 = sweep_ranks(d), sweep_ranks(d2)
-        assert sw1.fiber_edges == sw2.fiber_edges
         assert [
             (r.action, r.event.top, r.near_edges, r.far_edges, r.block_strands)
             for r in sw1.records
@@ -266,14 +265,29 @@ def test_faces_refuses_a_sweep_with_violations():
         faces(sweep_ranks(d))
 
 
+# the fields that sweep_dump writes: named rather than read off the classes,
+# so that the dump of a sweep at an earlier version of the code, whose
+# classes had more fields, can be compared with the pins below
+RECORD_FIELDS = (
+    "index", "event", "action", "near_edges", "far_edges",
+    "block_edges", "continued", "block_strands",
+)
+SWEEP_FIELDS = ("slabs", "edge_count", "clusters", "violations")
+
+
 def sweep_dump(sw) -> str:
-    """Every field of each record, then every field of the sweep but the
-    diagram and its records, one per line."""
-    lines = [repr([getattr(r, f.name) for f in fields(EventRecord)]) for r in sw.records]
-    for f in fields(SweepResult):
-        if f.name not in ("diagram", "records"):
-            lines.append(repr(getattr(sw, f.name)))
+    """The named fields of each record, then those of the sweep, one per
+    line."""
+    lines = [repr([getattr(r, name) for name in RECORD_FIELDS]) for r in sw.records]
+    lines += [repr(getattr(sw, name)) for name in SWEEP_FIELDS]
     return "\n".join(lines)
+
+
+def test_sweep_dump_covers_every_field():
+    assert RECORD_FIELDS == tuple(f.name for f in fields(EventRecord))
+    assert SWEEP_FIELDS == tuple(
+        f.name for f in fields(SweepResult) if f.name not in ("diagram", "records")
+    )
 
 
 def pinned_diagram(name: str) -> CurveDiagram:
@@ -288,41 +302,45 @@ def pinned_diagram(name: str) -> CurveDiagram:
 # md5 of sweep_dump(sweep_ranks(d)) for every corpus diagram, every golden
 # input (the two invalid ones included) and quotient_diagram(k), k = 5..8
 SWEEP_MD5 = {
-    "block_out_of_range": "4290ec4389112fe3b7d58d7480eb0521",
-    "cardioid": "9744e5e344ec484f5a5b9eafdbf5f71b",
-    "component_mismatch": "f5d48250643d6bda47caa1156b3e14bc",
-    "concentric_circles": "1c8bd54c9187fafb4e321ef1e2d87cb6",
-    "crosscheck_1": "b61da406e5e5c8cd2a4827b15de4e232",
-    "crosscheck_18": "f975bb3835390f99c37227e57d117704",
-    "crosscheck_19": "6a36d989d8eaa0e8a3bc31824cc03000",
-    "crosscheck_2": "d7a6c67749e5ab6e49cadd0f46f16d09",
-    "crosscheck_22": "01d557ed3506ec86e1d9d2854c9701c6",
-    "crosscheck_3": "5c153cef696ad5be3cfbc8c133781526",
-    "crosscheck_35": "d5f5b104ed3a4a6f57ad4dcda08feb99",
-    "crosscheck_4": "6ef1313eaa279408adae8c74447779f8",
-    "crosscheck_5": "db17cb2e8c52f31e114e2159554b09b8",
-    "crosscheck_8": "7f5cd18848f7197e43b516dcd5795736",
-    "cuspidal_cubic": "df4adebe959be0862fad194d9f51490e",
-    "deltoid": "65ad4d617d6dc8cd0b45a806080c7a50",
-    "hypocycloid_quotient_k2": "fbba5d079ee1325411e4a84110bf50ed",
-    "hypocycloid_quotient_k3": "da515cdc23b8e380496485af9d63e1c4",
-    "hypocycloid_quotient_k4": "159b5c6ceea5633e1e62c05dc159642b",
-    "long_100": "0ef2eaf1e5a10baa47874ac9ef087be5",
-    "nodal_cubic": "620dd093cda1401ec67a2aa03b5de25c",
-    "parabola_two_lines": "ddde94323f1facf5af4f41a622d65967",
-    "quotient_diagram_k5": "cf3f1b3422ef22613141e91bf0ed0dda",
-    "quotient_diagram_k6": "9560efbff6bfb422e8dace2e96806ea8",
-    "quotient_diagram_k7": "0b0e81d1051fca21dd509246fc6d5831",
-    "quotient_diagram_k8": "3f0b4d7d662f66ad686d6053ac9bc480",
-    "smooth_cubic": "a1b74e653041251fee3d33cead974318",
+    "block_out_of_range": "9bf1a9996d3d008a59ef8753ef94d61d",
+    "cardioid": "78f4555c1989088d2a1732b87f06d4d2",
+    "component_mismatch": "49d9acd9a535805ab3950a7a5169fb29",
+    "concentric_circles": "6a6237a2aeb3d50859288d035e88c329",
+    "crosscheck_1": "8f15f2d30432ce07fa3487e78be2bf29",
+    "crosscheck_18": "c9471da671dcec7d930672fe5d649c4d",
+    "crosscheck_19": "0250ed6d837a0b2745b8f9b18b5cba28",
+    "crosscheck_2": "bfb97957417f5c6e21b7c218d2ecc981",
+    "crosscheck_22": "816d139dd15ad2013e2690daea119491",
+    "crosscheck_3": "9eafd688a0e505da04310c8a298334de",
+    "crosscheck_35": "07beffe291030f6d2d016a3fe2f3888a",
+    "crosscheck_4": "6a36d3c4bf016edce2ffaba3adfa94b9",
+    "crosscheck_5": "5d6eec2e7eebfb65af14e1401206f877",
+    "crosscheck_8": "d3994f6ce82636b76e1e9a36750865a0",
+    "cuspidal_cubic": "112007d2fd0958a5d2c86cc0b5bde762",
+    "deltoid": "02afbe7cc5b0288785eee491142368e7",
+    "hypocycloid_quotient_k2": "fbae290cb67a28ab3ce609ccfb2c57d4",
+    "hypocycloid_quotient_k3": "806253826f26cd5cb1b9c35fde3c11f9",
+    "hypocycloid_quotient_k4": "76d37d98eefa52f211f46f26e88ce537",
+    "long_100": "323469c329803a15e2299ada49db6a1d",
+    "nodal_cubic": "ea5985eb0d9231f6d29fa0c7a21caec5",
+    "parabola_two_lines": "a3933061e879923370efd72527d43590",
+    "quotient_diagram_k5": "cd60cf1f9aa21642d21d6605c9df3177",
+    "quotient_diagram_k6": "dc3a63c8641a7f6282f52508ff49f894",
+    "quotient_diagram_k7": "cba2602bb08c32984e037dacb3aeb1c7",
+    "quotient_diagram_k8": "9de401c32192b73ac2511b6eabcbb241",
+    "smooth_cubic": "624dc3cc32aa359480d967ddf8a7832d",
 }
 
 
-def test_sweep_pin_covers_every_diagram():
+def pinned_names() -> list[str]:
     inputs = Path(__file__).parent / "golden" / "inputs"
     names = all_corpus_stems() + [p.stem for p in inputs.glob("*.wd")]
     names += ["quotient_diagram_k%d" % k for k in range(5, 9)]
-    assert sorted(names) == sorted(SWEEP_MD5)
+    return sorted(names)
+
+
+def test_sweep_pin_covers_every_diagram():
+    assert pinned_names() == sorted(SWEEP_MD5)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_MD5))
@@ -352,3 +370,13 @@ def test_range_check_edges(kind, last_top):
         "sweep: block [%d..%d] out of range among 2 strands at %s at x=1"
         % (top, top + 1, type(kind).__name__.lower())
     ]
+
+
+if __name__ == "__main__":
+    # Print SWEEP_MD5 as computed by the wirtlab on the import path; run from
+    # the repository root as PYTHONPATH=<checkout>/src python -m tests.test_diagram
+    print("SWEEP_MD5 = {")
+    for name in pinned_names():
+        dump = sweep_dump(sweep_ranks(pinned_diagram(name)))
+        print('    "%s": "%s",' % (name, hashlib.md5(dump.encode()).hexdigest()))
+    print("}")

@@ -111,7 +111,7 @@ _CROSSING_AT = "event at %s crossing m=1 top=1\n"
         (
             "diagram\ndegree_y 2\nline_L at 0\n"
             "strand 1 component c\nstrand 3 component c\nend\n",
-            1,
+            5,
             "strand ranks must be exactly 1..d",
         ),
         (
@@ -124,12 +124,17 @@ _CROSSING_AT = "event at %s crossing m=1 top=1\n"
             7,
             "line_L passes through an event",
         ),
+        (_HEAD + "event at 1 ordinary m=1 top=1\nend\n", 6, "ordinary point needs m >= 2"),
+        (_HEAD + "event at 1 crossing m=2 top=1\nend\n", 6, "crossing needs odd m >= 1"),
+        (_HEAD + "event at 1 cusp m=3 side=left top=1\nend\n", 6, "cusp needs even m >= 2"),
+        (_HEAD + "event at 1 crossing m=1 top=0\nend\n", 6, "top rank must be >= 1"),
     ],
     ids=[
         "missing-header", "empty-file", "content-after-end",
         "duplicate-degree", "duplicate-line", "duplicate-rank",
         "missing-end", "missing-degree", "missing-line",
         "rank-gap", "repeated-x", "line-through-event",
+        "ordinary-m1", "crossing-even-m", "cusp-odd-m", "top-zero",
     ],
 )
 def test_structural_errors_name_their_line(text, lineno, message):

@@ -156,6 +156,18 @@ def test_replay_rejects_a_type_i_move_that_is_not_one(moves):
         replay_transcript(p, TietzeTranscript(moves))
 
 
+@pytest.mark.parametrize(
+    "move",
+    [TietzeMove("IIb", "add", 3, Word.gen(1)), TietzeMove("IIa", "add", 1, Word.gen(2))],
+    ids=["iib", "unknown-action"],
+)
+def test_replay_rejects_an_unsupported_move(move):
+    p = Presentation(("a", "b"), (Word.gen(1) * Word.gen(2),))
+    with pytest.raises(ValueError) as exc:
+        replay_transcript(p, TietzeTranscript((move,)))
+    assert str(exc.value) == "unsupported Tietze move %r/%r" % (move.kind, move.action)
+
+
 def test_tietze_simplify_never_uses_iib_by_default():
     p = ngon_artin(5)
     q, transcript = tietze_simplify(p)

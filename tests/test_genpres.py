@@ -18,7 +18,9 @@ from wirtlab.diagram import (
     sweep_ranks,
 )
 from wirtlab.dsl import parse_diagram
-from wirtlab.fpgroups import Presentation, braid_relator, tietze_simplify
+from wirtlab.fpgroups import (
+    Presentation, artin_relator, braid_relator, commutator, tietze_simplify,
+)
 from wirtlab.genpres import (
     UnsupportedConfiguration,
     diagram_braid_monodromy,
@@ -72,7 +74,7 @@ def test_smooth_cubic_group_is_free_of_component_rank():
 
 def test_generator_components_cover_fiber():
     res = wirtinger_presentation(load("parabola_two_lines"))
-    assert len(res.fiber_generators) == res.diagram.d
+    assert len(res.fiber_generators) == res.sweep.diagram.d
     comps = {res.generator_components[g] for g in res.fiber_generators}
     assert comps == {"p", "l1", "l2"}
 
@@ -185,7 +187,7 @@ def straddles_a_dead_pair(sw) -> bool:
     """The fiber-slot walk of a birth-free sweep: a death's strand pair
     leaves the real plane but keeps its fiber positions, so a later block
     on that side straddles it when its positions are not adjacent."""
-    n_left = sum(rec.side == "left" for rec in sw.records)
+    n_left = sum(sw.diagram.side_of(rec.event) == "left" for rec in sw.records)
     for run in (sw.records[:n_left][::-1], sw.records[n_left:]):  # from L outward
         positions = list(range(1, sw.diagram.d + 1))  # fiber position of each live strand
         for rec in run:
@@ -276,8 +278,8 @@ def test_straddling_random_birth_free_diagrams_end_at_region_b():
 def expanded_meridian_words(sw) -> dict:
     """The meridian sweep with each inverse half local braid expanded
     letter by letter and the near words substituted into its images."""
-    words = {e: Word.gen(rank) for rank, e in enumerate(sw.fiber_edges, start=1)}
-    n_left = sum(rec.side == "left" for rec in sw.records)
+    words = {r: Word.gen(r) for r in range(1, sw.diagram.d + 1)}  # rank r has edge r
+    n_left = sum(sw.diagram.side_of(rec.event) == "left" for rec in sw.records)
     for run in (sw.records[:n_left][::-1], sw.records[n_left:]):
         for rec in run:
             if rec.action == "through":
@@ -359,6 +361,62 @@ def test_closed_form_equals_the_expanded_local_braids(monkeypatch):
             assert closed.presentation == expanded.presentation
             checked["extended"] += any(closed.passed.values())
     assert min(checked.values()) > 10, checked
+
+
+def hand_written_vertex_relators(sw, rec, crossed, edge_gen) -> list[Word]:
+    """A vertex's relators with the action of Delta written out: an
+    ordinary point's xbar products and commutators, and an A_m point's
+    conjugation by (x2 x1)^(twist // 4)."""
+    if crossed and rec.action == "through":
+        raise UnsupportedConfiguration(
+            "%s lies beyond an obstruction point; only one-sided "
+            "vertices are supported there" % rec.event.label()
+        )
+    kind = rec.event.kind
+    x = [Word.gen(edge_gen[e]) for e in rec.block_edges]
+    y = [Word.gen(edge_gen[e]) for e in rec.continued]
+    relators = []
+    if isinstance(kind, Ordinary):
+        m = kind.m
+        xbar = [Word.identity()]
+        for j in range(m):
+            xbar.append(x[j] * xbar[j])  # xbar_k = x_k ... x_1
+        for j in range(1, m + 1):
+            relators.append(commutator(xbar[m], x[j - 1]))
+        for j in range(m):
+            relators.append(y[j] * (x[j].conjugated_by(xbar[j])).inverse())
+    else:
+        b = x[1]
+        if crossed:
+            z = Word.identity()
+            for qrec in crossed:
+                z = z * genpres._obstruction_loop(qrec, edge_gen)
+            left = sw.diagram.side_of(rec.event) == "left"
+            b = b.conjugated_by(z.inverse() if left else z)
+        relators.append(artin_relator(x[0], b, kind.twist))
+        if rec.action == "through":
+            conj = (x[1] * x[0]) ** (kind.twist // 4)
+            for i in (0, 1):
+                relators.append(y[i] * (x[i].conjugated_by(conj)).inverse())
+    return [r for r in relators if r]
+
+
+def test_vertex_relators_equal_the_hand_written_rule(monkeypatch):
+    rng = random.Random("long")
+    long = [parse_diagram(gen.long_diagram(rng, d, n).dsl) for d, n in ((8, 200), (12, 300))]
+    checked = {"wirtinger_presentation": 0, "extended_wirtinger": 0}
+    for d in closed_form_inputs() + long:
+        for build in (wirtinger_presentation, extended_wirtinger):
+            closed = outcome(build, d)
+            with monkeypatch.context() as patch:
+                patch.setattr(genpres, "_vertex_relators", hand_written_vertex_relators)
+                by_hand = outcome(build, d)
+            if isinstance(closed, tuple):
+                assert closed == by_hand
+            else:
+                assert closed.presentation == by_hand.presentation
+                checked[build.__name__] += 1
+    assert min(checked.values()) > 100, checked
 
 
 def test_zvk_on_one_wide_point_makes_linearly_many_word_products(monkeypatch):

@@ -69,6 +69,16 @@ def test_critical_parameters_residuals():
         assert all(abs(r) < 1e-12 for r in crit.residuals.values())
 
 
+def test_critical_parameters_refuses_residuals_above_tolerance():
+    params = HypoParams(5, 4)
+    residuals = critical_parameters(params).residuals
+    above = {name: r for name, r in residuals.items() if r > 0}
+    assert above  # the largest residual is about 1e-14, not 0
+    with pytest.raises(TracingError) as exc:
+        critical_parameters(params, tol=0.0)
+    assert str(exc.value) == "residuals above tolerance 0: %s" % above
+
+
 def test_critical_parameters_requires_fold_shape():
     with pytest.raises(ValueError):
         critical_parameters(HypoParams(3, 1))

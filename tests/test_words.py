@@ -42,6 +42,8 @@ def test_powers_and_conjugation():
     assert x ** 3 == Word([(1, 1)] * 3)
     assert x ** -2 == (x ** 2).inverse()
     assert x ** 0 == Word.identity()
+    assert Word.gen(3, 0) == Word.identity()
+    assert Word.gen(3, -2) == Word([(3, -1), (3, -1)])
     assert x.conjugated_by(y) == y.inverse() * x * y
 
 
@@ -77,6 +79,10 @@ def test_exponent_sum_and_max_generator():
 def test_format_word_uses_names():
     w = Word([(1, 1), (2, -1)])
     assert format_word(w, ["a", "b"]) == "a*b^-1"
+
+
+def test_format_word_folds_runs_into_powers():
+    assert format_word(Word([(1, 1), (1, 1), (2, -1), (2, -1)])) == "x1^2*x2^-2"
 
 
 def test_free_reduce_function_matches_word_constructor():
