@@ -81,15 +81,6 @@ def _parse_targets(spec: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _print_presentation(p: Presentation, fmt: str) -> None:
-    if fmt == "plain":
-        print(p.describe())
-    elif fmt == "json":
-        _emit(p.to_json())
-    else:  # gap; argparse restricts the choices
-        sys.stdout.write(p.to_gap())
-
-
 def _cmd_validate(args) -> int:
     diagram = _load_diagram(args.file)
     theorem = check_theorem(diagram)
@@ -106,22 +97,22 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_wirtinger(args) -> int:
-    result = wirtinger_presentation(_load_diagram(args.file))
-    _print_presentation(result.presentation, args.format)
-    return 0
+# the presentation each diagram command prints, by command name
+_PRESENTATIONS = {
+    "wirtinger": lambda d: wirtinger_presentation(d).presentation,
+    "extended": lambda d: extended_wirtinger(d).presentation,
+    "zvk": lambda d: zvk_presentation(d.d, diagram_braid_monodromy(d)),
+}
 
 
-def _cmd_extended(args) -> int:
-    result = extended_wirtinger(_load_diagram(args.file))
-    _print_presentation(result.presentation, args.format)
-    return 0
-
-
-def _cmd_zvk(args) -> int:
-    diagram = _load_diagram(args.file)
-    data = diagram_braid_monodromy(diagram)
-    _print_presentation(zvk_presentation(diagram.d, data), args.format)
+def _cmd_presentation(args) -> int:
+    p = _PRESENTATIONS[args.command](_load_diagram(args.file))
+    if args.format == "plain":
+        print(p.describe())
+    elif args.format == "json":
+        _emit(p.to_json())
+    else:  # gap; argparse restricts the choices
+        sys.stdout.write(p.to_gap())
     return 0
 
 
@@ -197,9 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     diagram_cmd("validate", _cmd_validate, "check diagram hypotheses", with_format=False)
-    diagram_cmd("wirtinger", _cmd_wirtinger, "Wirtinger presentation")
-    diagram_cmd("extended", _cmd_extended, "extended (obstruction-aware) presentation")
-    diagram_cmd("zvk", _cmd_zvk, "braid-monodromy presentation")
+    diagram_cmd("wirtinger", _cmd_presentation, "Wirtinger presentation")
+    diagram_cmd("extended", _cmd_presentation, "extended (obstruction-aware) presentation")
+    diagram_cmd("zvk", _cmd_presentation, "braid-monodromy presentation")
 
     sp = sub.add_parser("simplify", help="Tietze-simplify a presentation JSON file")
     sp.add_argument("file")

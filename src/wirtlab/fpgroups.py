@@ -223,55 +223,48 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
     shortest relator in which some generator occurs exactly once defines its
     lowest such generator, ties going to the earlier relator; repeat until
     no relator has such a generator.  Each relator's shape, defining letter
-    and cyclic key are cached until a move rewrites it, so a move costs
-    about what it changed.
+    and cyclic key share one cache entry, kept until a move rewrites the
+    relator, so a move costs about what it changed.
     """
     rels = list(p.relators)
     gone: set[int] = set()
     moves: list[TietzeMove] = []
-    # per relator, None until computed and again once a move rewrites it:
-    # _facts of the relator, and its _cyclic_canonical key
+    # per relator, [shape, once, key] as _facts and _cyclic_canonical give
+    # them, the key None until needed; the entry is None until computed and
+    # again once a move rewrites the relator
     facts: list = [None] * len(rels)
-    keys: list = [None] * len(rels)
 
     def apply(move: TietzeMove) -> None:
         moves.append(move)
         for i in _apply_move(len(p.generators), gone, rels, move):
-            facts[i] = keys[i] = None
+            facts[i] = None
         if move.action == "delete":
-            del facts[move.index], keys[move.index]
+            del facts[move.index]
 
     def key(i: int) -> tuple:
-        if keys[i] is None:
-            keys[i] = _cyclic_canonical(rels[i])
-        return keys[i]
+        if facts[i][2] is None:
+            facts[i][2] = _cyclic_canonical(rels[i])
+        return facts[i][2]
 
     def normalise() -> None:
         # cyclic reduction, trivial and duplicate removal, in relator order.
-        # Relators whose facts are cached are already cyclically reduced,
-        # nontrivial and pairwise distinct, so only the rewritten ones and
-        # those of the same shape as one of them are visited, and keys are
-        # compared only within a shape that more than one of them has.
-        reduced = {}
-        for i, f in enumerate(facts):
-            if f is None:
-                reduced[i] = rels[i].cyclically_reduced()
-                facts[i] = _facts(reduced[i])
-        fresh = {facts[i][0] for i in reduced}
-        visit = [i for i, f in enumerate(facts) if f[0] in fresh]
-        sharing = Counter(facts[i][0] for i in visit)
-        seen: set[tuple] = set()
-        deleted = 0
-        for i in visit:
-            j = i - deleted
-            if i in reduced and len(reduced[i]) < len(rels[j]):
-                apply(TietzeMove("I", "reduce", j, reduced[i]))
-            shared = sharing[facts[j][0]] > 1
-            if not rels[j] or (shared and key(j) in seen):
+        # Only relators of one shape can be equal, so a relator is keyed
+        # only once an earlier kept one has its shape; kept indices lie
+        # below j, so deleting relator j leaves them as they are.
+        kept: dict[tuple, list[int]] = {}
+        j = 0
+        while j < len(rels):
+            if facts[j] is None:
+                reduced = rels[j].cyclically_reduced()
+                if len(reduced) < len(rels[j]):
+                    apply(TietzeMove("I", "reduce", j, reduced))
+                facts[j] = [*_facts(reduced), None]
+            same = kept.setdefault(facts[j][0], [])
+            if not rels[j] or (same and key(j) in map(key, same)):
                 apply(TietzeMove("I", "delete", j))
-                deleted += 1
-            elif shared:
-                seen.add(key(j))
+            else:
+                same.append(j)
+                j += 1
 
     normalise()
     while candidates := [(f[0][0], f[1], i) for i, f in enumerate(facts) if f[1] is not None]:

@@ -14,6 +14,8 @@ classes; past depth 1 nothing acts, and each image has weight 1.  The
 allowed images are the conjugacy class of the image of a conjugate
 generator at a lower depth (see below), if there is one, and otherwise the
 whole group; a class is closed under conjugation, so no orbit leaves it.
+The candidate lists are cached by ``_orbits`` itself, one per target and
+``(acting, allowed)`` pair, and the search keeps no cache of its own.
 
 The order is greedy: the next generator is the one that completes the most
 relators, then the one in the most relators it leaves open, then the lowest.
@@ -116,33 +118,30 @@ def hom_bound() -> int:
 
 
 @cache
-def _tables(table: FiniteGroupTable):
-    """Each element's conjugacy class and centralizer, as sorted lists; the
-    columns of the multiplication table (``cols[x][a]`` is ``a * x``); and
-    the candidate lists ``_orbits(table, acting, allowed)`` that searches
-    have built so far, keyed by ``(acting, allowed)``."""
-    size, mult, inv = table.size, table.mult, table.inverse
-    classes = tuple(
-        sorted({mult[mult[inv[t]][x]][t] for t in range(size)}) for x in range(size)
-    )
-    centralizers = tuple(
-        [t for t in range(size) if mult[x][t] == mult[t][x]] for x in range(size)
-    )
-    cols = tuple(tuple(mult[a][x] for a in range(size)) for x in range(size))
-    return classes, centralizers, cols, {}
+def _columns(table: FiniteGroupTable) -> tuple[tuple[int, ...], ...]:
+    """The columns of the multiplication table: ``cols[x][a]`` is ``a * x``."""
+    return tuple(tuple(row[x] for row in table.mult) for x in range(table.size))
 
 
+@cache
 def _orbits(table: FiniteGroupTable, acting: int | None, allowed: int | None) -> tuple[tuple[int, int], ...]:
     """The orbits of the centralizer of ``acting`` (of the trivial group if
     None) acting by conjugation on the conjugacy class of ``allowed`` (on
     the whole group if None): each orbit's least member and size, in
-    increasing order of least member."""
-    classes, centralizers, _, _ = _tables(table)
-    mult, inv = table.mult, table.inverse
-    group = [table.identity] if acting is None else centralizers[acting]
+    increasing order of least member.  This cache is the search's only
+    candidate cache: each ``(acting, allowed)`` pair is worked out once."""
+    size, mult, inv = table.size, table.mult, table.inverse
+
+    def conjugates(x: int, group) -> set[int]:
+        return {mult[mult[inv[t]][x]][t] for t in group}
+
+    group = (
+        [table.identity] if acting is None
+        else [t for t in range(size) if mult[acting][t] == mult[t][acting]]
+    )
     out = []
-    for x in range(table.size) if allowed is None else classes[allowed]:
-        orbit = {mult[mult[inv[t]][x]][t] for t in group}
+    for x in range(size) if allowed is None else sorted(conjugates(allowed, range(size))):
+        orbit = conjugates(x, group)
         if min(orbit) == x:  # one entry per orbit, at its least member
             out.append((x, len(orbit)))
     return tuple(out)
@@ -227,8 +226,10 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
     takes its images from that one's conjugacy class.  The bound is a node
     budget: the number of candidate generator images the search may try
     (``WIRTLAB_HOM_BOUND`` environment variable, default 1e7).
-    :class:`ResourceGuardError` is raised as soon as the count passes it;
-    callers should Tietze-simplify first.
+    :class:`ResourceGuardError` is raised as soon as the count passes it,
+    and also when the search, one level per generator, passes Python's
+    recursion limit (at about 990 generators); callers should
+    Tietze-simplify first.
     """
     if bound is None:
         bound = hom_bound()
@@ -258,7 +259,7 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
     anchor = [a if a < d else n for d, a in enumerate(anchor)]
     acting = [0 if d < 2 else n for d in range(n)]
 
-    _, _, cols, orbits = _tables(table)
+    cols = _columns(table)
     inv = table.inverse
     inv_cols = tuple(cols[inv[x]] for x in range(table.size))
     identity = table.identity
@@ -274,10 +275,7 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
 
     def count(depth: int) -> int:
         nonlocal nodes
-        key = (assign[acting[depth]], assign[anchor[depth]])
-        candidates = orbits.get(key)
-        if candidates is None:
-            candidates = orbits[key] = _orbits(table, *key)
+        candidates = _orbits(table, assign[acting[depth]], assign[anchor[depth]])
         nodes += len(candidates)
         if nodes > bound:
             raise ResourceGuardError(
@@ -314,5 +312,10 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
 
     try:
         return count(0)
+    except RecursionError:
+        raise ResourceGuardError(
+            "hom search into %s on %d generators is deeper than Python's "
+            "recursion limit; simplify the presentation" % (table.name, n)
+        ) from None
     finally:
         del count  # the recursive closure refers to itself; break that cycle

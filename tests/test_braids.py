@@ -199,3 +199,21 @@ def test_local_relator_table():
             if rel:
                 got.add(cyclic_canonical(rel))
         assert got == {want}, (kind, got, want)
+
+
+@pytest.mark.parametrize(
+    "letters, message",
+    [([(3, 1)], "not a generator on 3 strands"), ([(0, 1)], "not a generator"), ([(1, 2)], "exponents must be")],
+)
+def test_braid_refuses_bad_letters(letters, message):
+    with pytest.raises(ValueError, match=message):
+        Braid(3, letters)
+
+
+def test_sigma_to_the_zero_is_the_identity():
+    assert Braid.sigma(3, 1, 0) == Braid.identity(3)
+
+
+def test_braid_act_refuses_generators_beyond_the_strand_count():
+    with pytest.raises(ValueError, match="strand count"):
+        braid_act(Word.gen(4), Braid(3, [(1, 1)]))

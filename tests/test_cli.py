@@ -147,6 +147,15 @@ def test_hom_bound_refusal_is_a_user_error(capsys, monkeypatch):
     assert error["type"] == "ResourceGuardError" and "nodes" in error["error"]
 
 
+def test_a_search_deeper_than_the_recursion_limit_is_a_user_error(capsys, tmp_path):
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"generators": ["g%d" % i for i in range(1200)], "relators": []}))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "ResourceGuardError" and "1200 generators" in error["error"]
+
+
 def test_missing_file_is_a_user_error(capsys):
     code, out, err = run(capsys, "validate", "no_such_file.wd")
     assert code == 2

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from wirtlab.dsl import parse_diagram
@@ -5,8 +7,10 @@ from wirtlab.fpgroups import Presentation, braid_relator, ngon_semidirect, tietz
 from wirtlab.genpres import wirtinger_presentation
 from wirtlab.homcount import (
     HOM_BOUND_ENV,
+    FiniteGroupTable,
     ResourceGuardError,
     _conjugacy_roots,
+    _orbits,
     _search_order,
     count_homs,
     symmetric_group,
@@ -109,6 +113,65 @@ def test_refusal_names_nodes_target_and_generators():
     assert "S4" in message and "10 generators" in message
     nodes = int(message.split(" nodes")[0].rsplit(" ", 1)[1])
     assert 1000 < nodes <= 1000 + 24
+
+
+def test_a_search_deeper_than_the_recursion_limit_is_refused():
+    p = Presentation(tuple("g%d" % i for i in range(2000)), ())
+    with pytest.raises(ResourceGuardError) as exc:
+        count_homs(p, symmetric_group(3))
+    message = str(exc.value)
+    assert "S3" in message and "2000 generators" in message and "recursion" in message
+
+
+def test_finite_group_table_checks_identity_and_inverses():
+    mult = ((0, 1), (1, 0))
+    FiniteGroupTable("Z2", 2, mult, (0, 1))
+    with pytest.raises(ValueError, match="identity"):
+        FiniteGroupTable("Z2", 2, mult, (0, 1), identity=1)
+    with pytest.raises(ValueError, match="inverse"):
+        FiniteGroupTable("Z2", 2, mult, (0, 0))
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_symmetric_group_refuses_sizes_outside_2_to_5(n):
+    with pytest.raises(ValueError, match="n = 2 .. 5"):
+        symmetric_group(n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbits_match_a_brute_force_orbit_partition(n):
+    """_orbits against orbits found by composing the permutations
+    themselves, for every acting and allowed image, None included."""
+    table = symmetric_group(n)
+    elems = sorted(permutations(range(n)))
+    index = {q: i for i, q in enumerate(elems)}
+
+    def compose(s, t):  # s then t, as the table multiplies
+        return tuple(t[s[x]] for x in range(n))
+
+    def conjugate(t, x):
+        t_inv = tuple(sorted(range(n), key=t.__getitem__))
+        return compose(compose(t_inv, x), t)
+
+    for acting in [None, *range(table.size)]:
+        if acting is None:
+            group = [elems[table.identity]]
+        else:
+            a = elems[acting]
+            group = [t for t in elems if compose(a, t) == compose(t, a)]
+        for allowed in [None, *range(table.size)]:
+            if allowed is None:
+                todo = set(elems)
+            else:
+                todo = {conjugate(t, elems[allowed]) for t in elems}
+            partition = []
+            while todo:
+                x = todo.pop()
+                orbit = {conjugate(t, x) for t in group}
+                todo -= orbit
+                partition.append(sorted(index[x] for x in orbit))
+            expected = sorted((orbit[0], len(orbit)) for orbit in partition)
+            assert list(_orbits(table, acting, allowed)) == expected, (acting, allowed)
 
 
 def test_search_order_closes_relators_then_keeps_them_open():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wirtlab.words import Word, alternating, format_word, free_reduce
 
 
@@ -123,3 +125,14 @@ def test_substitute_cancels_across_seams():
         assert w.substitute(images).letters == Word(naive).letters, (w, images)
         n = rng.randint(0, 4)
         assert (w ** n).letters == free_reduce(ls * n)
+
+
+def test_words_are_immutable():
+    w = Word.gen(1)
+    with pytest.raises(AttributeError, match="immutable"):
+        w.letters = ()
+
+
+def test_equal_words_hash_alike():
+    a, b = Word.gen(1), Word.gen(2)
+    assert len({a * b, Word([(1, 1), (2, 1)]), a * b * b * b.inverse(), b * a}) == 2
