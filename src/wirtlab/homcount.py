@@ -7,15 +7,15 @@ proxy for group isomorphism testing.
 The search backtracks over generator images in a fixed order, up to
 conjugacy in the target (Holt, Eick and O'Brien, *Handbook of Computational
 Group Theory*, 2005), by one rule: a depth's candidates are the orbits of
-the first image's centralizer acting by conjugation on the allowed images,
-one (the least member) per orbit, weighted by the orbit size.  At depth 0
-the first image is still the identity, so the orbits are the conjugacy
-classes; past depth 1 nothing acts, and each image has weight 1.  The
-allowed images are the conjugacy class of the image of a conjugate
-generator at a lower depth (see below), if there is one, and otherwise the
-whole group; a class is closed under conjugation, so no orbit leaves it.
-The candidate lists are cached by ``_orbits`` itself, one per target and
-``(acting, allowed)`` pair, and the search keeps no cache of its own.
+the stabilizer of the images so far (the intersection of their
+centralizers; the whole group at depth 0), which maps extensions to
+extensions, acting by conjugation on the allowed images, one (the least
+member) per orbit, weighted by the orbit size.  The allowed images are the
+conjugacy class of the image of a conjugate generator at a lower depth (see
+below), if there is one, and otherwise the whole group; a class is closed
+under conjugation, so no orbit leaves it.  ``_orbits`` caches each
+candidate with the stabilizer its children are counted under, once per
+target and ``(acting, allowed)`` pair; the search keeps no cache of its own.
 
 The order is greedy: the next generator is the one that completes the most
 relators, then the one in the most relators it leaves open, then the lowest.
@@ -46,12 +46,12 @@ from itertools import permutations
 
 from .fpgroups import Presentation
 
-# Measured on one core of a shared 2-core Xeon: 1.2-2.8 us per node in
-# searches of 4,000 nodes or more (S5 on the simplified orbifold groups of
-# k = 5..11, up to 7,070 letters), 6 us on the 5,792 letters of k = 8 and
-# 12 us on the 24,582 of k = 10, and up to 212 us in small searches over
-# long relators (S3 at k = 10, 177 nodes).  So the default stops a search
-# after 12 to 28 s at the common rates, and after 2 minutes at 12 us.
+# Measured on one core of a shared 2-core Xeon: 0.4-1.8 us per node in
+# searches of 17,000 nodes or more (S4 on Z^6, Z^8 and Z^10, S5 on Z^6),
+# 2-10 us for S5 on the simplified orbifold groups of k = 5..11 but 42 us
+# on the 24,582 letters of k = 10, and up to 133 us in small searches over
+# long relators (S3 at k = 10, 159 nodes).  So the default stops a search
+# after 4 to 18 s at the common rates, and after 7 minutes at 42 us.
 DEFAULT_HOM_BOUND = 10**7
 HOM_BOUND_ENV = "WIRTLAB_HOM_BOUND"
 
@@ -124,26 +124,24 @@ def _columns(table: FiniteGroupTable) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _orbits(table: FiniteGroupTable, acting: int | None, allowed: int | None) -> tuple[tuple[int, int], ...]:
-    """The orbits of the centralizer of ``acting`` (of the trivial group if
-    None) acting by conjugation on the conjugacy class of ``allowed`` (on
-    the whole group if None): each orbit's least member and size, in
-    increasing order of least member.  This cache is the search's only
-    candidate cache: each ``(acting, allowed)`` pair is worked out once."""
+def _orbits(table: FiniteGroupTable, acting: frozenset[int],
+            allowed: int | None) -> tuple[tuple[int, int, frozenset[int]], ...]:
+    """The orbits of the subgroup ``acting`` (element indices) acting by
+    conjugation on the conjugacy class of ``allowed`` (on the whole group if
+    None): each orbit's least member, its size and the elements of
+    ``acting`` that commute with it, in increasing order of least member.
+    This cache is the search's only candidate cache: each ``(acting,
+    allowed)`` pair is worked out once."""
     size, mult, inv = table.size, table.mult, table.inverse
 
     def conjugates(x: int, group) -> set[int]:
         return {mult[mult[inv[t]][x]][t] for t in group}
 
-    group = (
-        [table.identity] if acting is None
-        else [t for t in range(size) if mult[acting][t] == mult[t][acting]]
-    )
     out = []
     for x in range(size) if allowed is None else sorted(conjugates(allowed, range(size))):
-        orbit = conjugates(x, group)
+        orbit = conjugates(x, acting)
         if min(orbit) == x:  # one entry per orbit, at its least member
-            out.append((x, len(orbit)))
+            out.append((x, len(orbit), frozenset(t for t in acting if mult[x][t] == mult[t][x])))
     return tuple(out)
 
 
@@ -152,19 +150,24 @@ def _search_order(supports: list[frozenset[int]], n: int) -> list[int]:
     checkable) as early as possible: the next generator is the one that
     completes the most relators, then the one in the most relators it
     leaves open (so they close soon after), then the lowest."""
+    left = [len(s) for s in supports]  # each relator's generators not yet chosen
+    relators_of: list[list[int]] = [[] for _ in range(n + 1)]
+    for r, s in enumerate(supports):
+        for g in s:
+            relators_of[g].append(r)
+
+    def score(g: int) -> tuple[int, int, int]:
+        done = sum(1 for r in relators_of[g] if left[r] == 1)
+        return (done, len(relators_of[g]) - done, -g)
+
     order: list[int] = []
-    chosen: set[int] = set()
     remaining = set(range(1, n + 1))
     while remaining:
-        def score(g: int) -> tuple[int, int, int]:
-            unassigned = [len(s - chosen) for s in supports if g in s]
-            done = unassigned.count(1)
-            return (done, len(unassigned) - done, -g)
-
         best = max(remaining, key=score)
         order.append(best)
-        chosen.add(best)
         remaining.discard(best)
+        for r in relators_of[best]:
+            left[r] -= 1
     return order
 
 
@@ -221,15 +224,15 @@ def _compile(letters: list[tuple[int, int]], depth: int):
 def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = None) -> int:
     """Number of homomorphisms from the presented group into the group.
 
-    Backtracking over generator images up to conjugacy, with relator
-    pruning; a generator that a relator makes conjugate to an earlier one
-    takes its images from that one's conjugacy class.  The bound is a node
-    budget: the number of candidate generator images the search may try
-    (``WIRTLAB_HOM_BOUND`` environment variable, default 1e7).
-    :class:`ResourceGuardError` is raised as soon as the count passes it,
-    and also when the search, one level per generator, passes Python's
-    recursion limit (at about 990 generators); callers should
-    Tietze-simplify first.
+    Backtracking over generator images up to conjugacy by the stabilizer of
+    the images so far, with relator pruning; a generator that a relator
+    makes conjugate to an earlier one takes its images from that one's
+    conjugacy class.  The bound is a node budget: the number of candidate
+    generator images the search may try (``WIRTLAB_HOM_BOUND`` environment
+    variable, default 1e7).  :class:`ResourceGuardError` is raised as soon
+    as the count passes it, and also when the search, one level per
+    generator, passes Python's recursion limit (at about 990 generators);
+    callers should Tietze-simplify first.
     """
     if bound is None:
         bound = hom_bound()
@@ -250,20 +253,17 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
             checks[depth].append(_compile(letters, depth))
     for c in checks:
         c.sort(key=len)
-    # a depth's candidates are _orbits(table, acting, allowed), with acting
-    # the first image at depths 0 and 1, allowed the image at the lowest
-    # depth of its class of conjugate generators if lower, and else None
+    # anchor[d]: the lowest depth of d's class if lower than d, else n (None)
     roots = _conjugacy_roots(p)
     first: dict[int, int] = {}
     anchor = [first.setdefault(roots[g], d) for d, g in enumerate(order)]
     anchor = [a if a < d else n for d, a in enumerate(anchor)]
-    acting = [0 if d < 2 else n for d in range(n)]
 
     cols = _columns(table)
     inv = table.inverse
     inv_cols = tuple(cols[inv[x]] for x in range(table.size))
     identity = table.identity
-    assign: list[int | None] = [identity] * n + [None]  # assign[n] reads None
+    assign: list[int | None] = [None] * (n + 1)  # assign[n] reads None
     nodes = 0
 
     def value(segment) -> int:
@@ -273,9 +273,9 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
             acc = cols[x if e > 0 else inv[x]][acc]
         return acc
 
-    def count(depth: int) -> int:
+    def count(depth: int, acting: frozenset[int]) -> int:
         nonlocal nodes
-        candidates = _orbits(table, assign[acting[depth]], assign[anchor[depth]])
+        candidates = _orbits(table, acting, assign[anchor[depth]])
         nodes += len(candidates)
         if nodes > bound:
             raise ResourceGuardError(
@@ -303,15 +303,15 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
                 return 0
             candidates = kept
         if depth == n - 1:
-            return sum(weight for _, weight in candidates)
+            return sum(weight for _, weight, _ in candidates)
         total = 0
-        for x, weight in candidates:
+        for x, weight, stabilizer in candidates:
             assign[depth] = x
-            total += weight * count(depth + 1)
+            total += weight * count(depth + 1, stabilizer)
         return total
 
     try:
-        return count(0)
+        return count(0, frozenset(range(table.size)))
     except RecursionError:
         raise ResourceGuardError(
             "hom search into %s on %d generators is deeper than Python's "

@@ -46,8 +46,8 @@ def profile(
     """Compute the invariant profile, Tietze-simplifying first by default.
 
     S5 is not a default target: adding it would change every profile.  On the
-    traced orbifold groups at k = 6, 7 and 8 its search visits 5 to 6 times
-    as many nodes as S4 and takes 9 to 66 ms, against 6 to 43 ms for S4.
+    traced orbifold groups at k = 6, 7 and 8 its search visits 3 to 3.4 times
+    as many nodes as S4 and takes 7 to 32 ms, against 5 to 31 ms for S4.
     Pass ``targets=("S3", "S4", "S5")`` to opt in.
     """
     q = tietze_simplify(p)[0] if simplify else p

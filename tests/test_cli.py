@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wirtlab.cli import main
+from wirtlab.fpgroups import artin_from_graph
 from tests.conftest import corpus_path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -154,6 +155,20 @@ def test_a_search_deeper_than_the_recursion_limit_is_a_user_error(capsys, tmp_pa
     assert code == 2 and out == ""
     error = json.loads(err)
     assert error["type"] == "ResourceGuardError" and "1200 generators" in error["error"]
+
+
+def test_z6_invariants_fit_a_small_hom_bound(capsys, monkeypatch, tmp_path):
+    """Z^6 into S4 takes 17,672 nodes when every depth acts by the
+    stabilizer of the images so far, and 62,184 when nothing acted past
+    depth 1."""
+    path = tmp_path / "z6.json"
+    path.write_text(json.dumps(artin_from_graph(["g%d" % i for i in range(6)], []).to_json()))
+    monkeypatch.setenv("WIRTLAB_HOM_BOUND", "20000")
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["abelian"] == {"free_rank": 6, "torsion": []}
+    assert data["hom_counts"] == {"S3": 918, "S4": 31200}
 
 
 def test_missing_file_is_a_user_error(capsys):

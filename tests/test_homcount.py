@@ -1,9 +1,12 @@
+import random
 from itertools import permutations
 
 import pytest
 
 from wirtlab.dsl import parse_diagram
-from wirtlab.fpgroups import Presentation, braid_relator, ngon_semidirect, tietze_simplify
+from wirtlab.fpgroups import (
+    Presentation, artin_from_graph, braid_relator, ngon_semidirect, tietze_simplify,
+)
 from wirtlab.genpres import wirtinger_presentation
 from wirtlab.homcount import (
     HOM_BOUND_ENV,
@@ -63,8 +66,33 @@ def reference_count(p: Presentation, table) -> int:
     return search(0)
 
 
+def rescoring_search_order(supports: list[frozenset[int]], n: int) -> list[int]:
+    """The search order as it was first written, rescoring every remaining
+    generator by set differences over every relator support at each step:
+    kept as the oracle for _search_order, which keeps counts instead."""
+    order: list[int] = []
+    chosen: set[int] = set()
+    remaining = set(range(1, n + 1))
+    while remaining:
+        def score(g: int) -> tuple[int, int, int]:
+            unassigned = [len(s - chosen) for s in supports if g in s]
+            done = unassigned.count(1)
+            return (done, len(unassigned) - done, -g)
+
+        best = max(remaining, key=score)
+        order.append(best)
+        chosen.add(best)
+        remaining.discard(best)
+    return order
+
+
 def simplified_wirtinger(d) -> Presentation:
     return tietze_simplify(wirtinger_presentation(d).presentation)[0]
+
+
+def free_abelian(rank: int) -> Presentation:
+    """Z^rank: the Artin group of the graph with no edges."""
+    return artin_from_graph(["g%d" % i for i in range(rank)], [])
 
 
 def test_free_group_hom_counts_are_powers():
@@ -123,6 +151,23 @@ def test_a_search_deeper_than_the_recursion_limit_is_refused():
     assert "S3" in message and "2000 generators" in message and "recursion" in message
 
 
+def test_one_relator_per_generator_is_ordered_and_refused_quickly():
+    """1,100 generators, each with the relator g^5: the search order keeps
+    each relator's count of generators not yet chosen (about 0.6 s on a
+    shared 2-core Xeon for the whole refusal; rescoring every relator at
+    every step took about 20 s), and the search, which keeps every image
+    the identity, passes the recursion limit."""
+    n = 1100
+    p = Presentation(
+        tuple("g%d" % i for i in range(n)),
+        tuple(Word.gen(g) ** 5 for g in range(1, n + 1)),
+    )
+    with pytest.raises(ResourceGuardError) as exc:
+        count_homs(p, symmetric_group(3))
+    message = str(exc.value)
+    assert "S3" in message and "1100 generators" in message and "recursion" in message
+
+
 def test_finite_group_table_checks_identity_and_inverses():
     mult = ((0, 1), (1, 0))
     FiniteGroupTable("Z2", 2, mult, (0, 1))
@@ -141,7 +186,10 @@ def test_symmetric_group_refuses_sizes_outside_2_to_5(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_orbits_match_a_brute_force_orbit_partition(n):
     """_orbits against orbits found by composing the permutations
-    themselves, for every acting and allowed image, None included."""
+    themselves, for every acting group the search can reach (the whole
+    group and every intersection of centralizers) and every allowed image,
+    None included: each orbit's least member, its size and the elements of
+    the acting group that commute with it."""
     table = symmetric_group(n)
     elems = sorted(permutations(range(n)))
     index = {q: i for i, q in enumerate(elems)}
@@ -153,25 +201,32 @@ def test_orbits_match_a_brute_force_orbit_partition(n):
         t_inv = tuple(sorted(range(n), key=t.__getitem__))
         return compose(compose(t_inv, x), t)
 
-    for acting in [None, *range(table.size)]:
-        if acting is None:
-            group = [elems[table.identity]]
-        else:
-            a = elems[acting]
-            group = [t for t in elems if compose(a, t) == compose(t, a)]
+    def centralizer(group, x):
+        return frozenset(t for t in group if compose(x, t) == compose(t, x))
+
+    reached, todo = set(), [frozenset(elems)]
+    while todo:
+        group = todo.pop()
+        if group not in reached:
+            reached.add(group)
+            todo.extend(centralizer(group, x) for x in elems)
+    assert len(reached) == {3: 6, 4: 19}[n]
+    for group in reached:
+        acting = frozenset(index[t] for t in group)
         for allowed in [None, *range(table.size)]:
             if allowed is None:
                 todo = set(elems)
             else:
                 todo = {conjugate(t, elems[allowed]) for t in elems}
-            partition = []
+            expected = []
             while todo:
                 x = todo.pop()
                 orbit = {conjugate(t, x) for t in group}
                 todo -= orbit
-                partition.append(sorted(index[x] for x in orbit))
-            expected = sorted((orbit[0], len(orbit)) for orbit in partition)
-            assert list(_orbits(table, acting, allowed)) == expected, (acting, allowed)
+                least = min(orbit)
+                stabilizer = frozenset(index[t] for t in centralizer(group, least))
+                expected.append((index[least], len(orbit), stabilizer))
+            assert list(_orbits(table, acting, allowed)) == sorted(expected), (group, allowed)
 
 
 def test_search_order_closes_relators_then_keeps_them_open():
@@ -183,27 +238,59 @@ def test_search_order_closes_relators_then_keeps_them_open():
     assert _search_order(supports, 5) == [3, 4, 1, 2, 5]
 
 
+def _presentation_supports():
+    """Relator supports of every presentation the search order is checked
+    on: the corpus Wirtinger groups as given and simplified, the simplified
+    ones of the 60 seeded diagrams, and both hypocycloid sides at k = 2..8
+    as given and simplified."""
+    groups = [wirtinger_presentation(load(stem)).presentation for stem in all_corpus_stems()]
+    groups += [simplified_wirtinger(load(stem)) for stem in all_corpus_stems()]
+    groups += [simplified_wirtinger(parse_diagram(sample(seed).dsl)) for seed in range(60)]
+    for side in (orbifold_presentation, ngon_semidirect):
+        for k in range(2, 9):
+            groups += [side(k), tietze_simplify(side(k))[0]]
+    for p in groups:
+        yield [frozenset(g for g, _ in r.letters) for r in p.relators], len(p.generators)
+
+
+def test_search_order_matches_the_rescoring_order():
+    rng = random.Random("search-order")
+    cases = list(_presentation_supports())
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        supports = [
+            frozenset(rng.sample(range(1, n + 1), rng.randint(0, min(n, 4))))
+            for _ in range(rng.randint(0, 15))
+        ]
+        cases.append((supports, n))
+    for supports, n in cases:
+        assert _search_order(supports, n) == rescoring_search_order(supports, n), (supports, n)
+
+
 def test_k4_s4_count_fits_a_small_node_budget():
     """A count, not a timing: S4 on the simplified k = 4 Wirtinger group
-    tries 5,160 candidate images when relators close early and candidates
-    are filtered relator by relator, and tried 37,752 when 11 of its 13
-    relators closed only at the last depth."""
+    tries 301 candidate images now (5,160 when relators first closed early
+    and candidates were filtered relator by relator, and 37,752 when 11 of
+    its 13 relators closed only at the last depth)."""
     q = simplified_wirtinger(load("hypocycloid_quotient_k4"))
     assert count_homs(q, symmetric_group(4), bound=10**4) == 120
 
 
 def test_orbifold_k10_s4_count_fits_a_small_node_budget():
     """A count, not a timing: S4 on the simplified orbifold group at k = 10
-    (11 generators, 24,582 letters) tries 4,031 candidate images when
-    conjugate generators take images in one conjugacy class, and 359,908
-    when every generator past the second tried all 24 elements."""
+    (11 generators, 24,582 letters) tries 2,308 candidate images when every
+    depth acts by the stabilizer of the images so far, 4,031 when only the
+    first image's centralizer acted, and 359,908 when every generator past
+    the second also tried all 24 elements."""
     q = tietze_simplify(orbifold_presentation(10))[0]
     assert count_homs(q, symmetric_group(4), bound=10**4) == 72
 
 
 def test_k4_s4_count_fits_a_thousand_nodes():
-    """S4 on the simplified k = 4 Wirtinger group: 469 candidate images
-    with classes of conjugate generators, 5,160 without."""
+    """S4 on the simplified k = 4 Wirtinger group: 301 candidate images
+    when every depth acts by the stabilizer of the images so far, 469 when
+    only the first image's centralizer acted, and 5,160 without classes of
+    conjugate generators."""
     q = simplified_wirtinger(load("hypocycloid_quotient_k4"))
     assert count_homs(q, symmetric_group(4), bound=10**3) == 120
 
@@ -295,6 +382,13 @@ def test_counts_match_plain_search_on_hypocycloid_sides(side, k):
     _assert_counts_match(q, with_s4=len(q.generators) <= MAX_S4_GENERATORS)
 
 
+@pytest.mark.parametrize("rank", [3, 4])
+def test_counts_match_plain_search_on_free_abelian_groups(rank):
+    """Z^rank: every image past the first is counted under the centralizer
+    of the images before it, which shrinks at each depth."""
+    _assert_counts_match(free_abelian(rank), with_s4=True)
+
+
 def test_s5_counts_match_plain_search():
     s5 = symmetric_group(5)
     a, b = Word.gen(1), Word.gen(2)
@@ -311,17 +405,17 @@ CORPUS_NODES = {
     "cardioid": [("S3", 6, 3), ("S4", 24, 5), ("S5", 120, 7)],
     "concentric_circles": [("S3", 36, 14), ("S4", 576, 48), ("S5", 14400, 168)],
     "cuspidal_cubic": [("S3", 12, 8), ("S4", 96, 18), ("S5", 600, 42)],
-    "deltoid": [("S3", 30, 17), ("S4", 384, 62), ("S5", 2520, 261)],
-    "hypocycloid_quotient_k2": [("S3", 30, 32), ("S4", 312, 183), ("S5", 2400, 1246)],
-    "hypocycloid_quotient_k3": [("S3", 18, 49), ("S4", 120, 298), ("S5", 960, 2116)],
-    "hypocycloid_quotient_k4": [("S3", 18, 68), ("S4", 120, 469), ("S5", 840, 3520)],
+    "deltoid": [("S3", 30, 16), ("S4", 384, 51), ("S5", 2520, 167)],
+    "hypocycloid_quotient_k2": [("S3", 30, 30), ("S4", 312, 143), ("S5", 2400, 796)],
+    "hypocycloid_quotient_k3": [("S3", 18, 45), ("S4", 120, 210), ("S5", 960, 1140)],
+    "hypocycloid_quotient_k4": [("S3", 18, 62), ("S4", 120, 301), ("S5", 840, 1482)],
     "nodal_cubic": [("S3", 6, 3), ("S4", 24, 5), ("S5", 120, 7)],
-    "parabola_two_lines": [("S3", 90, 74), ("S4", 1320, 816), ("S5", 16680, 8568)],
+    "parabola_two_lines": [("S3", 90, 57), ("S4", 1320, 465), ("S5", 16680, 4185)],
     "smooth_cubic": [("S3", 36, 14), ("S4", 576, 48), ("S5", 14400, 168)],
 }
 SIDE_S4_NODES = {
-    orbifold_presentation: [(2, 192, 107), (3, 72, 175), (4, 72, 293), (5, 72, 613), (6, 72, 707)],
-    ngon_semidirect: [(2, 192, 87), (3, 72, 175), (4, 72, 263), (5, 72, 351), (6, 72, 439)],
+    orbifold_presentation: [(2, 192, 82), (3, 72, 119), (4, 72, 187), (5, 72, 367), (6, 72, 418)],
+    ngon_semidirect: [(2, 192, 62), (3, 72, 119), (4, 72, 176), (5, 72, 233), (6, 72, 290)],
 }
 
 
@@ -329,6 +423,26 @@ def _assert_exact_nodes(q: Presentation, table, count: int, nodes: int) -> None:
     assert count_homs(q, table, bound=nodes) == count
     with pytest.raises(ResourceGuardError):
         count_homs(q, table, bound=nodes - 1)
+
+
+def _count_and_nodes(q: Presentation, table) -> tuple[int, int]:
+    """The count and the least bound the search finishes under, its node
+    count, found by bisecting ``bound``: what _assert_exact_nodes asserts."""
+    refused, bound = 0, 1
+    while True:
+        try:
+            count = count_homs(q, table, bound=bound)
+            break
+        except ResourceGuardError:
+            refused, bound = bound, 2 * bound
+    while bound - refused > 1:
+        mid = (refused + bound) // 2
+        try:
+            count = count_homs(q, table, bound=mid)
+            bound = mid
+        except ResourceGuardError:
+            refused = mid
+    return count, bound
 
 
 @pytest.mark.parametrize("stem", sorted(CORPUS_NODES))
@@ -346,3 +460,30 @@ def test_exact_s4_node_counts_on_hypocycloid_sides(side):
     for k, count, nodes in SIDE_S4_NODES[side]:
         q = tietze_simplify(side(k))[0]
         _assert_exact_nodes(q, symmetric_group(4), count, nodes)
+
+
+def test_exact_s4_node_count_on_z6():
+    """Z^6 into S4: 17,672 candidate images when every depth acts by the
+    stabilizer of the images so far, 62,184 when nothing acted past
+    depth 1."""
+    _assert_exact_nodes(free_abelian(6), symmetric_group(4), 31200, 17672)
+
+
+if __name__ == "__main__":
+    # Print CORPUS_NODES and SIDE_S4_NODES as counted by the wirtlab on the
+    # import path; run from the repository root as
+    # PYTHONPATH=<checkout>/src python -m tests.test_homcount
+    print("CORPUS_NODES = {")
+    for stem in sorted(CORPUS_NODES):
+        q = simplified_wirtinger(load(stem))
+        row = ['("S%d", %d, %d)' % (n, *_count_and_nodes(q, symmetric_group(n))) for n in (3, 4, 5)]
+        print('    "%s": [%s],' % (stem, ", ".join(row)))
+    print("}")
+    print("SIDE_S4_NODES = {")
+    for side in SIDE_S4_NODES:
+        row = [
+            (k, *_count_and_nodes(tietze_simplify(side(k))[0], symmetric_group(4)))
+            for k, _, _ in SIDE_S4_NODES[side]
+        ]
+        print("    %s: %s," % (side.__name__, row))
+    print("}")
