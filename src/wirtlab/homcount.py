@@ -4,18 +4,19 @@ The count of homomorphisms from a finitely presented group into a fixed
 finite group is a presentation-independent invariant, used here as a cheap
 proxy for group isomorphism testing.
 
-The search backtracks over generator images in a fixed order, up to
-conjugacy in the target (Holt, Eick and O'Brien, *Handbook of Computational
-Group Theory*, 2005), by one rule: a depth's candidates are the orbits of
-the stabilizer of the images so far (the intersection of their
-centralizers; the whole group at depth 0), which maps extensions to
-extensions, acting by conjugation on the allowed images, one (the least
-member) per orbit, weighted by the orbit size.  The allowed images are the
-conjugacy class of the image of a conjugate generator at a lower depth (see
-below), if there is one, and otherwise the whole group; a class is closed
-under conjugation, so no orbit leaves it.  ``_orbits`` caches each
-candidate with the stabilizer its children are counted under, once per
-target and ``(acting, allowed)`` pair; the search keeps no cache of its own.
+The search backtracks over generator images in a fixed order, depth first
+over an explicit stack, up to conjugacy in the target (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005), by one rule: a
+depth's candidates are the orbits of the stabilizer of the images so far
+(the intersection of their centralizers; the whole group at depth 0), which
+maps extensions to extensions, acting by conjugation on the allowed images,
+one (the least member) per orbit, weighted by the orbit size.  The allowed
+images are the conjugacy class of the image of a conjugate generator at a
+lower depth (see below), if there is one, and otherwise the whole group; a
+class is closed under conjugation, so no orbit leaves it.  ``_orbits``
+caches each candidate with the stabilizer its children are counted under,
+once per target and ``(acting, allowed)`` pair; the search keeps no cache of
+its own.
 
 The order is greedy: the next generator is the one that completes the most
 relators, then the one in the most relators it leaves open, then the lowest.
@@ -42,6 +43,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 
 from .fpgroups import Presentation
@@ -151,23 +153,30 @@ def _search_order(supports: list[frozenset[int]], n: int) -> list[int]:
     completes the most relators, then the one in the most relators it
     leaves open (so they close soon after), then the lowest."""
     left = [len(s) for s in supports]  # each relator's generators not yet chosen
+    unchosen = [sum(s) for s in supports]  # their sum: the last, once one is left
     relators_of: list[list[int]] = [[] for _ in range(n + 1)]
+    done = [0] * (n + 1)  # relators each generator would complete
     for r, s in enumerate(supports):
         for g in s:
             relators_of[g].append(r)
-
-    def score(g: int) -> tuple[int, int, int]:
-        done = sum(1 for r in relators_of[g] if left[r] == 1)
-        return (done, len(relators_of[g]) - done, -g)
-
+        if left[r] == 1:
+            done[unchosen[r]] += 1
+    # least first: most done, then most relators (so most open), then lowest
+    heap = [(-done[g], -len(relators_of[g]), g) for g in range(1, n + 1)]
+    heapify(heap)
     order: list[int] = []
-    remaining = set(range(1, n + 1))
-    while remaining:
-        best = max(remaining, key=score)
+    while heap:
+        neg_done, _, best = heappop(heap)
+        if -neg_done != done[best]:
+            continue  # pushed again since, with more relators done
         order.append(best)
-        remaining.discard(best)
         for r in relators_of[best]:
             left[r] -= 1
+            unchosen[r] -= best
+            if left[r] == 1:
+                g = unchosen[r]
+                done[g] += 1
+                heappush(heap, (-done[g], -len(relators_of[g]), g))
     return order
 
 
@@ -230,9 +239,7 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
     conjugacy class.  The bound is a node budget: the number of candidate
     generator images the search may try (``WIRTLAB_HOM_BOUND`` environment
     variable, default 1e7).  :class:`ResourceGuardError` is raised as soon
-    as the count passes it, and also when the search, one level per
-    generator, passes Python's recursion limit (at about 990 generators);
-    callers should Tietze-simplify first.
+    as the count passes it; callers should Tietze-simplify first.
     """
     if bound is None:
         bound = hom_bound()
@@ -273,8 +280,12 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
             acc = cols[x if e > 0 else inv[x]][acc]
         return acc
 
-    def count(depth: int, acting: frozenset[int]) -> int:
-        nonlocal nodes
+    # nodes: (depth, acting group, product of the weights above, image at
+    # depth - 1, the root's in assign[-1] = assign[n], None), popped in order
+    stack = [(0, frozenset(range(table.size)), 1, None)]
+    total = 0
+    while stack:
+        depth, acting, weight, assign[depth - 1] = stack.pop()
         candidates = _orbits(table, acting, assign[anchor[depth]])
         nodes += len(candidates)
         if nodes > bound:
@@ -299,23 +310,12 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
                     acc = segment[side[x][acc]]
                 if acc == identity:
                     kept.append(candidate)
-            if not kept:
-                return 0
             candidates = kept
+            if not candidates:
+                break
         if depth == n - 1:
-            return sum(weight for _, weight, _ in candidates)
-        total = 0
-        for x, weight, stabilizer in candidates:
-            assign[depth] = x
-            total += weight * count(depth + 1, stabilizer)
-        return total
-
-    try:
-        return count(0, frozenset(range(table.size)))
-    except RecursionError:
-        raise ResourceGuardError(
-            "hom search into %s on %d generators is deeper than Python's "
-            "recursion limit; simplify the presentation" % (table.name, n)
-        ) from None
-    finally:
-        del count  # the recursive closure refers to itself; break that cycle
+            total += weight * sum(w for _, w, _ in candidates)
+        else:
+            stack.extend((depth + 1, stabilizer, weight * w, x)
+                         for x, w, stabilizer in reversed(candidates))
+    return total

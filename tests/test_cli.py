@@ -148,13 +148,15 @@ def test_hom_bound_refusal_is_a_user_error(capsys, monkeypatch):
     assert error["type"] == "ResourceGuardError" and "nodes" in error["error"]
 
 
-def test_a_search_deeper_than_the_recursion_limit_is_a_user_error(capsys, tmp_path):
+def test_a_deep_search_past_the_node_budget_is_a_user_error(capsys, monkeypatch, tmp_path):
     path = tmp_path / "free.json"
     path.write_text(json.dumps({"generators": ["g%d" % i for i in range(1200)], "relators": []}))
+    monkeypatch.setenv("WIRTLAB_HOM_BOUND", "100000")
     code, out, err = run(capsys, "invariants", str(path))
     assert code == 2 and out == ""
     error = json.loads(err)
-    assert error["type"] == "ResourceGuardError" and "1200 generators" in error["error"]
+    assert error["type"] == "ResourceGuardError"
+    assert "1200 generators" in error["error"] and "nodes" in error["error"]
 
 
 def test_z6_invariants_fit_a_small_hom_bound(capsys, monkeypatch, tmp_path):

@@ -1,8 +1,11 @@
+import gc
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
 
+from wirtlab import homcount
 from wirtlab.dsl import parse_diagram
 from wirtlab.fpgroups import (
     Presentation, artin_from_graph, braid_relator, ngon_semidirect, tietze_simplify,
@@ -143,29 +146,45 @@ def test_refusal_names_nodes_target_and_generators():
     assert 1000 < nodes <= 1000 + 24
 
 
-def test_a_search_deeper_than_the_recursion_limit_is_refused():
-    p = Presentation(tuple("g%d" % i for i in range(2000)), ())
-    with pytest.raises(ResourceGuardError) as exc:
-        count_homs(p, symmetric_group(3))
-    message = str(exc.value)
-    assert "S3" in message and "2000 generators" in message and "recursion" in message
-
-
-def test_one_relator_per_generator_is_ordered_and_refused_quickly():
-    """1,100 generators, each with the relator g^5: the search order keeps
-    each relator's count of generators not yet chosen (about 0.6 s on a
-    shared 2-core Xeon for the whole refusal; rescoring every relator at
-    every step took about 20 s), and the search, which keeps every image
-    the identity, passes the recursion limit."""
-    n = 1100
+@pytest.mark.parametrize("n", [1100, 3000])
+def test_a_search_thousands_of_generators_deep_is_counted(n):
+    """n generators, each with the relator g^5: only the identity survives
+    at each depth, so the search goes n deep along one path, on an explicit
+    stack and not Python's; the order keeps a heap, so ordering 3,000
+    generators is not quadratic."""
     p = Presentation(
         tuple("g%d" % i for i in range(n)),
         tuple(Word.gen(g) ** 5 for g in range(1, n + 1)),
     )
+    assert count_homs(p, symmetric_group(3)) == 1
+    assert count_homs(p, symmetric_group(4)) == 1
+
+
+def test_a_wide_deep_search_is_refused_by_the_node_budget():
+    p = Presentation(tuple("g%d" % i for i in range(2000)), ())
     with pytest.raises(ResourceGuardError) as exc:
-        count_homs(p, symmetric_group(3))
+        count_homs(p, symmetric_group(3), bound=1000)
     message = str(exc.value)
-    assert "S3" in message and "1100 generators" in message and "recursion" in message
+    assert "S3" in message and "2000 generators" in message
+    nodes = int(message.split(" nodes")[0].rsplit(" ", 1)[1])
+    assert 1000 < nodes <= 1000 + 6
+
+
+def test_a_count_or_a_refusal_leaves_no_reference_cycle():
+    """Nothing the search builds refers to itself, so it is freed as soon
+    as count_homs returns or raises, with the cycle collector off."""
+    q = tietze_simplify(orbifold_presentation(4))[0]
+    free = Presentation(tuple("g%d" % i for i in range(10)), ())
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_homs(q, symmetric_group(4)) == 72
+        assert gc.collect() == 0
+        with pytest.raises(ResourceGuardError):
+            count_homs(free, symmetric_group(4), bound=1000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_finite_group_table_checks_identity_and_inverses():
@@ -469,9 +488,40 @@ def test_exact_s4_node_count_on_z6():
     _assert_exact_nodes(free_abelian(6), symmetric_group(4), 31200, 17672)
 
 
+# The number and md5 of the search's _orbits calls, as (target, sorted
+# acting group, allowed image), over _orbits_call_inputs: the order the
+# search visits its nodes in, which node counts alone do not pin
+ORBITS_CALLS = (3060, "bdb34aca306a923c477a6bdc304b4311")
+
+
+def _orbits_call_inputs():
+    for k in (4, 8, 10):
+        q = tietze_simplify(orbifold_presentation(k))[0]
+        yield q, symmetric_group(3)
+        yield q, symmetric_group(4)
+    yield free_abelian(6), symmetric_group(4)
+
+
+def _orbits_calls(monkeypatch) -> tuple[int, str]:
+    calls = []
+
+    def recording(table, acting, allowed):
+        calls.append((table.name, sorted(acting), allowed))
+        return _orbits(table, acting, allowed)
+
+    monkeypatch.setattr(homcount, "_orbits", recording)
+    for q, table in _orbits_call_inputs():
+        count_homs(q, table)
+    return len(calls), hashlib.md5(repr(calls).encode()).hexdigest()
+
+
+def test_search_visits_nodes_in_the_pinned_order(monkeypatch):
+    assert _orbits_calls(monkeypatch) == ORBITS_CALLS
+
+
 if __name__ == "__main__":
-    # Print CORPUS_NODES and SIDE_S4_NODES as counted by the wirtlab on the
-    # import path; run from the repository root as
+    # Print CORPUS_NODES, SIDE_S4_NODES and ORBITS_CALLS as counted by the
+    # wirtlab on the import path; run from the repository root as
     # PYTHONPATH=<checkout>/src python -m tests.test_homcount
     print("CORPUS_NODES = {")
     for stem in sorted(CORPUS_NODES):
@@ -487,3 +537,5 @@ if __name__ == "__main__":
         ]
         print("    %s: %s," % (side.__name__, row))
     print("}")
+    with pytest.MonkeyPatch.context() as mp:
+        print('ORBITS_CALLS = (%d, "%s")' % _orbits_calls(mp))
