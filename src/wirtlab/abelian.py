@@ -1,71 +1,67 @@
-"""Abelian invariants via integer Smith normal form."""
+"""Abelian invariants via integer Smith normal form.
+
+``smith_normal_form`` pivots one column at a time by elementary operations
+that scan only the pivot's column and row (H. Cohen, *A Course in
+Computational Algebraic Number Theory*, 1993, §2.4.4), then orders the
+diagonal by a gcd/lcm pass (M. Newman, *Integral Matrices*, 1972, ch. II).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .fpgroups import Presentation
 
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:
-    """Diagonal entries d1 | d2 | ... of the Smith normal form.
+    """Diagonal entries d1 | d2 | ... of the Smith normal form, nonnegative,
+    zeros included, of length ``min(rows, cols)``; exact integers.
 
-    Returns the nonnegative diagonal, including zeros, of length
-    ``min(rows, cols)``.  Exact integer arithmetic throughout.
+    With ``t`` pivots found, column ``j`` brings its smallest nonzero entry
+    at or below row ``t`` to row ``t`` and reduces the rows below by it
+    until it is ``p`` over zeros.  Column operations then change row ``t``
+    alone; its remainders modulo ``p`` leave a smaller pivot to swap into
+    column ``j``, or none, and then ``|p|`` is recorded.  A pivot scans
+    O(rows + cols) entries, so a diagonal matrix costs quadratic time.
+    Then each pair ``d_i, d_k`` with ``i < k`` becomes ``gcd, lcm``, which
+    keeps the diagonal's multiset of prime powers (so its invariant
+    factors) and leaves each prime's exponents ascending.
     """
-    a = [row[:] for row in matrix]
+    a = [list(row) for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     diag: list[int] = []
-    top = 0
-    while top < min(rows, cols):
-        # find the entry of smallest absolute value in the remaining block
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
-        # clear the row and column; restart if a remainder shrank the pivot
-        dirty = False
-        p = a[top][top]
-        for i in range(top + 1, rows):
-            if a[i][top] != 0:
-                dirty |= a[i][top] % p != 0
-                q = a[i][top] // p
-                for j in range(cols):
-                    a[i][j] -= q * a[top][j]
-        for j in range(top + 1, cols):
-            if a[top][j] != 0:
-                dirty |= a[top][j] % p != 0
-                q = a[top][j] // p
-                for i in range(rows):
-                    a[i][j] -= q * a[i][top]
-        if dirty:
-            continue
-        # ensure divisibility of the remaining block by the pivot
-        bad = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if a[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
+    for j in range(cols):
+        t = len(diag)
+        while True:
+            below = [i for i in range(t, rows) if a[i][j]]
+            if not below:
                 break
-        if bad is not None:
-            for j in range(cols):
-                a[top][j] += a[bad][j]
-            continue
-        diag.append(abs(p))
-        top += 1
-    while len(diag) < min(rows, cols):
-        diag.append(0)
-    return diag
+            s = min(below, key=lambda i: abs(a[i][j]))
+            a[t], a[s] = a[s], a[t]
+            top, p = a[t], a[t][j]
+            if len(below) > 1:
+                for i in range(t + 1, rows):
+                    q = a[i][j] // p
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], top)]
+                continue
+            # column j is p over zeros, and rows above t are 0 right of
+            # their pivots, so a column operation changes row t alone
+            top[j + 1:] = [x % p for x in top[j + 1:]]
+            rest = [k for k in range(j + 1, cols) if top[k]]
+            if not rest:
+                diag.append(abs(p))
+                break
+            k = min(rest, key=lambda k: abs(top[k]))
+            for row in a[t:]:
+                row[j], row[k] = row[k], row[j]
+    for i in range(len(diag)):
+        for k in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[k])
+            diag[i], diag[k] = g, diag[i] // g * diag[k]
+    return diag + [0] * (min(rows, cols) - len(diag))
 
 
 @dataclass(frozen=True)
@@ -82,11 +78,12 @@ class AbelianInvariants:
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     n = len(p.generators)
-    if not p.relators:
-        return AbelianInvariants(n, ())
-    matrix = [
-        [r.exponent_sum(i + 1) for i in range(n)] for r in p.relators
-    ]
+    matrix = []
+    for r in p.relators:
+        row = [0] * n
+        for g, e in r:
+            row[g - 1] += e
+        matrix.append(row)
     diag = smith_normal_form(matrix)
     nonzero = [d for d in diag if d != 0]
     torsion = tuple(d for d in nonzero if d != 1)

@@ -108,9 +108,6 @@ class Word:
     def max_generator(self) -> int:
         return max((g for g, _ in self.letters), default=0)
 
-    def exponent_sum(self, i: int) -> int:
-        return sum(e for g, e in self.letters if g == i)
-
     def substitute(
         self, images: dict[int, "Word"], inverses: dict[int, "Word"] | None = None
     ) -> "Word":

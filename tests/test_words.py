@@ -71,10 +71,8 @@ def test_alternating_products():
     assert alternating(y, x, 4) == y * x * y * x
 
 
-def test_exponent_sum_and_max_generator():
+def test_max_generator():
     w = Word([(3, 1), (1, -1), (3, 1), (1, 1)])
-    assert w.exponent_sum(3) == 2
-    assert w.exponent_sum(1) == 0
     assert w.max_generator() == 3
 
 
