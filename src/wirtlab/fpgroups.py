@@ -2,8 +2,12 @@
 
 A :class:`Presentation` has named generators and relators given as
 :class:`~wirtlab.words.Word` objects whose integer letters index the
-generator list (1-based).  :func:`tietze_simplify` and its transcripts keep
-the source numbering; the kept generators are renumbered 1.. once, at the end.
+generator list (1-based).  :func:`tietze_simplify` eliminates, at each step,
+the generator whose defining relator gives the least estimated length
+growth, (occurrences of g in the other relators) * (len(r) - 2) - 2, ties
+going to the shorter relator, the lower generator, then the earlier
+relator.  It and its transcripts keep the source numbering; the kept
+generators are renumbered 1.. once, at the end.
 """
 
 from __future__ import annotations
@@ -193,13 +197,13 @@ def _renumber(generators: Sequence[str], relators: Sequence[Word], eliminated: s
     )
 
 
-def _facts(w: Word) -> tuple[tuple, int | None]:
+def _facts(w: Word) -> tuple[tuple, Counter, tuple[int, ...]]:
     """The shape of a relator, (length, generator -> count), the same for
-    every rotation and for the inverse; and its lowest generator that occurs
-    exactly once, or None."""
+    every rotation and for the inverse; its generator counts; and its
+    generators that occur exactly once."""
     counts = Counter(map(itemgetter(0), w.letters))
-    once = min((g for g, c in counts.items() if c == 1), default=None)
-    return (len(w), frozenset(counts.items())), once
+    once = tuple(g for g, c in counts.items() if c == 1)
+    return (len(w), frozenset(counts.items())), counts, once
 
 
 def replay_transcript(source: Presentation, transcript: TietzeTranscript) -> Presentation:
@@ -220,31 +224,44 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
 
     After cyclic reduction and the deletion of trivial relators and of each
     relator equal, up to rotation and inversion, to an earlier one, the
-    shortest relator in which some generator occurs exactly once defines its
-    lowest such generator, ties going to the earlier relator; repeat until
-    no relator has such a generator.  Each relator's shape, defining letter
-    and cyclic key share one cache entry, kept until a move rewrites the
-    relator, so a move costs about what it changed.
+    next elimination is the pair (relator r, generator g occurring exactly
+    once in r) of least estimated length growth,
+    (occurrences of g in the other relators) * (len(r) - 2) - 2, as in
+    Havas, Kenne, Richardson and Robertson's Tietze program (1984); ties go
+    to the shorter relator, then the lower generator, then the earlier
+    relator.  Repeat until no relator has such a generator.  Each relator's
+    shape, generator counts, once-occurring generators and cyclic key share
+    one cache entry, kept until a move rewrites the relator, and one running
+    total of occurrences per generator is updated as entries are computed
+    and dropped, so a move costs about what it changed.
     """
     rels = list(p.relators)
     gone: set[int] = set()
     moves: list[TietzeMove] = []
-    # per relator, [shape, once, key] as _facts and _cyclic_canonical give
-    # them, the key None until needed; the entry is None until computed and
-    # again once a move rewrites the relator
+    # per relator, [shape, counts, once, key] as _facts and _cyclic_canonical
+    # give them, the key None until needed; the entry is None until computed
+    # and again once a move rewrites the relator.  occ sums the counts of
+    # the computed entries.
     facts: list = [None] * len(rels)
+    occ: Counter = Counter()
+
+    def drop(i: int) -> None:
+        if facts[i] is not None:
+            occ.subtract(facts[i][1])
+            facts[i] = None
 
     def apply(move: TietzeMove) -> None:
         moves.append(move)
-        for i in _apply_move(len(p.generators), gone, rels, move):
-            facts[i] = None
         if move.action == "delete":
+            drop(move.index)
             del facts[move.index]
+        for i in _apply_move(len(p.generators), gone, rels, move):
+            drop(i)
 
     def key(i: int) -> tuple:
-        if facts[i][2] is None:
-            facts[i][2] = _cyclic_canonical(rels[i])
-        return facts[i][2]
+        if facts[i][3] is None:
+            facts[i][3] = _cyclic_canonical(rels[i])
+        return facts[i][3]
 
     def normalise() -> None:
         # cyclic reduction, trivial and duplicate removal, in relator order.
@@ -259,6 +276,7 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
                 if len(reduced) < len(rels[j]):
                     apply(TietzeMove("I", "reduce", j, reduced))
                 facts[j] = [*_facts(reduced), None]
+                occ.update(map(itemgetter(0), reduced.letters))
             same = kept.setdefault(facts[j][0], [])
             if not rels[j] or (same and key(j) in map(key, same)):
                 apply(TietzeMove("I", "delete", j))
@@ -267,8 +285,12 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
                 j += 1
 
     normalise()
-    while candidates := [(f[0][0], f[1], i) for i, f in enumerate(facts) if f[1] is not None]:
-        _, g, ri = min(candidates)
+    while candidates := [
+        ((occ[g] - 1) * (f[0][0] - 2) - 2, f[0][0], g, i)
+        for i, f in enumerate(facts)
+        for g in f[2]
+    ]:
+        *_, g, ri = min(candidates)
         ls = rels[ri].letters
         pos = list(map(itemgetter(0), ls)).index(g)
         # r ~ g^e * w, so g = w^-1 if e == 1 else w; a rotation of a

@@ -223,7 +223,8 @@ def test_cyclic_canonical_matches_all_rotations():
 
 def rescanning_tietze(p: Presentation):
     """The reference loop: after every elimination, cyclically reduce and
-    key every relator, and search every relator for a defining letter."""
+    key every relator, recount every generator over every relator, and
+    search every relator for the elimination of least estimated growth."""
     rels, gone, moves = list(p.relators), set(), []
 
     def apply(move):
@@ -244,17 +245,20 @@ def rescanning_tietze(p: Presentation):
             i += 1
 
     def defining_letter():
+        total = Counter(g for r in rels for g, _ in r)
         best = None
         for ri, r in enumerate(rels):
             counts = Counter(g for g, _ in r)
             for pos, (g, _) in enumerate(r):
-                if counts[g] == 1 and (best is None or (len(r), g) < best[:2]):
-                    best = (len(r), g, ri, pos)
+                if counts[g] == 1:
+                    growth = (total[g] - 1) * (len(r) - 2) - 2
+                    if best is None or (growth, len(r), g, ri) < best[:4]:
+                        best = (growth, len(r), g, ri, pos)
         return best
 
     normalise()
     while (found := defining_letter()) is not None:
-        _, g, ri, pos = found
+        *_, g, ri, pos = found
         ls = rels[ri].letters
         rest = Word(ls[pos + 1 :] + ls[:pos])
         apply(TietzeMove("I", "delete", ri))
@@ -308,10 +312,27 @@ def test_a_rewritten_relator_is_kept_over_a_later_rotation_of_it():
     assert q.to_json() == ref.to_json() and list(transcript.moves) == moves
 
 
+def test_a_generator_no_other_relator_uses_is_eliminated_first():
+    """The least-growth rule: c occurs only in the first relator, so
+    eliminating it rewrites nothing (growth -2), while a and b each occur
+    twice more (growth 0).  The shortest relator's lowest once-occurring
+    generator, a, would have rewritten the commutator."""
+    a, b, c = Word.gen(1), Word.gen(2), Word.gen(3)
+    p = Presentation(("a", "b", "c"), (a * c * b.inverse(), commutator(a, b)))
+    q, transcript = tietze_simplify(p)
+    assert list(transcript.moves) == [
+        TietzeMove("I", "delete", 0),
+        TietzeMove("IIa", "eliminate", 3, a.inverse() * b),
+    ]
+    assert q.describe() == "< a, b | a*b*a^-1*b^-1 >"
+    ref, moves = rescanning_tietze(p)
+    assert q.to_json() == ref.to_json() and list(transcript.moves) == moves
+
+
 def test_tietze_keys_relators_only_where_shapes_collide(monkeypatch):
     """Work count, no timing: the rescanning loop keys every relator after
-    each of the 36 eliminations here, 1562 keys in all; keying only the
-    relators whose shape an earlier kept one has takes 62."""
+    each of the 36 eliminations here, 1566 keys in all; keying only the
+    relators whose shape an earlier kept one has takes 39."""
     calls = []
     original = fpgroups._cyclic_canonical
 
@@ -322,4 +343,34 @@ def test_tietze_keys_relators_only_where_shapes_collide(monkeypatch):
     monkeypatch.setattr(fpgroups, "_cyclic_canonical", counted)
     q, transcript = tietze_simplify(wide_presentations(12, "llr")[0])
     assert sum(m.kind == "IIa" for m in transcript.moves) == 36
-    assert len(calls) == 62
+    assert len(calls) == 39
+
+
+def test_eliminations_rewrite_few_relators_on_a_wide_point(monkeypatch):
+    """Work count, no timing: on an ordinary 36-fold point, eliminating the
+    shortest relator's lowest once-occurring generator picks a generator
+    that sits in nearly every relator, and the IIa moves rewrite 1,926
+    relators; eliminating by least estimated growth rewrites 71."""
+    rewritten = []
+    original = fpgroups._apply_move
+
+    def counted(*args):
+        done = original(*args)
+        rewritten.extend(done)
+        return done
+
+    monkeypatch.setattr(fpgroups, "_apply_move", counted)
+    tietze_simplify(wide_presentations(36, "r")[0])
+    assert len(rewritten) == 71
+
+
+def test_orbifold_side_simplifies_to_few_letters():
+    """Eliminating by least estimated growth leaves 120 letters at k = 4
+    and 680 at k = 8, against 376 and 5,792 for the shortest relator's
+    lowest once-occurring generator; the generators stay 5 and 9."""
+    letters = {}
+    for k, gens in ((4, 5), (8, 9)):
+        q = tietze_simplify(orbifold_presentation(k))[0]
+        assert len(q.generators) == gens
+        letters[k] = sum(map(len, q.relators))
+    assert letters[4] == 120 and letters[8] <= 700

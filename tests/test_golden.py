@@ -103,10 +103,9 @@ ROUTES = {
 }
 
 
-def render_simplified() -> str:
-    """The text of ``simplified.json``; routes that raise DiagramError are
-    skipped."""
-    lines = []
+def simplified_records():
+    """One record per diagram and route, as ``simplified.json`` holds them;
+    routes that raise DiagramError are skipped."""
     for name in NAMES:
         if name == "long_100":
             continue
@@ -117,16 +116,46 @@ def render_simplified() -> str:
             except DiagramError:
                 continue
             q, transcript = tietze_simplify(p)
-            record = {
+            yield {
                 "name": name,
                 "route": route,
                 "moves": len(transcript.moves),
                 "simplified": q.to_json(),
             }
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+
+
+def render_simplified() -> str:
+    """The text of ``simplified.json``."""
+    return "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in simplified_records()
+    )
 
 
 def test_simplified_golden():
     expected = (GOLDEN / "simplified.json").read_text(encoding="utf-8")
     assert render_simplified() == expected
+
+
+def _sizes(record) -> tuple[int, int, int]:
+    """Moves, generators and letters of one simplified.json record."""
+    q = record["simplified"]
+    return record["moves"], len(q["generators"]), sum(map(len, q["relators"]))
+
+
+if __name__ == "__main__":
+    # Print one row per line of simplified.json that the wirtlab on the
+    # import path no longer reproduces, with its moves, generators and
+    # letters as committed -> as computed now; run from the repository root
+    # as PYTHONPATH=<checkout>/src python -m tests.test_golden
+    current = {(r["name"], r["route"]): r for r in simplified_records()}
+    text = (GOLDEN / "simplified.json").read_text(encoding="utf-8")
+    print("| name | route | moves | generators | letters |")
+    print("| --- | --- | --- | --- | --- |")
+    for old in map(json.loads, text.splitlines()):
+        new = current.get((old["name"], old["route"]))
+        if new == old:
+            continue
+        now = _sizes(new) if new else ("-",) * 3
+        cells = ["%s -> %s" % pair for pair in zip(_sizes(old), now)]
+        print("| %s | %s | %s |" % (old["name"], old["route"], " | ".join(cells)))
