@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
 
@@ -177,26 +178,31 @@ class EventRecord:
     block_strands: tuple[int, ...]  # persistent strand tokens of the block
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+def classes(n: int, pairs) -> list[int]:
+    """The class label of each of the elements 0 .. n-1 under the
+    equivalence that the integer ``pairs`` generate.  Classes are numbered
+    0, 1, ... in order of their least member.
 
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
+    A union-find with path halving (Tarjan, J. ACM 22, 1975) that links
+    the larger root under the smaller, so every parent is at most its child
+    and each root is its class's least member."""
+    parent = list(range(n))
 
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    label: list[int] = []
+    count = 0
+    for x, p in enumerate(parent):  # p <= x, so p is labelled already
+        label.append(label[p] if p < x else count)
+        count += p == x
+    return label
 
 
 @dataclass
@@ -237,7 +243,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         )
     edge_counter = d
     strand_counter = d
-    branch = UnionFind()
+    links: list[tuple[int, int]] = []  # edges on one branch
     slabs: list[tuple[int, ...]] = []
     records: list[EventRecord] = []
     # diagram.events is sorted by x, so each side's events are a run of it
@@ -279,10 +285,9 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 # edge continuing each near edge.
                 pairing = slice(None, None, -1 if event.kind.twist // 2 % 2 else 1)
                 far_strands, continued = near_strands[pairing], far[pairing]
-                for far_edge, near_edge in zip(far, near[pairing]):
-                    branch.union(far_edge, near_edge)
+                links += zip(far, near[pairing])
             else:  # a one-sided block's two strands are one branch
-                branch.union(*block_edges)
+                links.append(block_edges)
                 far_strands = tuple(range(strand_counter + 1, strand_counter + 1 + n_far))
                 strand_counter += n_far
                 continued = ()
@@ -297,11 +302,13 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         slabs += ivs[::-1] if side == "left" else ivs
         records += recs[::-1] if side == "left" else recs
 
-    classes: dict = {}
+    # edge 0 is alone in class 0, so the clusters are classes 1, 2, ...
+    label = classes(edge_counter + 1, links)
+    members: list[list[int]] = [[] for _ in range(max(label) + 1)]
     for e in range(1, edge_counter + 1):
-        classes.setdefault(branch.find(e), []).append(e)
+        members[label[e]].append(e)
     clusters = []
-    for edges in classes.values():
+    for edges in members[1:]:
         ranks = [e for e in edges if e <= d]  # the rank-r strand at L has edge id r
         names = tuple(sorted({diagram.components[r - 1] for r in ranks}))
         clusters.append((edges, ranks, names))
@@ -365,7 +372,8 @@ def faces(sw: SweepResult) -> FaceComplex:
     if sw.violations:
         raise DiagramError("cannot build faces: " + "; ".join(sw.violations))
 
-    uf = UnionFind()
+    # fragment (si, g) has the integer id start[si] + g
+    start = [0, *accumulate(len(slab) + 1 for slab in sw.slabs)]
     total_points = 0
     glued: list[tuple[tuple, tuple]] = []
     for rec in sw.records:
@@ -384,15 +392,17 @@ def faces(sw: SweepResult) -> FaceComplex:
         for s in range(points + 1):
             lf = (ci, s if s < top else s + len(left) - points)
             rf = (ci + 1, s if s < top else s + len(right) - points)
-            uf.union(lf, rf)
             glued.append((lf, rf))
 
+    # a face's id is the class label of its fragments
+    label = classes(start[-1], (
+        (start[lsi] + lg, start[rsi] + rg) for (lsi, lg), (rsi, rg) in glued
+    ))
     face_of: dict = {}
     face_frags: dict = {}
-    face_ids: dict = {}
     for si, slab in enumerate(sw.slabs):
         for g in range(len(slab) + 1):
-            face = face_ids.setdefault(uf.find((si, g)), len(face_ids))
+            face = label[start[si] + g]
             face_of[si, g] = face
             face_frags.setdefault(face, []).append((si, g))
 
@@ -443,7 +453,7 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
     The report also carries the Euler characteristic and connectivity of
     the filled union as an independent verification.  The Euler
     characteristic is V - E + F counted off the faces' cells; connectivity
-    comes from a union-find over the sweep's strand tokens.  The union is a
+    comes from the classes of the sweep's strand tokens.  The union is a
     compact set whose complement in the sphere (the unbounded faces and
     infinity) is connected, so by Alexander duality its Euler
     characteristic is its number of components: the two numbers must agree
@@ -504,19 +514,16 @@ def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
     )
     euler = n_vertices - n_edges + len(frags)
 
-    # pieces of the union by strand token, with token 0 standing for L: a
-    # token's segments are joined through its points, a block's strands
-    # meet at its event's point, and a fragment joins its two bounding strands
-    uf = UnionFind()
-    for r in range(1, d + 1):
-        uf.union(0, r)
+    # pieces of the union by strand token, with token 0 (class 0) standing
+    # for L: a token's segments are joined through its points, a block's
+    # strands meet at its event's point, and a fragment joins its two
+    # bounding strands
+    links = [(0, r) for r in range(1, d + 1)]
     for rec in fc.sweep.records:
-        for tok in rec.block_strands[1:]:
-            uf.union(rec.block_strands[0], tok)
-    for si, g in frags:
-        uf.union(slabs[si][g - 1], slabs[si][g])
-    root = uf.find(0)
-    connected = all(uf.find(tok) == root for slab in slabs for tok in slab)
+        links += ((rec.block_strands[0], tok) for tok in rec.block_strands[1:])
+    links += ((slabs[si][g - 1], slabs[si][g]) for si, g in frags)
+    label = classes(1 + max(max(slab, default=0) for slab in slabs), links)
+    connected = all(label[tok] == 0 for slab in slabs for tok in slab)
     return euler, connected
 
 
@@ -574,7 +581,11 @@ class TheoremReport:
 def check_theorem(diagram: CurveDiagram) -> TheoremReport:
     """Mechanically check the sufficiency hypotheses: structural validity,
     componentwise real connectivity, the facing condition, and existence of
-    the canonical simply-connected region B."""
+    the canonical simply-connected region B.  They assume that every
+    critical value of the projection is real, since a diagram records only
+    real events: an ellipse above a line that misses it is Verified with
+    group F2, but the curves meet in two non-real points and the group is
+    Z^2 (see README)."""
     return _check_theorem(sweep_ranks(diagram))
 
 

@@ -35,9 +35,9 @@ from .diagram import (
     Ordinary,
     SweepResult,
     Tangency,
-    UnionFind,
     _check_theorem,
     _validate,
+    classes,
     sweep_ranks,
 )
 from .fpgroups import Presentation, artin_relator
@@ -58,14 +58,8 @@ def _edge_generators(sw: SweepResult, merges) -> dict:
     """Extended edge id -> generator index (1-based).  The edges that
     ``merges`` identify share a generator; generators are numbered in order
     of their least edge."""
-    uf = UnionFind()
-    for a, b in merges:
-        uf.union(a, b)
-    index_of_root: dict = {}
-    return {
-        e: index_of_root.setdefault(uf.find(e), len(index_of_root) + 1)
-        for e in range(1, sw.edge_count + 1)
-    }
+    label = classes(sw.edge_count + 1, merges)  # edge 0 is alone in class 0
+    return {e: label[e] for e in range(1, sw.edge_count + 1)}
 
 
 def _require_valid(sw: SweepResult) -> None:

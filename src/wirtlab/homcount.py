@@ -31,7 +31,7 @@ Generators that the presentation makes conjugate share a class.  A
 cyclically reduced relator that is u a^e u^-1 b^-e after some rotation,
 with a != b generators and e = +-1, says b^e = u a^e u^-1, so every
 homomorphism maps b into the conjugacy class of a's image; such pairs are
-merged with a union-find.
+merged by ``diagram.classes``.
 
 Only a single letter a^e is sound: u a^2 u^-1 b^-2 makes the squares
 conjugate, not a and b (in <a, b | a^2 b^-2>, a -> 1, b -> (12) is a
@@ -46,6 +46,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import permutations
 
+from .diagram import classes
 from .fpgroups import Presentation
 
 # Measured on one core of a shared 2-core Xeon: 0.4-1.8 us per node in
@@ -64,22 +65,21 @@ class ResourceGuardError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroupTable:
-    """A finite group as a multiplication table on element indices.  It
-    hashes and compares by identity: the caches keyed by it would otherwise
-    hash the whole table on every lookup."""
+    """A finite group as a multiplication table on element indices, with
+    the identity at index 0.  It hashes and compares by identity: the
+    caches keyed by it would otherwise hash the whole table on every
+    lookup."""
 
     name: str
     size: int
     mult: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
-    identity: int = 0
 
     def __post_init__(self):
         for i in range(self.size):
-            if self.mult[self.identity][i] != i or self.mult[i][self.identity] != i:
-                raise ValueError("identity index is wrong")
-            j = self.inverse[i]
-            if self.mult[i][j] != self.identity:
+            if self.mult[0][i] != i or self.mult[i][0] != i:
+                raise ValueError("index 0 is not the identity")
+            if self.mult[i][self.inverse[i]] != 0:
                 raise ValueError("inverse table is wrong")
 
 
@@ -181,20 +181,13 @@ def _search_order(supports: list[frozenset[int]], n: int) -> list[int]:
 
 
 def _conjugacy_roots(p: Presentation) -> list[int]:
-    """A union-find root for each generator (index 0 unused), merging a and
-    b whenever a cyclically reduced relator is u a^e u^-1 b^-e after some
+    """A class label for each generator (index 0 unused), merging a and b
+    whenever a cyclically reduced relator is u a^e u^-1 b^-e after some
     rotation (e = +-1; see the module docstring for why not a^2).  In such
     a rotation a sits at some centre c and b^-e at the antipode c + L/2,
     and the letters at c + t and c - t are inverse for t = 1 .. L/2 - 1;
     each centre's check stops at its first mismatch."""
-    root = list(range(len(p.generators) + 1))
-
-    def find(g: int) -> int:
-        while root[g] != g:
-            root[g] = root[root[g]]
-            g = root[g]
-        return g
-
+    merged: list[tuple[int, int]] = []
     for r in p.relators:
         w = r.cyclically_reduced().letters
         if len(w) % 2:
@@ -203,15 +196,15 @@ def _conjugacy_roots(p: Presentation) -> list[int]:
         # centres c and c + half are one check, so c < half suffices
         for c in range(half):
             (a, e), (b, f) = w[c], w[c + half]
-            if a == b or e != -f or find(a) == find(b):
+            if a == b or e != -f:
                 continue
             for t in range(1, half):
                 g, x = w[c + t]
                 if w[c - t] != (g, -x):
                     break
             else:
-                root[find(a)] = find(b)
-    return [find(g) for g in range(len(root))]
+                merged.append((a, b))
+    return classes(len(p.generators) + 1, merged)
 
 
 def _compile(letters: list[tuple[int, int]], depth: int):
@@ -269,12 +262,11 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
     cols = _columns(table)
     inv = table.inverse
     inv_cols = tuple(cols[inv[x]] for x in range(table.size))
-    identity = table.identity
     assign: list[int | None] = [None] * (n + 1)  # assign[n] reads None
     nodes = 0
 
     def value(segment) -> int:
-        acc = identity
+        acc = 0  # the identity
         for d, e in segment:
             x = assign[d]
             acc = cols[x if e > 0 else inv[x]][acc]
@@ -305,10 +297,10 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
             kept = []
             for candidate in candidates:
                 x = candidate[0]
-                acc = identity
+                acc = 0
                 for side, segment in segments:
                     acc = segment[side[x][acc]]
-                if acc == identity:
+                if acc == 0:
                     kept.append(candidate)
             candidates = kept
             if not candidates:

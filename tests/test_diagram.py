@@ -1,4 +1,6 @@
 import hashlib
+import random
+from collections import deque
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +20,7 @@ from wirtlab.diagram import (
     auto_region_B,
     check_facing,
     check_theorem,
+    classes,
     event_action,
     faces,
     sweep_ranks,
@@ -169,6 +172,50 @@ def test_tangency_extends_edge_count(corpus):
             groups.setdefault(find(e), []).append(e)
         rebuilt = sorted(tuple(sorted(v)) for v in groups.values())
         assert rebuilt == sorted(classes), stem
+
+
+def test_classes_hand_cases():
+    assert classes(0, []) == []
+    assert classes(3, [(1, 1)]) == [0, 1, 2]
+    assert classes(4, [(2, 3), (3, 2), (2, 3)]) == [0, 1, 2, 2]
+    # the chain 0 - 1 - 2 - 3 - 4, linked out of order
+    assert classes(5, [(3, 4), (0, 1), (2, 3), (1, 2)]) == [0] * 5
+    # {0, 2}, {1, 4} and {3, 5} are numbered by their least members
+    assert classes(6, [(5, 3), (4, 1), (2, 0)]) == [0, 1, 0, 2, 1, 2]
+
+
+def breadth_first_labels(n: int, pairs) -> list[int]:
+    """Class labels by a breadth-first search from each unlabelled element
+    in increasing order, so classes are numbered by their least member."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    label: list = [None] * n
+    count = 0
+    for start in range(n):
+        if label[start] is not None:
+            continue
+        label[start] = count
+        queue = deque([start])
+        while queue:
+            for y in neighbours[queue.popleft()]:
+                if label[y] is None:
+                    label[y] = count
+                    queue.append(y)
+        count += 1
+    return label
+
+
+def test_classes_match_a_breadth_first_search():
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        pairs = [
+            (rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        assert classes(n, pairs) == breadth_first_labels(n, pairs), (n, pairs)
 
 
 def test_euler_characteristic_on_corpus(corpus):

@@ -46,11 +46,11 @@ def reference_count(p: Presentation, table) -> int:
     for r, s in zip(p.relators, supports):
         if s:
             checks[max(order.index(g) for g in s) + 1].append(r)
-    mult, inverse, identity = table.mult, table.inverse, table.identity
-    assign = [identity] * (n + 1)
+    mult, inverse = table.mult, table.inverse
+    assign = [0] * (n + 1)
 
     def value(word: Word) -> int:
-        acc = identity
+        acc = 0
         for g, e in word.letters:
             x = assign[g]
             acc = mult[acc][x if e == 1 else inverse[x]]
@@ -62,7 +62,7 @@ def reference_count(p: Presentation, table) -> int:
         total = 0
         for x in range(table.size):
             assign[order[depth]] = x
-            if all(value(r) == identity for r in checks[depth + 1]):
+            if all(value(r) == 0 for r in checks[depth + 1]):
                 total += search(depth + 1)
         return total
 
@@ -191,7 +191,8 @@ def test_finite_group_table_checks_identity_and_inverses():
     mult = ((0, 1), (1, 0))
     FiniteGroupTable("Z2", 2, mult, (0, 1))
     with pytest.raises(ValueError, match="identity"):
-        FiniteGroupTable("Z2", 2, mult, (0, 1), identity=1)
+        # Z2 with its identity at index 1
+        FiniteGroupTable("Z2", 2, ((1, 0), (0, 1)), (0, 1))
     with pytest.raises(ValueError, match="inverse"):
         FiniteGroupTable("Z2", 2, mult, (0, 0))
 
