@@ -146,6 +146,8 @@ def twist_images(words: Sequence[Word], k: int) -> tuple[Word, ...]:
     where D_0(w_i) = w_i and D_1(w_i) = Q_i w_(m+1-i) Q_i^-1 with
     Q_i = w_m ... w_(m+2-i), the product of P's first i - 1 factors.  It
     equals ``braid_images(half_twist(m) ** k)`` with the words substituted."""
+    if k == 0:
+        return tuple(words)
     q, r = divmod(k, 2)
     prefixes = [Word.identity()]  # Q_1 .. Q_(m+1) = P
     for w in reversed(words):

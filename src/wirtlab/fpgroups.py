@@ -7,14 +7,19 @@ the generator whose defining relator gives the least estimated length
 growth, (occurrences of g in the other relators) * (len(r) - 2) - 2, ties
 going to the shorter relator, the lower generator, then the earlier
 relator.  It and its transcripts keep the source numbering; the kept
-generators are renumbered 1.. once, at the end.
+generators are renumbered 1.. once, at the end.  It works on each relator
+as a tuple of signed generator indices (g for x_g, -g for x_g^-1) and
+builds ``Word`` objects only for the words of recorded moves and for its
+output; :func:`replay_transcript` checks a transcript by applying its moves
+to ``Word`` objects, a route independent of those tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import starmap
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 from .words import Word, alternating, format_word
@@ -137,23 +142,74 @@ class TietzeTranscript:
         return {m.kind for m in self.moves}
 
 
-def _cyclic_canonical(w: Word) -> tuple:
-    """Canonical key of a relator up to cyclic rotation and inversion: the
-    least rotation of w or of its inverse.  Only a rotation that starts at
-    an occurrence of a word's least letter can be its least, so only those
-    are built."""
-    w = w.cyclically_reduced()
-    if not w:
+def _signed(w: Word) -> tuple[int, ...]:
+    """The letters of w as signed generator indices: g for x_g, -g for x_g^-1."""
+    return tuple(starmap(mul, w.letters))
+
+
+def _word(t: Sequence[int]) -> Word:
+    """The Word of a freely reduced signed tuple; inverse of :func:`_signed`."""
+    return Word._reduced(tuple([(x, 1) if x > 0 else (-x, -1) for x in t]))
+
+
+def _inverse(t: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(t)))
+
+
+def _positions(t: tuple[int, ...], x: int) -> list[int]:
+    """The indices of x in t, in order."""
+    found, i = [], -1
+    try:
+        while True:
+            i = t.index(x, i + 1)
+            found.append(i)
+    except ValueError:
+        return found
+
+
+def _append_signed(out: list[int], run: Sequence[int]) -> None:
+    """Append the freely reduced signed ``run`` to the freely reduced
+    ``out``, keeping it reduced: only the seam between them can cancel."""
+    j, n = 0, len(run)
+    while out and j < n and out[-1] == -run[j]:
+        out.pop()
+        j += 1
+    out.extend(run[j:] if j else run)
+
+
+def _cyclically_reduced(t: tuple[int, ...]) -> tuple[int, ...]:
+    i, j = 0, len(t) - 1
+    while i < j and t[i] == -t[j]:
+        i += 1
+        j -= 1
+    return t[i : j + 1] if i else t
+
+
+def _cyclic_canonical(t: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical key of a signed relator up to cyclic rotation and
+    inversion: the least rotation of its cyclic reduction or of that one's
+    inverse.  Only a rotation that starts at an occurrence of a word's least
+    letter can be its least, so only those are built."""
+    t = _cyclically_reduced(t)
+    if not t:
         return ()
-    best = None
-    for ls in (w.letters, w.inverse().letters):
-        least = min(ls)
-        for i, letter in enumerate(ls):
-            if letter == least:
-                rot = ls[i:] + ls[:i]
-                if best is None or rot < best:
-                    best = rot
-    return best
+    return min(ls[i:] + ls[:i] for ls in (t, _inverse(t)) for i in _positions(ls, min(ls)))
+
+
+def _substitute(
+    t: tuple[int, ...], g: int, image: tuple[int, ...], inverse: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The signed relator t with x_g replaced by ``image`` and x_g^-1 by
+    ``inverse``.  The runs between the replaced letters and the images are
+    reduced already, so they are copied whole and only the seams cancel."""
+    out: list[int] = []
+    start = 0
+    for i in sorted(_positions(t, g) + _positions(t, -g)):
+        _append_signed(out, t[start:i])
+        _append_signed(out, image if t[i] == g else inverse)
+        start = i + 1
+    _append_signed(out, t[start:])
+    return tuple(out)
 
 
 def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove) -> list[int]:
@@ -186,32 +242,40 @@ def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove)
     raise ValueError("unsupported Tietze move %r/%r" % (move.kind, move.action))
 
 
-def _renumber(generators: Sequence[str], relators: Sequence[Word], eliminated: set[int]) -> Presentation:
-    """Drop the eliminated generators; number the rest 1.. in source order.
-    The map is one-to-one, so the renumbered words stay reduced."""
+def _renumber(
+    generators: Sequence[str], relators: Iterable[tuple[int, ...]], eliminated: set[int]
+) -> Presentation:
+    """Drop the eliminated generators; number the rest 1.. in source order
+    and build the Words of the signed relators.  The map is one-to-one, so
+    the renumbered words stay reduced."""
     kept = [i for i in range(1, len(generators) + 1) if i not in eliminated]
-    index = {old: new for new, old in enumerate(kept, start=1)}
+    letter = {}
+    for new, old in enumerate(kept, start=1):
+        letter[old], letter[-old] = (new, 1), (new, -1)
     return Presentation(
         tuple(generators[i - 1] for i in kept),
-        tuple(Word._reduced(tuple([(index[g], e) for g, e in r])) for r in relators),
+        tuple(Word._reduced(tuple(map(letter.__getitem__, t))) for t in relators),
     )
 
 
-def _facts(w: Word) -> tuple[tuple, Counter, tuple[int, ...]]:
-    """The shape of a relator, (length, generator -> count), the same for
-    every rotation and for the inverse; its generator counts; and its
-    generators that occur exactly once."""
-    counts = Counter(map(itemgetter(0), w.letters))
+def _facts(t: tuple[int, ...]) -> tuple[tuple, Counter, tuple[int, ...]]:
+    """The shape of a signed relator, (length, generator -> count), the
+    same for every rotation and for the inverse; its generator counts; and
+    its generators that occur exactly once."""
+    counts = Counter(map(abs, t))
     once = tuple(g for g, c in counts.items() if c == 1)
-    return (len(w), frozenset(counts.items())), counts, once
+    return (len(t), frozenset(counts.items())), counts, once
 
 
 def replay_transcript(source: Presentation, transcript: TietzeTranscript) -> Presentation:
+    """Apply the moves to the source relators as :class:`Word` objects,
+    checking each one.  It shares only the final renumbering with
+    :func:`tietze_simplify`, whose loop works on signed letters."""
     rels = list(source.relators)
     gone: set[int] = set()
     for move in transcript.moves:
         _apply_move(len(source.generators), gone, rels, move)
-    return _renumber(source.generators, rels, gone)
+    return _renumber(source.generators, map(_signed, rels), gone)
 
 
 def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
@@ -219,8 +283,8 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
 
     Only moves of type I (relator replacement/deletion by consequences) and
     IIa (generator elimination via a relator containing it exactly once) are
-    performed, each recorded and applied as :func:`replay_transcript` does;
-    type IIb moves (adding generators) are never generated.
+    performed and recorded, so that :func:`replay_transcript` reproduces the
+    result; type IIb moves (adding generators) are never generated.
 
     After cyclic reduction and the deletion of trivial relators and of each
     relator equal, up to rotation and inversion, to an earlier one, the
@@ -234,8 +298,15 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
     one cache entry, kept until a move rewrites the relator, and one running
     total of occurrences per generator is updated as entries are computed
     and dropped, so a move costs about what it changed.
+
+    The loop works on each relator as a tuple of signed generator indices,
+    g for x_g and -g for x_g^-1, converted once on entry, so counting,
+    searching and cancelling letters are operations on ints.  Only the
+    words of recorded moves and the output relators are built as
+    :class:`Word` objects; :func:`replay_transcript` applies the moves to
+    ``Word`` objects and does not share this loop.
     """
-    rels = list(p.relators)
+    rels = list(map(_signed, p.relators))
     gone: set[int] = set()
     moves: list[TietzeMove] = []
     # per relator, [shape, counts, once, key] as _facts and _cyclic_canonical
@@ -243,20 +314,17 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
     # and again once a move rewrites the relator.  occ sums the counts of
     # the computed entries.
     facts: list = [None] * len(rels)
-    occ: Counter = Counter()
+    occ: dict[int, int] = {}
 
     def drop(i: int) -> None:
-        if facts[i] is not None:
-            occ.subtract(facts[i][1])
-            facts[i] = None
+        for g, c in facts[i][1].items():
+            occ[g] -= c
+        facts[i] = None
 
-    def apply(move: TietzeMove) -> None:
-        moves.append(move)
-        if move.action == "delete":
-            drop(move.index)
-            del facts[move.index]
-        for i in _apply_move(len(p.generators), gone, rels, move):
-            drop(i)
+    def delete(i: int) -> None:
+        moves.append(TietzeMove("I", "delete", i))
+        drop(i)
+        del facts[i], rels[i]
 
     def key(i: int) -> tuple:
         if facts[i][3] is None:
@@ -272,14 +340,16 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         j = 0
         while j < len(rels):
             if facts[j] is None:
-                reduced = rels[j].cyclically_reduced()
+                reduced = _cyclically_reduced(rels[j])
                 if len(reduced) < len(rels[j]):
-                    apply(TietzeMove("I", "reduce", j, reduced))
+                    moves.append(TietzeMove("I", "reduce", j, _word(reduced)))
+                    rels[j] = reduced
                 facts[j] = [*_facts(reduced), None]
-                occ.update(map(itemgetter(0), reduced.letters))
+                for g, c in facts[j][1].items():
+                    occ[g] = occ.get(g, 0) + c
             same = kept.setdefault(facts[j][0], [])
             if not rels[j] or (same and key(j) in map(key, same)):
-                apply(TietzeMove("I", "delete", j))
+                delete(j)
             else:
                 same.append(j)
                 j += 1
@@ -291,13 +361,20 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         for g in f[2]
     ]:
         *_, g, ri = min(candidates)
-        ls = rels[ri].letters
-        pos = list(map(itemgetter(0), ls)).index(g)
-        # r ~ g^e * w, so g = w^-1 if e == 1 else w; a rotation of a
-        # cyclically reduced word less one letter is reduced
-        rest = Word._reduced(ls[pos + 1 :] + ls[:pos])
-        apply(TietzeMove("I", "delete", ri))
-        apply(TietzeMove("IIa", "eliminate", g, rest.inverse() if ls[pos][1] == 1 else rest))
+        t = rels[ri]
+        pos = t.index(g if g in t else -g)
+        # r ~ x_g^(+-1) * w, so x_g = w^-1 or w; a rotation of a cyclically
+        # reduced word less one letter is reduced
+        rest = t[pos + 1 :] + t[:pos]
+        image = _inverse(rest) if t[pos] == g else rest
+        delete(ri)
+        moves.append(TietzeMove("IIa", "eliminate", g, _word(image)))
+        inverse = _inverse(image)
+        for i, f in enumerate(facts):
+            if g in f[1]:
+                rels[i] = _substitute(rels[i], g, image, inverse)
+                drop(i)
+        gone.add(g)
         normalise()
 
     return _renumber(p.generators, rels, gone), TietzeTranscript(tuple(moves))

@@ -19,7 +19,6 @@ from wirtlab.fpgroups import (  # noqa: E402
     TietzeTranscript,
     _apply_move,
     _cyclic_canonical,
-    _renumber,
     artin_from_graph,
     artin_relator,
     braid_relator,
@@ -202,11 +201,16 @@ def test_ngon_semidirect_rejects_bad_k():
         ngon_semidirect(1)
 
 
+def signed(w: Word) -> tuple:
+    """The letters of w as signed generator indices: g for x_g, -g for x_g^-1."""
+    return tuple(g * e for g, e in w)
+
+
 def all_rotations_key(w: Word) -> tuple:
-    """Least rotation of the cyclic reduction of w or of its inverse, taken
-    over every rotation."""
+    """Least rotation, over signed letters, of the cyclic reduction of w or
+    of its inverse, taken over every rotation."""
     w = w.cyclically_reduced()
-    rotations = [ls[i:] + ls[:i] for ls in (w.letters, w.inverse().letters) for i in range(len(ls))]
+    rotations = [ls[i:] + ls[:i] for ls in (signed(w), signed(w.inverse())) for i in range(len(ls))]
     return min(rotations, default=())
 
 
@@ -217,8 +221,8 @@ def test_cyclic_canonical_matches_all_rotations():
         # conjugating by a random word leaves most words not cyclically reduced
         conj = Word([(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))])
         w = Word(core).conjugated_by(conj)
-        assert _cyclic_canonical(w) == all_rotations_key(w), w
-    assert _cyclic_canonical(Word()) == ()
+        assert _cyclic_canonical(signed(w)) == all_rotations_key(w), w
+    assert _cyclic_canonical(()) == all_rotations_key(Word()) == ()
 
 
 def rescanning_tietze(p: Presentation):
@@ -237,7 +241,7 @@ def rescanning_tietze(p: Presentation):
             reduced = rels[i].cyclically_reduced()
             if reduced != rels[i]:
                 apply(TietzeMove("I", "reduce", i, reduced))
-            key = _cyclic_canonical(rels[i])
+            key = all_rotations_key(rels[i])
             if not rels[i] or key in seen:
                 apply(TietzeMove("I", "delete", i))
                 continue
@@ -264,7 +268,10 @@ def rescanning_tietze(p: Presentation):
         apply(TietzeMove("I", "delete", ri))
         apply(TietzeMove("IIa", "eliminate", g, rest.inverse() if ls[pos][1] == 1 else rest))
         normalise()
-    return _renumber(p.generators, rels, gone), moves
+    kept = [g for g in range(1, len(p.generators) + 1) if g not in gone]
+    new = {old: new for new, old in enumerate(kept, start=1)}
+    renumbered = (Word([(new[g], e) for g, e in r]) for r in rels)
+    return Presentation(tuple(p.generators[g - 1] for g in kept), tuple(renumbered)), moves
 
 
 def wide_presentations(m: int, sides: str) -> tuple[Presentation, Presentation]:
@@ -283,7 +290,16 @@ REFERENCE_CASES = [
     pytest.param(lambda k=k, f=f: f(k), id="%s-%d" % (f.__name__, k))
     for f in (orbifold_presentation, ngon_semidirect)
     for k in range(2, 7)
+] + [
+    pytest.param(lambda m=m, s=s: wide_presentations(m, s)[0], id="wirtinger-w%d-%s" % (m, s))
+    for m, s in ((20, "llr"), (24, "ll"))
 ]
+
+# Tietze work pins; python -m tests.test_fpgroups prints them.
+WIDE_KEYS = 39  # cyclic keys computed on wide_presentations(12, "llr")[0]
+WIDE_REWRITES = 71  # relators rewritten on wide_presentations(36, "r")[0]
+ORBIFOLD_LETTERS = {4: 120, 8: 680}  # letters left, by k
+WIDE_MOVES_LETTERS = {(20, "llr"): (147, 2276), (24, "ll"): (102, 3308)}  # Wirtinger side
 
 
 @pytest.mark.parametrize("make", REFERENCE_CASES)
@@ -293,6 +309,7 @@ def test_tietze_simplify_matches_the_rescanning_loop(make):
     ref, moves = rescanning_tietze(p)
     assert q.to_json() == ref.to_json()
     assert list(transcript.moves) == moves
+    assert replay_transcript(p, transcript) == q
 
 
 def test_a_rewritten_relator_is_kept_over_a_later_rotation_of_it():
@@ -329,21 +346,32 @@ def test_a_generator_no_other_relator_uses_is_eliminated_first():
     assert q.to_json() == ref.to_json() and list(transcript.moves) == moves
 
 
+def calls_during_tietze(mp, name: str, p: Presentation):
+    """The transcript of tietze_simplify(p) and how often it called
+    fpgroups.<name>, counted through ``mp``."""
+    calls = []
+    original = getattr(fpgroups, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    mp.setattr(fpgroups, name, counted)
+    return tietze_simplify(p)[1], len(calls)
+
+
+def moves_and_letters(p: Presentation) -> tuple[int, int]:
+    q, transcript = tietze_simplify(p)
+    return len(transcript.moves), sum(map(len, q.relators))
+
+
 def test_tietze_keys_relators_only_where_shapes_collide(monkeypatch):
     """Work count, no timing: the rescanning loop keys every relator after
     each of the 36 eliminations here, 1566 keys in all; keying only the
     relators whose shape an earlier kept one has takes 39."""
-    calls = []
-    original = fpgroups._cyclic_canonical
-
-    def counted(w):
-        calls.append(w)
-        return original(w)
-
-    monkeypatch.setattr(fpgroups, "_cyclic_canonical", counted)
-    q, transcript = tietze_simplify(wide_presentations(12, "llr")[0])
+    transcript, keys = calls_during_tietze(monkeypatch, "_cyclic_canonical", wide_presentations(12, "llr")[0])
     assert sum(m.kind == "IIa" for m in transcript.moves) == 36
-    assert len(calls) == 39
+    assert keys == WIDE_KEYS
 
 
 def test_eliminations_rewrite_few_relators_on_a_wide_point(monkeypatch):
@@ -351,26 +379,36 @@ def test_eliminations_rewrite_few_relators_on_a_wide_point(monkeypatch):
     shortest relator's lowest once-occurring generator picks a generator
     that sits in nearly every relator, and the IIa moves rewrite 1,926
     relators; eliminating by least estimated growth rewrites 71."""
-    rewritten = []
-    original = fpgroups._apply_move
-
-    def counted(*args):
-        done = original(*args)
-        rewritten.extend(done)
-        return done
-
-    monkeypatch.setattr(fpgroups, "_apply_move", counted)
-    tietze_simplify(wide_presentations(36, "r")[0])
-    assert len(rewritten) == 71
+    _, rewrites = calls_during_tietze(monkeypatch, "_substitute", wide_presentations(36, "r")[0])
+    assert rewrites == WIDE_REWRITES
 
 
 def test_orbifold_side_simplifies_to_few_letters():
     """Eliminating by least estimated growth leaves 120 letters at k = 4
     and 680 at k = 8, against 376 and 5,792 for the shortest relator's
     lowest once-occurring generator; the generators stay 5 and 9."""
-    letters = {}
     for k, gens in ((4, 5), (8, 9)):
         q = tietze_simplify(orbifold_presentation(k))[0]
         assert len(q.generators) == gens
-        letters[k] = sum(map(len, q.relators))
-    assert letters[4] == 120 and letters[8] <= 700
+        assert sum(map(len, q.relators)) == ORBIFOLD_LETTERS[k]
+
+
+@pytest.mark.parametrize("m, sides", list(WIDE_MOVES_LETTERS))
+def test_wide_points_at_benchmark_scale_keep_their_moves_and_letters(m, sides):
+    assert moves_and_letters(wide_presentations(m, sides)[0]) == WIDE_MOVES_LETTERS[m, sides]
+
+
+if __name__ == "__main__":
+    # Print the Tietze work pins as counted by the wirtlab on the import
+    # path; run from the repository root as
+    # PYTHONPATH=<checkout>/src python -m tests.test_fpgroups
+    with pytest.MonkeyPatch.context() as mp:
+        keys = calls_during_tietze(mp, "_cyclic_canonical", wide_presentations(12, "llr")[0])[1]
+        rewrites = calls_during_tietze(mp, "_substitute", wide_presentations(36, "r")[0])[1]
+    print("WIDE_KEYS = %d" % keys)
+    print("WIDE_REWRITES = %d" % rewrites)
+    letters = {k: moves_and_letters(orbifold_presentation(k))[1] for k in ORBIFOLD_LETTERS}
+    print("ORBIFOLD_LETTERS = %r" % letters)
+    print("WIDE_MOVES_LETTERS = {%s}" % ", ".join(
+        "%r: %r" % (point, moves_and_letters(wide_presentations(*point)[0])) for point in WIDE_MOVES_LETTERS
+    ))
