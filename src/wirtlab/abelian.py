@@ -81,8 +81,8 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     matrix = []
     for r in p.relators:
         row = [0] * n
-        for g, e in r:
-            row[g - 1] += e
+        for x in r:
+            row[abs(x) - 1] += 1 if x > 0 else -1
         matrix.append(row)
     diag = smith_normal_form(matrix)
     nonzero = [d for d in diag if d != 0]

@@ -149,7 +149,7 @@ def twist_images(words: Sequence[Word], k: int) -> tuple[Word, ...]:
     if k == 0:
         return tuple(words)
     q, r = divmod(k, 2)
-    prefixes = [Word.identity()]  # Q_1 .. Q_(m+1) = P
+    prefixes = [Word()]  # Q_1 .. Q_(m+1) = P
     for w in reversed(words):
         prefixes.append(prefixes[-1] * w)
     if r:

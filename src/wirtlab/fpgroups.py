@@ -1,28 +1,27 @@
 """Finite presentations of groups and Tietze simplification.
 
 A :class:`Presentation` has named generators and relators given as
-:class:`~wirtlab.words.Word` objects whose integer letters index the
-generator list (1-based).  :func:`tietze_simplify` eliminates, at each step,
-the generator whose defining relator gives the least estimated length
-growth, (occurrences of g in the other relators) * (len(r) - 2) - 2, ties
-going to the shorter relator, the lower generator, then the earlier
+:class:`~wirtlab.words.Word` objects, whose signed letters index the
+generator list (1-based); only its JSON form writes a letter as a
+``[generator, exponent]`` pair.  :func:`tietze_simplify` eliminates, at
+each step, the generator whose defining relator gives the least estimated
+length growth, (occurrences of g in the other relators) * (len(r) - 2) - 2,
+ties going to the shorter relator, the lower generator, then the earlier
 relator.  It and its transcripts keep the source numbering; the kept
-generators are renumbered 1.. once, at the end.  It works on each relator
-as a tuple of signed generator indices (g for x_g, -g for x_g^-1) and
-builds ``Word`` objects only for the words of recorded moves and for its
-output; :func:`replay_transcript` checks a transcript by applying its moves
-to ``Word`` objects, a route independent of those tuples.
+generators are renumbered 1.. once, at the end.  It works on each
+relator's letter tuple with the tuple helpers of :mod:`wirtlab.words`;
+:func:`replay_transcript` checks a transcript by applying its moves with
+:meth:`Word.substitute <wirtlab.words.Word.substitute>`, independent of
+that loop.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import starmap
-from operator import mul, neg
 from typing import Iterable, Sequence
 
-from .words import Word, alternating, format_word
+from .words import Word, alternating, append_reduced, cyclically_reduce, format_word, invert
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class Presentation:
         return {
             "schema": 1,
             "generators": list(self.generators),
-            "relators": [list(map(list, r.letters)) for r in self.relators],
+            "relators": [[[abs(x), 1 if x > 0 else -1] for x in r] for r in self.relators],
         }
 
     @staticmethod
@@ -79,10 +78,16 @@ class Presentation:
                 raise ValueError(
                     "relator %d must be a list of [generator index, exponent] pairs" % i
                 )
-            try:
-                words.append(Word([(g, e) for g, e in r]))
-            except ValueError as exc:
-                raise ValueError("relator %d: %s" % (i, exc)) from None
+            for g, e in r:
+                if g < 1:
+                    raise ValueError(
+                        "relator %d: generator indices start at 1, got %r" % (i, g)
+                    )
+                if e not in (1, -1):
+                    raise ValueError(
+                        "relator %d: letter exponents must be +1 or -1, got %r" % (i, e)
+                    )
+            words.append(Word([g * e for g, e in r]))
         return Presentation(tuple(gens), tuple(words))
 
     def to_gap(self) -> str:
@@ -107,7 +112,7 @@ def _gap_word(w: Word, names: Sequence[str]) -> str:
     if not w:
         return "One(F)"
     return "*".join(
-        _gap_name(names[g - 1]) + ("" if e == 1 else "^-1") for g, e in w.letters
+        _gap_name(names[abs(x) - 1]) + ("" if x > 0 else "^-1") for x in w.letters
     )
 
 
@@ -142,20 +147,6 @@ class TietzeTranscript:
         return {m.kind for m in self.moves}
 
 
-def _signed(w: Word) -> tuple[int, ...]:
-    """The letters of w as signed generator indices: g for x_g, -g for x_g^-1."""
-    return tuple(starmap(mul, w.letters))
-
-
-def _word(t: Sequence[int]) -> Word:
-    """The Word of a freely reduced signed tuple; inverse of :func:`_signed`."""
-    return Word._reduced(tuple([(x, 1) if x > 0 else (-x, -1) for x in t]))
-
-
-def _inverse(t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(neg, reversed(t)))
-
-
 def _positions(t: tuple[int, ...], x: int) -> list[int]:
     """The indices of x in t, in order."""
     found, i = [], -1
@@ -167,48 +158,30 @@ def _positions(t: tuple[int, ...], x: int) -> list[int]:
         return found
 
 
-def _append_signed(out: list[int], run: Sequence[int]) -> None:
-    """Append the freely reduced signed ``run`` to the freely reduced
-    ``out``, keeping it reduced: only the seam between them can cancel."""
-    j, n = 0, len(run)
-    while out and j < n and out[-1] == -run[j]:
-        out.pop()
-        j += 1
-    out.extend(run[j:] if j else run)
-
-
-def _cyclically_reduced(t: tuple[int, ...]) -> tuple[int, ...]:
-    i, j = 0, len(t) - 1
-    while i < j and t[i] == -t[j]:
-        i += 1
-        j -= 1
-    return t[i : j + 1] if i else t
-
-
 def _cyclic_canonical(t: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical key of a signed relator up to cyclic rotation and
+    """Canonical key of a relator's letters up to cyclic rotation and
     inversion: the least rotation of its cyclic reduction or of that one's
     inverse.  Only a rotation that starts at an occurrence of a word's least
     letter can be its least, so only those are built."""
-    t = _cyclically_reduced(t)
+    t = cyclically_reduce(t)
     if not t:
         return ()
-    return min(ls[i:] + ls[:i] for ls in (t, _inverse(t)) for i in _positions(ls, min(ls)))
+    return min(ls[i:] + ls[:i] for ls in (t, invert(t)) for i in _positions(ls, min(ls)))
 
 
 def _substitute(
     t: tuple[int, ...], g: int, image: tuple[int, ...], inverse: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """The signed relator t with x_g replaced by ``image`` and x_g^-1 by
+    """The relator letters t with x_g replaced by ``image`` and x_g^-1 by
     ``inverse``.  The runs between the replaced letters and the images are
     reduced already, so they are copied whole and only the seams cancel."""
     out: list[int] = []
     start = 0
     for i in sorted(_positions(t, g) + _positions(t, -g)):
-        _append_signed(out, t[start:i])
-        _append_signed(out, image if t[i] == g else inverse)
+        append_reduced(out, t[start:i])
+        append_reduced(out, image if t[i] == g else inverse)
         start = i + 1
-    _append_signed(out, t[start:])
+    append_reduced(out, t[start:])
     return tuple(out)
 
 
@@ -228,13 +201,13 @@ def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove)
     if move.kind == "IIa" and move.action == "eliminate":
         k = move.index
         if not 1 <= k <= n_gens or k in gone or any(
-            g == k or g in gone or g > n_gens for g, _ in move.word
+            abs(x) == k or abs(x) in gone or abs(x) > n_gens for x in move.word
         ):
             raise ValueError("%r is not a IIa move on the remaining generators" % (move,))
         images, inverses = {k: move.word}, {}
         rewritten = []
         for i, r in enumerate(rels):
-            if (k, 1) in r.letters or (k, -1) in r.letters:
+            if k in r.letters or -k in r.letters:
                 rels[i] = r.substitute(images, inverses)
                 rewritten.append(i)
         gone.add(k)
@@ -246,12 +219,12 @@ def _renumber(
     generators: Sequence[str], relators: Iterable[tuple[int, ...]], eliminated: set[int]
 ) -> Presentation:
     """Drop the eliminated generators; number the rest 1.. in source order
-    and build the Words of the signed relators.  The map is one-to-one, so
-    the renumbered words stay reduced."""
+    and build the Words of the relators' letter tuples.  The map is
+    one-to-one, so the renumbered words stay reduced."""
     kept = [i for i in range(1, len(generators) + 1) if i not in eliminated]
     letter = {}
     for new, old in enumerate(kept, start=1):
-        letter[old], letter[-old] = (new, 1), (new, -1)
+        letter[old], letter[-old] = new, -new
     return Presentation(
         tuple(generators[i - 1] for i in kept),
         tuple(Word._reduced(tuple(map(letter.__getitem__, t))) for t in relators),
@@ -259,7 +232,7 @@ def _renumber(
 
 
 def _facts(t: tuple[int, ...]) -> tuple[tuple, Counter, tuple[int, ...]]:
-    """The shape of a signed relator, (length, generator -> count), the
+    """The shape of a relator's letters, (length, generator -> count), the
     same for every rotation and for the inverse; its generator counts; and
     its generators that occur exactly once."""
     counts = Counter(map(abs, t))
@@ -269,13 +242,15 @@ def _facts(t: tuple[int, ...]) -> tuple[tuple, Counter, tuple[int, ...]]:
 
 def replay_transcript(source: Presentation, transcript: TietzeTranscript) -> Presentation:
     """Apply the moves to the source relators as :class:`Word` objects,
-    checking each one.  It shares only the final renumbering with
-    :func:`tietze_simplify`, whose loop works on signed letters."""
+    checking each one.  An elimination goes through
+    :meth:`Word.substitute <wirtlab.words.Word.substitute>`, not the loop's
+    single-generator substitution; with :func:`tietze_simplify` it shares
+    the tuple helpers of :mod:`wirtlab.words` and the final renumbering."""
     rels = list(source.relators)
     gone: set[int] = set()
     for move in transcript.moves:
         _apply_move(len(source.generators), gone, rels, move)
-    return _renumber(source.generators, map(_signed, rels), gone)
+    return _renumber(source.generators, (r.letters for r in rels), gone)
 
 
 def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
@@ -299,14 +274,15 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
     total of occurrences per generator is updated as entries are computed
     and dropped, so a move costs about what it changed.
 
-    The loop works on each relator as a tuple of signed generator indices,
-    g for x_g and -g for x_g^-1, converted once on entry, so counting,
-    searching and cancelling letters are operations on ints.  Only the
-    words of recorded moves and the output relators are built as
-    :class:`Word` objects; :func:`replay_transcript` applies the moves to
-    ``Word`` objects and does not share this loop.
+    The loop works on each relator's letter tuple, so counting, searching
+    and cancelling letters are operations on ints, with the tuple helpers
+    of :mod:`wirtlab.words`.  Only the words of recorded moves and the
+    output relators are wrapped as :class:`Word` objects again;
+    :func:`replay_transcript` applies the moves with
+    :meth:`Word.substitute <wirtlab.words.Word.substitute>` and does not
+    share this loop.
     """
-    rels = list(map(_signed, p.relators))
+    rels = [r.letters for r in p.relators]
     gone: set[int] = set()
     moves: list[TietzeMove] = []
     # per relator, [shape, counts, once, key] as _facts and _cyclic_canonical
@@ -340,9 +316,9 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         j = 0
         while j < len(rels):
             if facts[j] is None:
-                reduced = _cyclically_reduced(rels[j])
+                reduced = cyclically_reduce(rels[j])
                 if len(reduced) < len(rels[j]):
-                    moves.append(TietzeMove("I", "reduce", j, _word(reduced)))
+                    moves.append(TietzeMove("I", "reduce", j, Word._reduced(reduced)))
                     rels[j] = reduced
                 facts[j] = [*_facts(reduced), None]
                 for g, c in facts[j][1].items():
@@ -366,10 +342,10 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         # r ~ x_g^(+-1) * w, so x_g = w^-1 or w; a rotation of a cyclically
         # reduced word less one letter is reduced
         rest = t[pos + 1 :] + t[:pos]
-        image = _inverse(rest) if t[pos] == g else rest
+        image = invert(rest) if t[pos] == g else rest
         delete(ri)
-        moves.append(TietzeMove("IIa", "eliminate", g, _word(image)))
-        inverse = _inverse(image)
+        moves.append(TietzeMove("IIa", "eliminate", g, Word._reduced(image)))
+        inverse = invert(image)
         for i, f in enumerate(facts):
             if g in f[1]:
                 rels[i] = _substitute(rels[i], g, image, inverse)

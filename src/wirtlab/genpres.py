@@ -110,7 +110,7 @@ def _vertex_relators(sw: SweepResult, rec: EventRecord, crossed: list[EventRecor
         # obstruction point, since its two edges then share a generator
         b = x[1]
         if crossed:
-            z = Word.identity()
+            z = Word()
             for qrec in crossed:
                 z = z * _obstruction_loop(qrec, edge_gen)
             # z b z^-1 on the left side, z^-1 b z on the right
@@ -156,19 +156,6 @@ def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
     sw = sweep_ranks(diagram)
     _require_valid(sw)
     return _presentation(sw, {rec.index: [] for rec in sw.records})
-
-
-def projective_closure(p: Presentation, fiber: tuple[str, ...] | None = None) -> Presentation:
-    """Append the big-loop relator: the product of the fiber generators
-    from bottom to top equals 1.  ``fiber`` lists generator names from top
-    to bottom; by default all generators are taken in index order (the
-    fiber-meridian case)."""
-    names = tuple(fiber) if fiber is not None else p.generators
-    index = {n: i + 1 for i, n in enumerate(p.generators)}
-    w = Word.identity()
-    for n in names:  # mu_d * ... * mu_1
-        w = Word.gen(index[n]) * w
-    return p.add_relators([w])
 
 
 # ---------------------------------------------------------------------------

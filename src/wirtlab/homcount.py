@@ -195,31 +195,30 @@ def _conjugacy_roots(p: Presentation) -> list[int]:
         half = len(w) // 2
         # centres c and c + half are one check, so c < half suffices
         for c in range(half):
-            (a, e), (b, f) = w[c], w[c + half]
-            if a == b or e != -f:
+            x, y = w[c], w[c + half]
+            if (x > 0) == (y > 0) or x == -y:
                 continue
             for t in range(1, half):
-                g, x = w[c + t]
-                if w[c - t] != (g, -x):
+                if w[c - t] != -w[c + t]:
                     break
             else:
-                merged.append((a, b))
+                merged.append((abs(x), abs(y)))
     return classes(len(p.generators) + 1, merged)
 
 
 def _compile(letters: list[tuple[int, int]], depth: int):
-    """Split a relator, as ``(depth, exp)`` letters with ``depth`` its last,
-    at the letters of the generator at that depth: one ``(exp > 0, segment)``
-    pair per such letter, where the segment runs to the next one.  The
-    relator is rotated to start at such a letter (a relator is trivial
-    exactly when its rotations are)."""
+    """Split a relator, as ``(depth, x)`` pairs for its letters x with
+    ``depth`` its last, at the letters of the generator at that depth: one
+    ``(x > 0, segment)`` pair per such letter, where the segment runs to the
+    next one.  The relator is rotated to start at such a letter (a relator
+    is trivial exactly when its rotations are)."""
     start = next(i for i, (d, _) in enumerate(letters) if d == depth)
     pieces: list[tuple[bool, list[tuple[int, int]]]] = []
-    for d, e in letters[start:] + letters[:start]:
+    for d, x in letters[start:] + letters[:start]:
         if d == depth:
-            pieces.append((e > 0, []))
+            pieces.append((x > 0, []))
         else:
-            pieces[-1][1].append((d, e))
+            pieces[-1][1].append((d, x))
     return tuple((positive, tuple(segment)) for positive, segment in pieces)
 
 
@@ -239,7 +238,7 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
     n = len(p.generators)
     if n == 0:
         return 1
-    supports = [frozenset(g for g, _ in r.letters) for r in p.relators]
+    supports = [frozenset(map(abs, r.letters)) for r in p.relators]
     order = _search_order(supports, n)
     depth_of = {g: i for i, g in enumerate(order)}
 
@@ -248,7 +247,7 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
     checks: list[list] = [[] for _ in range(n)]
     for r, s in zip(p.relators, supports):
         if s:
-            letters = [(depth_of[g], e) for g, e in r.letters]
+            letters = [(depth_of[abs(x)], x) for x in r.letters]
             depth = max(d for d, _ in letters)
             checks[depth].append(_compile(letters, depth))
     for c in checks:
@@ -267,9 +266,9 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
 
     def value(segment) -> int:
         acc = 0  # the identity
-        for d, e in segment:
+        for d, letter in segment:
             x = assign[d]
-            acc = cols[x if e > 0 else inv[x]][acc]
+            acc = cols[x if letter > 0 else inv[x]][acc]
         return acc
 
     # nodes: (depth, acting group, product of the weights above, image at

@@ -1,42 +1,61 @@
 """Freely reduced words in a free group.
 
-A word is a sequence of letters ``(i, e)`` where ``i >= 1`` indexes a
-generator and ``e`` is ``+1`` or ``-1``.  Words are kept freely reduced at
-all times: adjacent letters ``(i, e), (i, -e)`` cancel.  The empty word is
-the identity.
+A letter is a nonzero int: ``g`` stands for the generator ``x_g`` (``g >=
+1``) and ``-g`` for its inverse, the way Havas, Kenne, Richardson and
+Robertson's Tietze program (1984) stores relators.  This module alone
+decides that encoding.  Words are kept freely reduced at all times:
+adjacent letters ``x, -x`` cancel.  The empty word is the identity.
+
+The tuple helpers :func:`append_reduced`, :func:`invert` and
+:func:`cyclically_reduce` work on letter tuples; :class:`Word`'s methods
+and the Tietze loop in :mod:`wirtlab.fpgroups` share them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from itertools import groupby
+from operator import neg
+from typing import Iterable, Iterator, Sequence
 
-Letter = Tuple[int, int]
+Letter = int
 
 
 def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Check each letter and cancel adjacent inverse pairs until no
     cancellation remains."""
     stack: list[Letter] = []
-    for gen, exp in letters:
-        if gen < 1:
-            raise ValueError("generator indices start at 1, got %r" % gen)
-        if exp not in (1, -1):
-            raise ValueError("letter exponents must be +1 or -1, got %r" % exp)
-        if stack and stack[-1][0] == gen and stack[-1][1] == -exp:
+    for x in letters:
+        if type(x) is not int or not x:
+            raise ValueError("a letter must be a nonzero int, got %r" % (x,))
+        if stack and stack[-1] == -x:
             stack.pop()
         else:
-            stack.append((gen, exp))
+            stack.append(x)
     return tuple(stack)
 
 
-def _append_reduced(out: list[Letter], run: Sequence[Letter]) -> None:
+def append_reduced(out: list[Letter], run: Sequence[Letter]) -> None:
     """Append the freely reduced ``run`` to the freely reduced ``out``,
     keeping it reduced: only the seam between them can cancel."""
     j, n = 0, len(run)
-    while out and j < n and out[-1][0] == run[j][0] and out[-1][1] == -run[j][1]:
+    while out and j < n and out[-1] == -run[j]:
         out.pop()
         j += 1
     out.extend(run[j:] if j else run)
+
+
+def invert(t: Sequence[Letter]) -> tuple[Letter, ...]:
+    """The letters of the inverse word."""
+    return tuple(map(neg, reversed(t)))
+
+
+def cyclically_reduce(t: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Strip the letters at the two ends that cancel each other cyclically."""
+    i, j = 0, len(t) - 1
+    while i < j and t[i] == -t[j]:
+        i += 1
+        j -= 1
+    return t[i : j + 1] if i else t
 
 
 class Word:
@@ -59,24 +78,19 @@ class Word:
         raise AttributeError("Word is immutable")
 
     @staticmethod
-    def identity() -> "Word":
-        return Word()
-
-    @staticmethod
     def gen(i: int, exp: int = 1) -> "Word":
         """The word consisting of a single generator power ``x_i^exp``."""
-        if exp == 0:
-            return Word()
-        letter = (i, 1 if exp > 0 else -1)
-        return Word([letter] * abs(exp))
+        if i < 1:
+            raise ValueError("generator indices start at 1, got %r" % i)
+        return Word([i if exp > 0 else -i] * abs(exp))
 
     def __mul__(self, other: "Word") -> "Word":
         out = list(self.letters)
-        _append_reduced(out, other.letters)
+        append_reduced(out, other.letters)
         return Word._reduced(tuple(out))
 
     def inverse(self) -> "Word":
-        return Word._reduced(tuple([(g, -e) for g, e in reversed(self.letters)]))
+        return Word._reduced(invert(self.letters))
 
     def conjugated_by(self, w: "Word") -> "Word":
         """Return ``w^-1 * self * w``."""
@@ -87,7 +101,7 @@ class Word:
             return self.inverse() ** (-n)
         out: list[Letter] = []
         for _ in range(n):
-            _append_reduced(out, self.letters)
+            append_reduced(out, self.letters)
         return Word._reduced(tuple(out))
 
     def __eq__(self, other) -> bool:
@@ -106,7 +120,7 @@ class Word:
         return bool(self.letters)
 
     def max_generator(self) -> int:
-        return max((g for g, _ in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
     def substitute(
         self, images: dict[int, "Word"], inverses: dict[int, "Word"] | None = None
@@ -124,26 +138,22 @@ class Word:
             inverses = {}
         out: list[Letter] = []
         start = 0
-        for i in [i for i, (g, _) in enumerate(ls) if g in images]:
-            _append_reduced(out, ls[start:i])
-            g, e = ls[i]
-            if e == 1:
-                _append_reduced(out, images[g].letters)
+        for i in [i for i, x in enumerate(ls) if abs(x) in images]:
+            append_reduced(out, ls[start:i])
+            x = ls[i]
+            if x > 0:
+                append_reduced(out, images[x].letters)
             else:
-                if g not in inverses:
-                    inverses[g] = images[g].inverse()
-                _append_reduced(out, inverses[g].letters)
+                if -x not in inverses:
+                    inverses[-x] = images[-x].inverse()
+                append_reduced(out, inverses[-x].letters)
             start = i + 1
-        _append_reduced(out, ls[start:])
+        append_reduced(out, ls[start:])
         return Word._reduced(tuple(out))
 
     def cyclically_reduced(self) -> "Word":
-        ls = self.letters
-        i, j = 0, len(ls) - 1
-        while i < j and ls[i][0] == ls[j][0] and ls[i][1] == -ls[j][1]:
-            i += 1
-            j -= 1
-        return Word._reduced(ls[i : j + 1]) if i else self
+        ls = cyclically_reduce(self.letters)
+        return Word._reduced(ls) if len(ls) < len(self.letters) else self
 
     def __repr__(self) -> str:
         return "Word(%s)" % format_word(self)
@@ -158,21 +168,15 @@ def alternating(a: Word, b: Word, length: int) -> Word:
 
 
 def format_word(w: Word, names: list[str] | None = None) -> str:
-    """Render a word like ``x1*x2^-1``; the empty word renders as ``1``."""
+    """Render a word like ``x1*x2^-1``; the empty word renders as ``1``.
+    A run of one letter is one power: in a reduced word a generator's
+    adjacent letters have one sign."""
     if not w.letters:
         return "1"
-    parts = []
-    run_gen, run_exp = w.letters[0]
-    count = run_exp
-    for g, e in w.letters[1:]:
-        if g == run_gen and (e > 0) == (count > 0):
-            count += e
-        else:
-            parts.append((run_gen, count))
-            run_gen, count = g, e
-    parts.append((run_gen, count))
     texts = []
-    for g, c in parts:
+    for x, run in groupby(w.letters):
+        g, n = abs(x), len(list(run))
+        c = n if x > 0 else -n
         name = names[g - 1] if names is not None else "x%d" % g
         texts.append(name if c == 1 else "%s^%d" % (name, c))
     return "*".join(texts)

@@ -77,7 +77,7 @@ def test_abelianization_known_groups():
     # trefoil relator abelianises to a = b
     p3 = Presentation(
         ("a", "b"),
-        (Word([(1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1)]),),
+        (Word([1, 2, 1, -2, -1, -2]),),
     )
     ab3 = abelianization(p3)
     assert (ab3.free_rank, ab3.torsion) == (1, ())

@@ -74,7 +74,7 @@ def test_criterion_01_braid_action_laws():
     rng = random.Random(0xC0FFEE)
 
     def random_word(d, length):
-        return Word([(rng.randint(1, d), rng.choice((1, -1))) for _ in range(length)])
+        return Word([rng.randint(1, d) * rng.choice((1, -1)) for _ in range(length)])
 
     def random_braid(n, length):
         return Braid(n, [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)])
@@ -93,7 +93,7 @@ def test_criterion_01_braid_action_laws():
             rhs = Braid.sigma(d, i + 1) * Braid.sigma(d, i) * Braid.sigma(d, i + 1)
             assert braid_act(w, lhs) == braid_act(w, rhs)
         # the boundary word mu_d ... mu_1 is fixed
-        boundary = Word([(i, 1) for i in range(d, 0, -1)])
+        boundary = Word(range(d, 0, -1))
         assert braid_act(boundary, a) == boundary
     done(1)
 

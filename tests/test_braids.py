@@ -13,7 +13,7 @@ def random_braid(rng, n, length):
 
 
 def random_word(rng, d, length):
-    return Word([(rng.randint(1, d), rng.choice((1, -1))) for _ in range(length)])
+    return Word([rng.randint(1, d) * rng.choice((1, -1)) for _ in range(length)])
 
 
 def test_generator_action_table():
@@ -30,9 +30,9 @@ def letter_by_letter(word, braid):
     # reference: apply the generator table once per braid letter, in order
     for j, e in braid.letters:
         if e == 1:
-            images = {j: Word.gen(j + 1), j + 1: Word([(j + 1, 1), (j, 1), (j + 1, -1)])}
+            images = {j: Word.gen(j + 1), j + 1: Word([j + 1, j, -(j + 1)])}
         else:
-            images = {j: Word([(j, -1), (j + 1, 1), (j, 1)]), j + 1: Word.gen(j)}
+            images = {j: Word([-j, j + 1, j]), j + 1: Word.gen(j)}
         word = word.substitute(images)
     return word
 
@@ -77,7 +77,7 @@ def test_action_respects_braid_relations():
 def test_action_fixes_descending_product():
     rng = random.Random(5)
     for n in range(2, 7):
-        boundary = Word([(i, 1) for i in range(n, 0, -1)])
+        boundary = Word(range(n, 0, -1))
         for _ in range(50):
             b = random_braid(rng, n, rng.randint(0, 10))
             assert braid_act(boundary, b) == boundary
@@ -86,7 +86,7 @@ def test_action_fixes_descending_product():
 def test_braid_group_identities():
     b = Braid.sigma(4, 2)
     # braid words are not normalised, so check identities through the action
-    w = Word([(1, 1), (3, -1), (2, 1)])
+    w = Word([1, -3, 2])
     assert braid_act(w, b * b.inverse()) == w
     assert braid_act(braid_act(w, b ** 3), b ** -3) == w
     # permutations compose consistently with braid multiplication
@@ -104,7 +104,7 @@ def test_half_twist_squares_to_full_twist_action():
     # the descending product, hence fixes it and conjugates each generator.
     for m in (2, 3, 4):
         full = local_braid(Ordinary(m))
-        boundary = Word([(i, 1) for i in range(m, 0, -1)])
+        boundary = Word(range(m, 0, -1))
         assert braid_act(boundary, full) == boundary
         for i in range(1, m + 1):
             img = braid_act(Word.gen(i), full)

@@ -308,9 +308,17 @@ def test_readme_example_runs(capsys, monkeypatch, argv):
         ('{"generators": ["a"], "relators": [[[2, 1]]]}', "relator 1 uses an unknown generator"),
         ('{"generators": ["a"], "relators": [[[0, 1]]]}', "relator 1: generator indices start at 1, got 0"),
         ('{"generators": ["a"], "relators": [[[1, 2]]]}', "relator 1: letter exponents must be +1 or -1, got 2"),
+        ('{"generators": ["a"], "relators": [[[1, 0]]]}', "relator 1: letter exponents must be +1 or -1, got 0"),
+        (
+            '{"generators": ["a"], "relators": [[[true, 1]]]}',
+            "relator 1 must be a list of [generator index, exponent] pairs",
+        ),
         ('{"generators": "ab", "relators": []}', "presentation 'generators' must be a list of names"),
     ],
-    ids=["duplicate-name", "index-past-end", "index-zero", "exponent-two", "generators-not-a-list"],
+    ids=[
+        "duplicate-name", "index-past-end", "index-zero", "exponent-two", "exponent-zero",
+        "index-true", "generators-not-a-list",
+    ],
 )
 def test_simplify_refuses_a_bad_presentation(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.json"

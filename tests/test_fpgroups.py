@@ -104,7 +104,7 @@ def test_tietze_simplify_transcript_replays():
         n = rng.randint(2, 4)
         rels = []
         for _ in range(rng.randint(1, 4)):
-            letters = [(rng.randint(1, n), rng.choice((1, -1))) for _ in range(rng.randint(1, 6))]
+            letters = [rng.randint(1, n) * rng.choice((1, -1)) for _ in range(rng.randint(1, 6))]
             rels.append(Word(letters))
         p = Presentation(tuple("g%d" % i for i in range(1, n + 1)), tuple(rels))
         q, transcript = tietze_simplify(p)
@@ -201,27 +201,22 @@ def test_ngon_semidirect_rejects_bad_k():
         ngon_semidirect(1)
 
 
-def signed(w: Word) -> tuple:
-    """The letters of w as signed generator indices: g for x_g, -g for x_g^-1."""
-    return tuple(g * e for g, e in w)
-
-
 def all_rotations_key(w: Word) -> tuple:
-    """Least rotation, over signed letters, of the cyclic reduction of w or
-    of its inverse, taken over every rotation."""
+    """Least rotation of the letters of the cyclic reduction of w or of its
+    inverse, taken over every rotation."""
     w = w.cyclically_reduced()
-    rotations = [ls[i:] + ls[:i] for ls in (signed(w), signed(w.inverse())) for i in range(len(ls))]
+    rotations = [ls[i:] + ls[:i] for ls in (w.letters, w.inverse().letters) for i in range(len(ls))]
     return min(rotations, default=())
 
 
 def test_cyclic_canonical_matches_all_rotations():
     rng = random.Random(2024)
     for _ in range(2000):
-        core = [(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(0, 12))]
+        core = [rng.randint(1, 3) * rng.choice((1, -1)) for _ in range(rng.randint(0, 12))]
         # conjugating by a random word leaves most words not cyclically reduced
-        conj = Word([(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))])
+        conj = Word([rng.randint(1, 3) * rng.choice((1, -1)) for _ in range(rng.randint(0, 3))])
         w = Word(core).conjugated_by(conj)
-        assert _cyclic_canonical(signed(w)) == all_rotations_key(w), w
+        assert _cyclic_canonical(w.letters) == all_rotations_key(w), w
     assert _cyclic_canonical(()) == all_rotations_key(Word()) == ()
 
 
@@ -249,11 +244,11 @@ def rescanning_tietze(p: Presentation):
             i += 1
 
     def defining_letter():
-        total = Counter(g for r in rels for g, _ in r)
+        total = Counter(abs(x) for r in rels for x in r)
         best = None
         for ri, r in enumerate(rels):
-            counts = Counter(g for g, _ in r)
-            for pos, (g, _) in enumerate(r):
+            counts = Counter(abs(x) for x in r)
+            for pos, g in enumerate(map(abs, r)):
                 if counts[g] == 1:
                     growth = (total[g] - 1) * (len(r) - 2) - 2
                     if best is None or (growth, len(r), g, ri) < best[:4]:
@@ -266,11 +261,11 @@ def rescanning_tietze(p: Presentation):
         ls = rels[ri].letters
         rest = Word(ls[pos + 1 :] + ls[:pos])
         apply(TietzeMove("I", "delete", ri))
-        apply(TietzeMove("IIa", "eliminate", g, rest.inverse() if ls[pos][1] == 1 else rest))
+        apply(TietzeMove("IIa", "eliminate", g, rest.inverse() if ls[pos] > 0 else rest))
         normalise()
     kept = [g for g in range(1, len(p.generators) + 1) if g not in gone]
     new = {old: new for new, old in enumerate(kept, start=1)}
-    renumbered = (Word([(new[g], e) for g, e in r]) for r in rels)
+    renumbered = (Word([new[x] if x > 0 else -new[-x] for x in r]) for r in rels)
     return Presentation(tuple(p.generators[g - 1] for g in kept), tuple(renumbered)), moves
 
 

@@ -27,7 +27,6 @@ from wirtlab.genpres import (
     edge_meridian_words,
     extended_wirtinger,
     local_braid,
-    projective_closure,
     wirtinger_presentation,
     zvk_presentation,
 )
@@ -79,24 +78,13 @@ def test_generator_components_cover_fiber():
     assert comps == {"p", "l1", "l2"}
 
 
-def test_projective_closure_kills_one_free_rank():
-    res = wirtinger_presentation(load("nodal_cubic"))
-    closed = projective_closure(res.presentation, res.fiber_generators)
-    assert len(closed.relators) == len(res.presentation.relators) + 1
-    ab = abelianization(closed)
-    # Z for the affine complement becomes Z/3 projectively (degree 3 curve
-    # with all meridians identified... total degree of the fiber is 2 here,
-    # the nodal cubic in degree_y 2 form, so the closure gives Z/2)
-    assert (ab.free_rank, ab.torsion) == (0, (2,))
-
-
 def test_meridian_words_are_meridians():
     d = load("parabola_two_lines")
     words = edge_meridian_words(d)
     # every edge meridian is a conjugate of a single fiber generator
     for e, w in words.items():
         core = w.cyclically_reduced()
-        assert len(core) == 1 and core.letters[0][1] == 1, (e, w)
+        assert len(core) == 1 and core.letters[0] > 0, (e, w)
 
 
 def test_meridian_words_reject_births():
@@ -378,7 +366,7 @@ def hand_written_vertex_relators(sw, rec, crossed, edge_gen) -> list[Word]:
     relators = []
     if isinstance(kind, Ordinary):
         m = kind.m
-        xbar = [Word.identity()]
+        xbar = [Word()]
         for j in range(m):
             xbar.append(x[j] * xbar[j])  # xbar_k = x_k ... x_1
         for j in range(1, m + 1):
@@ -388,7 +376,7 @@ def hand_written_vertex_relators(sw, rec, crossed, edge_gen) -> list[Word]:
     else:
         b = x[1]
         if crossed:
-            z = Word.identity()
+            z = Word()
             for qrec in crossed:
                 z = z * genpres._obstruction_loop(qrec, edge_gen)
             left = sw.diagram.side_of(rec.event) == "left"

@@ -34,7 +34,7 @@ def reference_count(p: Presentation, table) -> int:
     search before conjugacy classes and compiled relators, kept as the
     oracle."""
     n = len(p.generators)
-    supports = [frozenset(g for g, _ in r.letters) for r in p.relators]
+    supports = [frozenset(map(abs, r.letters)) for r in p.relators]
     order: list[int] = []
     while len(order) < n:
         chosen = set(order)
@@ -51,9 +51,9 @@ def reference_count(p: Presentation, table) -> int:
 
     def value(word: Word) -> int:
         acc = 0
-        for g, e in word.letters:
-            x = assign[g]
-            acc = mult[acc][x if e == 1 else inverse[x]]
+        for letter in word.letters:
+            x = assign[abs(letter)]
+            acc = mult[acc][x if letter > 0 else inverse[x]]
         return acc
 
     def search(depth: int) -> int:
@@ -270,7 +270,7 @@ def _presentation_supports():
         for k in range(2, 9):
             groups += [side(k), tietze_simplify(side(k))[0]]
     for p in groups:
-        yield [frozenset(g for g, _ in r.letters) for r in p.relators], len(p.generators)
+        yield [frozenset(map(abs, r.letters)) for r in p.relators], len(p.generators)
 
 
 def test_search_order_matches_the_rescoring_order():
