@@ -23,14 +23,17 @@ braid fixes, and k = 2q + r (r in {0, 1}):
     D_0(w_i) = w_i,   D_1(w_i) = Q_i w_(m+1-i) Q_i^-1,   Q_i = w_m ... w_(m+2-i)
 
 so Delta_m^2 is conjugation by P, and Q_i is the product of P's first
-i - 1 factors (Q_1 = 1).  On two strands Delta = sigma_1.
+i - 1 factors (Q_1 = 1).  On two strands Delta = sigma_1.  It works on
+letter tuples, the encoding of :mod:`wirtlab.words`, so the presentation
+builders of :mod:`wirtlab.genpres` apply Delta without building a
+:class:`~wirtlab.words.Word` per product.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from .words import Word
+from .words import Letter, Word, invert, product
 
 BraidLetter = Tuple[int, int]
 
@@ -139,27 +142,31 @@ def half_twist(m: int) -> Braid:
     return Braid(m, letters)
 
 
-def twist_images(words: Sequence[Word], k: int) -> tuple[Word, ...]:
-    """The images of ``w_1 .. w_m`` under the right action of Delta_m^k, for
-    any integer ``k``, in O(m) word products: with P = w_m ... w_1 and
-    k = 2q + r (floor division, r in {0, 1}), w_i goes to P^q D_r(w_i) P^-q,
-    where D_0(w_i) = w_i and D_1(w_i) = Q_i w_(m+1-i) Q_i^-1 with
-    Q_i = w_m ... w_(m+2-i), the product of P's first i - 1 factors.  It
-    equals ``braid_images(half_twist(m) ** k)`` with the words substituted."""
+def twist_images(
+    words: Sequence[tuple[Letter, ...]], k: int
+) -> tuple[tuple[Letter, ...], ...]:
+    """The images of ``w_1 .. w_m``, freely reduced letter tuples, under the
+    right action of Delta_m^k, for any integer ``k``, in O(m) products of
+    letter tuples: with P = w_m ... w_1 and k = 2q + r (floor division,
+    r in {0, 1}), w_i goes to P^q D_r(w_i) P^-q, where D_0(w_i) = w_i and
+    D_1(w_i) = Q_i w_(m+1-i) Q_i^-1 with Q_i = w_m ... w_(m+2-i), the
+    product of P's first i - 1 factors.  It equals
+    ``braid_images(half_twist(m) ** k)`` with the words substituted."""
     if k == 0:
         return tuple(words)
     q, r = divmod(k, 2)
-    prefixes = [Word()]  # Q_1 .. Q_(m+1) = P
+    prefixes = [()]  # Q_1 .. Q_(m+1) = P
     for w in reversed(words):
-        prefixes.append(prefixes[-1] * w)
+        prefixes.append(product(prefixes[-1], w))
     if r:
         images = [
-            q_i * w * q_i.inverse() for q_i, w in zip(prefixes, reversed(words))
+            product(q_i, w, invert(q_i)) for q_i, w in zip(prefixes, reversed(words))
         ]
     else:
         images = list(words)
     if q:
-        pq = prefixes[-1] ** q
-        pq_inv = pq.inverse()
-        images = [pq * w * pq_inv for w in images]
+        p = prefixes[-1] if q > 0 else invert(prefixes[-1])
+        pq = product(*[p] * abs(q))
+        pq_inv = invert(pq)
+        images = [product(pq, w, pq_inv) for w in images]
     return tuple(images)

@@ -33,7 +33,7 @@ from .genpres import (
     wirtinger_presentation,
     zvk_presentation,
 )
-from .homcount import ResourceGuardError
+from .guards import ResourceGuardError
 from .hypocycloid import HypoParams, hypo_stats, quotient_diagram, verify_case
 from .profiles import DEFAULT_TARGETS, profile, profiles_equal
 

@@ -12,7 +12,9 @@ generators are renumbered 1.. once, at the end.  It works on each
 relator's letter tuple with the tuple helpers of :mod:`wirtlab.words`;
 :func:`replay_transcript` checks a transcript by applying its moves with
 :meth:`Word.substitute <wirtlab.words.Word.substitute>`, independent of
-that loop.
+that loop.  A budget bounds the letters the loop's relators may hold
+(:data:`TIETZE_BOUND_ENV`); past it the loop raises
+:class:`~wirtlab.guards.ResourceGuardError`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .words import Word, alternating, append_reduced, cyclically_reduce, format_word, invert
+from .guards import ResourceGuardError, env_bound
+from .words import (
+    Word, alternating, append_reduced, cyclically_reduce, format_word, invert, product,
+)
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,16 @@ def _gap_word(w: Word, names: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 # Tietze simplification
 # ---------------------------------------------------------------------------
+
+# A letter the loop holds is an 8-byte slot of its relator's tuple; the
+# copies share their int objects.  At worst a relator also keeps its
+# duplicate key, a second copy whose inverted letters may be new 32-byte
+# ints, and the relator being rewritten is held as a list and a tuple at
+# once: about 60 bytes a letter in all.  So the default budget bounds the
+# loop near 600 MB at worst, and near 150 MB when few relators are keyed.
+DEFAULT_TIETZE_BOUND = 10**7
+TIETZE_BOUND_ENV = "WIRTLAB_TIETZE_BOUND"
+
 
 @dataclass(frozen=True)
 class TietzeMove:
@@ -281,8 +296,17 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
     :func:`replay_transcript` applies the moves with
     :meth:`Word.substitute <wirtlab.words.Word.substitute>` and does not
     share this loop.
+
+    A running total counts the letters the relators hold.  Before a
+    relator is rewritten, the most it can grow, (occurrences of g) *
+    (len(image) - 1), is added to the total; if that passes the budget
+    (``WIRTLAB_TIETZE_BOUND``, a non-negative integer, default 1e7),
+    :class:`~wirtlab.guards.ResourceGuardError` is raised, naming the
+    moves made and the total, and nothing is built.
     """
+    budget = env_bound(TIETZE_BOUND_ENV, DEFAULT_TIETZE_BOUND)
     rels = [r.letters for r in p.relators]
+    total = sum(map(len, rels))  # the letters held by rels
     gone: set[int] = set()
     moves: list[TietzeMove] = []
     # per relator, [shape, counts, once, key] as _facts and _cyclic_canonical
@@ -298,8 +322,10 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         facts[i] = None
 
     def delete(i: int) -> None:
+        nonlocal total
         moves.append(TietzeMove("I", "delete", i))
         drop(i)
+        total -= len(rels[i])
         del facts[i], rels[i]
 
     def key(i: int) -> tuple:
@@ -308,6 +334,7 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         return facts[i][3]
 
     def normalise() -> None:
+        nonlocal total
         # cyclic reduction, trivial and duplicate removal, in relator order.
         # Only relators of one shape can be equal, so a relator is keyed
         # only once an earlier kept one has its shape; kept indices lie
@@ -319,6 +346,7 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
                 reduced = cyclically_reduce(rels[j])
                 if len(reduced) < len(rels[j]):
                     moves.append(TietzeMove("I", "reduce", j, Word._reduced(reduced)))
+                    total -= len(rels[j]) - len(reduced)
                     rels[j] = reduced
                 facts[j] = [*_facts(reduced), None]
                 for g, c in facts[j][1].items():
@@ -348,7 +376,17 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
         inverse = invert(image)
         for i, f in enumerate(facts):
             if g in f[1]:
-                rels[i] = _substitute(rels[i], g, image, inverse)
+                most = total + f[1][g] * (len(image) - 1)
+                if most > budget:
+                    raise ResourceGuardError(
+                        "Tietze simplification after %d moves holds %d letters; "
+                        "eliminating generator %d could take it to %d, past the "
+                        "budget of %d (%s)"
+                        % (len(moves), total, g, most, budget, TIETZE_BOUND_ENV)
+                    )
+                t = rels[i]
+                rels[i] = _substitute(t, g, image, inverse)
+                total += len(rels[i]) - len(t)
                 drop(i)
         gone.add(g)
         normalise()
@@ -360,9 +398,15 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
 # Artin-type presentations
 # ---------------------------------------------------------------------------
 
+def artin_letters(a: tuple[int, ...], b: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The letters of the relator a b a ... = b a b ..., ``length`` factors
+    a side, of the freely reduced letter tuples ``a`` and ``b``."""
+    return product(alternating(a, b, length), invert(alternating(b, a, length)))
+
+
 def artin_relator(a: Word, b: Word, length: int) -> Word:
     """a b a ... = b a b ..., ``length`` factors a side, as a relator word."""
-    return alternating(a, b, length) * alternating(b, a, length).inverse()
+    return Word._reduced(artin_letters(a.letters, b.letters, length))
 
 
 def braid_relator(a: Word, b: Word) -> Word:

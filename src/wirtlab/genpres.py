@@ -21,6 +21,11 @@ far generator continuing the block generator x_i, an ordinary point relates
 x_i to its Delta^2 image and y_i to the Delta^-1 image at position
 m + 1 - i; an A_m point has its Artin relation and relates y_i to the
 Delta^(-2 (twist // 4)) image of x_i.
+
+Every builder works on letter tuples with the helpers of
+:mod:`wirtlab.words` and wraps each finished relator once, as a
+:class:`~wirtlab.words.Word`, when it makes the presentation; the edge
+meridian words and the monodromy meridians are wrapped the same way.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from .diagram import (
     classes,
     sweep_ranks,
 )
-from .fpgroups import Presentation, artin_relator
-from .words import Word
+from .fpgroups import Presentation, artin_letters
+from .words import Word, invert, product
 
 
 class UnsupportedConfiguration(DiagramError):
@@ -84,8 +89,9 @@ class WirtingerResult:
     passed: dict  # event index -> indices of the obstruction events passed
 
 
-def _vertex_relators(sw: SweepResult, rec: EventRecord, crossed: list[EventRecord], edge_gen: dict) -> list[Word]:
-    """Relators contributed by one vertex, in terms of edge generators.
+def _vertex_relators(sw: SweepResult, rec: EventRecord, crossed: list[EventRecord], edge_gen: dict) -> list[tuple[int, ...]]:
+    """The letters of the relators contributed by one vertex, in terms of
+    edge generators.
     x-side = the block edges on the L side (far side for vertices whose
     branches point away); x1 is the topmost x-edge, and y_i the far edge
     continuing x_i.  An ordinary point relates x_i to its Delta^2 image and
@@ -100,25 +106,24 @@ def _vertex_relators(sw: SweepResult, rec: EventRecord, crossed: list[EventRecor
             "vertices are supported there" % rec.event.label()
         )
     kind = rec.event.kind
-    x = [Word.gen(edge_gen[e]) for e in rec.block_edges]
-    y = [Word.gen(edge_gen[e]) for e in rec.continued]
+    x = [(edge_gen[e],) for e in rec.block_edges]
+    y = [(edge_gen[e],) for e in rec.continued]
     if isinstance(kind, Ordinary):
-        relators = [image * xi.inverse() for image, xi in zip(twist_images(x, 2), x)]
+        relators = [product(image, invert(xi)) for image, xi in zip(twist_images(x, 2), x)]
         far = twist_images(x, -1)[::-1]
     else:
         # a tangency's (A_0) relator x1 x2^-1 is trivial when it passed no
         # obstruction point, since its two edges then share a generator
         b = x[1]
         if crossed:
-            z = Word()
-            for qrec in crossed:
-                z = z * _obstruction_loop(qrec, edge_gen)
+            z = product(*(_obstruction_loop(qrec, edge_gen) for qrec in crossed))
             # z b z^-1 on the left side, z^-1 b z on the right
-            left = sw.diagram.side_of(rec.event) == "left"
-            b = b.conjugated_by(z.inverse() if left else z)
-        relators = [artin_relator(x[0], b, kind.twist)]
+            if sw.diagram.side_of(rec.event) == "left":
+                z = invert(z)
+            b = product(invert(z), b, z)
+        relators = [artin_letters(x[0], b, kind.twist)]
         far = twist_images(x, -2 * (kind.twist // 4)) if y else ()
-    relators += [yi * w.inverse() for yi, w in zip(y, far)]
+    relators += [product(yi, invert(w)) for yi, w in zip(y, far)]
     return [r for r in relators if r]
 
 
@@ -132,9 +137,11 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
         for rec in sw.records
         if isinstance(rec.event.kind, Tangency) and not passed[rec.index]
     ])
-    relators: list[Word] = []
-    for rec in sw.records:
-        relators.extend(_vertex_relators(sw, rec, passed[rec.index], edge_gen))
+    relators = [
+        Word._reduced(r)
+        for rec in sw.records
+        for r in _vertex_relators(sw, rec, passed[rec.index], edge_gen)
+    ]
     generators = tuple("x%d" % i for i in range(1, len(set(edge_gen.values())) + 1))
     pres = Presentation(generators, tuple(relators))
     fiber = tuple("x%d" % edge_gen[r] for r in range(1, sw.diagram.d + 1))
@@ -180,11 +187,11 @@ def _outward_runs(sw: SweepResult) -> tuple[list[EventRecord], list[EventRecord]
 
 
 def _meridian_words(sw: SweepResult) -> dict:
-    """Meridian word of each extended edge, swept outward from L: the far
-    edges of a two-sided vertex carry the images of its near edges' words
-    under the inverse half local braid Delta^-(twist // 2), applied in
-    closed form."""
-    words = {r: Word.gen(r) for r in range(1, sw.diagram.d + 1)}  # rank r has edge r
+    """The letters of the meridian word of each extended edge, swept
+    outward from L: the far edges of a two-sided vertex carry the images of
+    its near edges' words under the inverse half local braid
+    Delta^-(twist // 2), applied in closed form."""
+    words = {r: (r,) for r in range(1, sw.diagram.d + 1)}  # rank r has edge r
     for rec in sw.records:
         if rec.action == "birth":
             raise DiagramError(
@@ -206,7 +213,7 @@ def edge_meridian_words(diagram: CurveDiagram) -> dict:
     creates strands."""
     sw = sweep_ranks(diagram)
     _require_valid(sw)
-    return _meridian_words(sw)
+    return {e: Word._reduced(t) for e, t in _meridian_words(sw).items()}
 
 
 @dataclass
@@ -235,7 +242,9 @@ def diagram_braid_monodromy(diagram: CurveDiagram) -> list[MonodromyDatum]:
         )
     words = _meridian_words(sw)
     return [
-        MonodromyDatum(rec.event.kind.twist, tuple(words[e] for e in rec.near_edges))
+        MonodromyDatum(
+            rec.event.kind.twist, tuple(Word._reduced(words[e]) for e in rec.near_edges)
+        )
         for rec in sw.records
     ]
 
@@ -247,11 +256,12 @@ def zvk_presentation(d: int, data: list[MonodromyDatum]) -> Presentation:
     names = tuple("mu%d" % i for i in range(1, d + 1))
     relators: list[Word] = []
     for datum in data:
-        images = twist_images(datum.meridians, datum.twist)
-        for image, mu in zip(images[:-1], datum.meridians):
-            rel = image * mu.inverse()
+        meridians = [mu.letters for mu in datum.meridians]
+        images = twist_images(meridians, datum.twist)
+        for image, mu in zip(images[:-1], meridians):
+            rel = product(image, invert(mu))
             if rel:
-                relators.append(rel)
+                relators.append(Word._reduced(rel))
     return Presentation(names, tuple(relators))
 
 
@@ -277,12 +287,13 @@ def _passed_obstructions(sw: SweepResult, rec: EventRecord, inward: list[EventRe
     return out
 
 
-def _obstruction_loop(qrec: EventRecord, edge_gen: dict) -> Word:
-    """Counterclockwise loop around the obstruction point of a one-sided
-    vertex, in terms of the vertex's own block-side edge generators."""
-    a, b = (Word.gen(edge_gen[e]) for e in qrec.block_edges)
+def _obstruction_loop(qrec: EventRecord, edge_gen: dict) -> tuple[int, ...]:
+    """The letters of the counterclockwise loop around the obstruction point
+    of a one-sided vertex, in terms of the vertex's own block-side edge
+    generators."""
+    a, b = ((edge_gen[e],) for e in qrec.block_edges)
     y1 = twist_images((a, b), -(qrec.event.kind.twist // 2))[0]
-    return y1 if qrec.event.kind.branch_side == "left" else y1.inverse()
+    return y1 if qrec.event.kind.branch_side == "left" else invert(y1)
 
 
 def extended_wirtinger(diagram: CurveDiagram) -> WirtingerResult:

@@ -40,7 +40,6 @@ homomorphism into S3).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
@@ -48,6 +47,7 @@ from itertools import permutations
 
 from .diagram import classes
 from .fpgroups import Presentation
+from .guards import ResourceGuardError, env_bound
 
 # Measured on one core of a shared 2-core Xeon: 0.4-1.8 us per node in
 # searches of 17,000 nodes or more (S4 on Z^6, Z^8 and Z^10, S5 on Z^6),
@@ -57,10 +57,6 @@ from .fpgroups import Presentation
 # after 4 to 18 s at the common rates, and after 7 minutes at 42 us.
 DEFAULT_HOM_BOUND = 10**7
 HOM_BOUND_ENV = "WIRTLAB_HOM_BOUND"
-
-
-class ResourceGuardError(RuntimeError):
-    """Raised when a homomorphism search tries more images than the bound."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +105,7 @@ def symmetric_group(n: int) -> FiniteGroupTable:
 def hom_bound() -> int:
     """The node budget of a search: how many candidate generator images it
     may try (``WIRTLAB_HOM_BOUND``, a non-negative integer, default 1e7)."""
-    value = os.environ.get(HOM_BOUND_ENV)
-    if not value:
-        return DEFAULT_HOM_BOUND
-    if not value.strip().isdecimal():
-        raise ValueError(
-            "%s must be a non-negative integer, got %r" % (HOM_BOUND_ENV, value)
-        )
-    return int(value)
+    return env_bound(HOM_BOUND_ENV, DEFAULT_HOM_BOUND)
 
 
 @cache

@@ -6,9 +6,11 @@ Robertson's Tietze program (1984) stores relators.  This module alone
 decides that encoding.  Words are kept freely reduced at all times:
 adjacent letters ``x, -x`` cancel.  The empty word is the identity.
 
-The tuple helpers :func:`append_reduced`, :func:`invert` and
-:func:`cyclically_reduce` work on letter tuples; :class:`Word`'s methods
-and the Tietze loop in :mod:`wirtlab.fpgroups` share them.
+The tuple helpers :func:`append_reduced`, :func:`product`, :func:`invert`,
+:func:`alternating` and :func:`cyclically_reduce` work on letter tuples;
+:class:`Word`'s methods, the presentation builders in :mod:`wirtlab.genpres`
+and :mod:`wirtlab.braids`, and the Tietze loop in :mod:`wirtlab.fpgroups`
+share them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ def append_reduced(out: list[Letter], run: Sequence[Letter]) -> None:
         out.pop()
         j += 1
     out.extend(run[j:] if j else run)
+
+
+def product(*runs: Sequence[Letter]) -> tuple[Letter, ...]:
+    """The letters of the product of the freely reduced ``runs``."""
+    out: list[Letter] = []
+    for run in runs:
+        append_reduced(out, run)
+    return tuple(out)
 
 
 def invert(t: Sequence[Letter]) -> tuple[Letter, ...]:
@@ -85,9 +95,7 @@ class Word:
         return Word([i if exp > 0 else -i] * abs(exp))
 
     def __mul__(self, other: "Word") -> "Word":
-        out = list(self.letters)
-        append_reduced(out, other.letters)
-        return Word._reduced(tuple(out))
+        return Word._reduced(product(self.letters, other.letters))
 
     def inverse(self) -> "Word":
         return Word._reduced(invert(self.letters))
@@ -159,12 +167,15 @@ class Word:
         return "Word(%s)" % format_word(self)
 
 
-def alternating(a: Word, b: Word, length: int) -> Word:
-    """The alternating product ``a b a b ...`` with ``length`` factors."""
-    out = Word()
-    for i in range(length):
-        out = out * (a if i % 2 == 0 else b)
-    return out
+def alternating(
+    a: tuple[Letter, ...], b: tuple[Letter, ...], length: int
+) -> tuple[Letter, ...]:
+    """The letters of the alternating product ``a b a b ...`` of the
+    freely reduced ``a`` and ``b``, with ``length`` factors.  When neither
+    seam, a b nor b a, cancels, the product is the concatenation."""
+    if a and b and a[-1] != -b[0] and b[-1] != -a[0]:
+        return (a + b) * (length // 2) + a * (length % 2)
+    return product(*(b if i % 2 else a for i in range(length)))
 
 
 def format_word(w: Word, names: list[str] | None = None) -> str:

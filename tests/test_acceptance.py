@@ -46,7 +46,7 @@ from wirtlab.hypocycloid import (
     verify_case,
 )
 from wirtlab.profiles import profile, profiles_equal
-from wirtlab.words import Word, alternating
+from wirtlab.words import Word
 from tests.conftest import all_corpus_stems, load
 
 
@@ -147,8 +147,8 @@ def test_criterion_05_parabola_with_two_tangent_lines():
         ("x", "y", "z"),
         (
             commutator(x, y),
-            alternating(y, z, 4) * alternating(z, y, 4).inverse(),
-            alternating(x, z, 4) * alternating(z, x, 4).inverse(),
+            (y * z) ** 2 * ((z * y) ** 2).inverse(),
+            (x * z) ** 2 * ((z * x) ** 2).inverse(),
         ),
     )
     assert profiles_equal(profile(res.presentation), profile(target))

@@ -1,15 +1,19 @@
 import json
+import random
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-from wirtlab.cli import main
-from wirtlab.fpgroups import artin_from_graph
-from tests.conftest import corpus_path
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmark"))
+
+import gen  # noqa: E402
+
+from wirtlab.cli import main  # noqa: E402
+from wirtlab.fpgroups import artin_from_graph  # noqa: E402
+from tests.conftest import corpus_path  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -138,6 +142,35 @@ def test_bad_hom_bound_is_a_user_error(capsys, monkeypatch, tmp_path, value):
     assert code == 2 and out == ""
     error = json.loads(err)
     assert error["type"] == "ValueError" and "WIRTLAB_HOM_BOUND" in error["error"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_bad_tietze_bound_is_a_user_error(capsys, monkeypatch, tmp_path, value):
+    path = tmp_path / "z.json"
+    path.write_text('{"generators": ["a"], "relators": []}')
+    monkeypatch.setenv("WIRTLAB_TIETZE_BOUND", value)
+    code, out, err = run(capsys, "simplify", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "ValueError" and "WIRTLAB_TIETZE_BOUND" in error["error"]
+
+
+def test_simplify_refuses_a_long_wirtinger_presentation_past_the_letter_budget(capsys, tmp_path):
+    """On the benchmark's 8-strand, 200-event long diagram (seed 101),
+    least-growth eliminations would grow one relator past two million
+    letters; the default letter budget stops them after about 1,000 moves."""
+    diagram = tmp_path / "long.wd"
+    diagram.write_text(gen.long_diagram(random.Random("big-diagrams:101"), 8, 200).dsl)
+    code, out, _ = run(capsys, "wirtinger", str(diagram), "--format", "json")
+    assert code == 0
+    pres = tmp_path / "long.json"
+    pres.write_text(out)
+    code, out, err = run(capsys, "simplify", str(pres))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "ResourceGuardError"
+    assert error["error"].startswith("Tietze simplification after ")
+    assert "WIRTLAB_TIETZE_BOUND" in error["error"]
 
 
 def test_hom_bound_refusal_is_a_user_error(capsys, monkeypatch):

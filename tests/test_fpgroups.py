@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -14,6 +15,8 @@ from wirtlab import fpgroups  # noqa: E402
 from wirtlab.abelian import abelianization  # noqa: E402
 from wirtlab.dsl import parse_diagram  # noqa: E402
 from wirtlab.fpgroups import (  # noqa: E402
+    DEFAULT_TIETZE_BOUND,
+    TIETZE_BOUND_ENV,
     Presentation,
     TietzeMove,
     TietzeTranscript,
@@ -33,6 +36,8 @@ from wirtlab.genpres import (  # noqa: E402
     wirtinger_presentation,
     zvk_presentation,
 )
+from wirtlab.guards import ResourceGuardError  # noqa: E402
+from wirtlab import homcount  # noqa: E402
 from wirtlab.homcount import count_homs, symmetric_group  # noqa: E402
 from wirtlab.hypocycloid import orbifold_presentation  # noqa: E402
 from wirtlab.profiles import profile, profiles_equal  # noqa: E402
@@ -391,6 +396,67 @@ def test_orbifold_side_simplifies_to_few_letters():
 @pytest.mark.parametrize("m, sides", list(WIDE_MOVES_LETTERS))
 def test_wide_points_at_benchmark_scale_keep_their_moves_and_letters(m, sides):
     assert moves_and_letters(wide_presentations(m, sides)[0]) == WIDE_MOVES_LETTERS[m, sides]
+
+
+def long_100() -> Presentation:
+    """The Wirtinger presentation of the golden input ``long_100``: 226
+    generators and 1,560 letters, growing to about 708,000 letters under
+    Tietze."""
+    path = Path(__file__).parent / "golden" / "inputs" / "long_100.wd"
+    return wirtinger_presentation(parse_diagram(path.read_text(), name=path.stem)).presentation
+
+
+def refusal(mp, p: Presentation, budget: int) -> tuple[int, int, int, int] | None:
+    """Under the letter budget, the substitutions tietze_simplify(p) made
+    and, if it refused, the moves made, the letters held and the most a
+    rewrite could make of them, as its message states; None if it ended."""
+    mp.setenv(TIETZE_BOUND_ENV, str(budget))
+    calls = []
+    original = fpgroups._substitute
+    mp.setattr(fpgroups, "_substitute", lambda *args: calls.append(args) or original(*args))
+    try:
+        tietze_simplify(p)
+    except ResourceGuardError as exc:
+        found = re.fullmatch(
+            r"Tietze simplification after (\d+) moves holds (\d+) letters; eliminating "
+            r"generator \d+ could take it to (\d+), past the budget of %d \(%s\)"
+            % (budget, TIETZE_BOUND_ENV),
+            str(exc),
+        )
+        assert found, str(exc)
+        return (len(calls), *map(int, found.groups()))
+    return None
+
+
+def test_tietze_stops_before_a_rewrite_could_pass_its_letter_budget(monkeypatch):
+    p = long_100()
+    substitutions, moves, held, most = refusal(monkeypatch, p, 20000)
+    assert 0 < moves and held <= 20000 < most
+    # with that rewrite's bound as the budget, the same rewrite is made
+    again = refusal(monkeypatch, p, most)
+    assert again is None or again[0] > substitutions
+    assert refusal(monkeypatch, p, DEFAULT_TIETZE_BOUND) is None
+
+
+def test_tietze_letter_budget_counts_by_hand(monkeypatch):
+    """x1^-1 x2^3, x1^4 x2^-2 and x1^3 x3^-2 (15 letters): only x1 occurs
+    once anywhere, so x1 goes to x2^3.  That deletes the first relator (one
+    move, then the IIa move: 11 letters left) and rewrites the second to at
+    most 11 + 4 * 2 = 19 letters; it becomes x2^10, 15 letters in all.  The
+    third then grows to at most 15 + 3 * 2 = 21, and becomes x2^9 x3^-2."""
+    p = Presentation(
+        ("x1", "x2", "x3"),
+        (Word([-1, 2, 2, 2]), Word([1, 1, 1, 1, -2, -2]), Word([1, 1, 1, -3, -3])),
+    )
+    assert refusal(monkeypatch, p, 18) == (0, 2, 11, 19)
+    assert refusal(monkeypatch, p, 20) == (1, 2, 15, 21)
+    assert refusal(monkeypatch, p, 21) is None
+    q, _ = tietze_simplify(p)
+    assert q.relators == (Word([1] * 10), Word([1] * 9 + [-2, -2]))
+
+
+def test_resource_guard_error_is_one_class():
+    assert homcount.ResourceGuardError is ResourceGuardError
 
 
 if __name__ == "__main__":

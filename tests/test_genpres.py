@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from wirtlab import genpres
+from wirtlab import braids, genpres
 from wirtlab.abelian import abelianization
 from wirtlab.braids import Braid, braid_images
 from wirtlab.diagram import (
@@ -293,11 +293,11 @@ def expanded_zvk(d: CurveDiagram) -> Presentation:
     return Presentation(tuple("mu%d" % i for i in range(1, d.deg_y + 1)), tuple(relators))
 
 
-def expanded_obstruction_loop(qrec, edge_gen) -> Word:
+def expanded_obstruction_loop(qrec, edge_gen) -> tuple[int, ...]:
     a, b = (Word.gen(edge_gen[e]) for e in qrec.block_edges)
     twist = local_braid(qrec.event.kind, half=True)
     y1 = braid_images(twist.inverse())[0].substitute({1: a, 2: b})
-    return y1 if qrec.event.kind.branch_side == "left" else y1.inverse()
+    return (y1 if qrec.event.kind.branch_side == "left" else y1.inverse()).letters
 
 
 def outcome(fn, *args):
@@ -351,7 +351,7 @@ def test_closed_form_equals_the_expanded_local_braids(monkeypatch):
     assert min(checked.values()) > 10, checked
 
 
-def hand_written_vertex_relators(sw, rec, crossed, edge_gen) -> list[Word]:
+def hand_written_vertex_relators(sw, rec, crossed, edge_gen) -> list[tuple[int, ...]]:
     """A vertex's relators with the action of Delta written out: an
     ordinary point's xbar products and commutators, and an A_m point's
     conjugation by (x2 x1)^(twist // 4)."""
@@ -378,7 +378,7 @@ def hand_written_vertex_relators(sw, rec, crossed, edge_gen) -> list[Word]:
         if crossed:
             z = Word()
             for qrec in crossed:
-                z = z * genpres._obstruction_loop(qrec, edge_gen)
+                z = z * Word(genpres._obstruction_loop(qrec, edge_gen))
             left = sw.diagram.side_of(rec.event) == "left"
             b = b.conjugated_by(z.inverse() if left else z)
         relators.append(artin_relator(x[0], b, kind.twist))
@@ -386,14 +386,26 @@ def hand_written_vertex_relators(sw, rec, crossed, edge_gen) -> list[Word]:
             conj = (x[1] * x[0]) ** (kind.twist // 4)
             for i in (0, 1):
                 relators.append(y[i] * (x[i].conjugated_by(conj)).inverse())
-    return [r for r in relators if r]
+    return [r.letters for r in relators if r]
+
+
+def long_diagrams() -> list[CurveDiagram]:
+    """The benchmark's two long shapes: 8 strands and 200 through events,
+    12 strands and 300."""
+    rng = random.Random("long")
+    return [parse_diagram(gen.long_diagram(rng, d, n).dsl) for d, n in ((8, 200), (12, 300))]
+
+
+def benchmark_wide_points() -> list[CurveDiagram]:
+    """The benchmark's two wide shapes with more than one point: m = 20 on
+    the sides l, l, r and m = 24 on l, l."""
+    rng = random.Random("wide")
+    return [parse_diagram(gen.wide_diagram(rng, m, sides).dsl) for m, sides in ((20, "llr"), (24, "ll"))]
 
 
 def test_vertex_relators_equal_the_hand_written_rule(monkeypatch):
-    rng = random.Random("long")
-    long = [parse_diagram(gen.long_diagram(rng, d, n).dsl) for d, n in ((8, 200), (12, 300))]
     checked = {"wirtinger_presentation": 0, "extended_wirtinger": 0}
-    for d in closed_form_inputs() + long:
+    for d in closed_form_inputs() + long_diagrams() + benchmark_wide_points():
         for build in (wirtinger_presentation, extended_wirtinger):
             closed = outcome(build, d)
             with monkeypatch.context() as patch:
@@ -407,18 +419,67 @@ def test_vertex_relators_equal_the_hand_written_rule(monkeypatch):
     assert min(checked.values()) > 100, checked
 
 
-def test_zvk_on_one_wide_point_makes_linearly_many_word_products(monkeypatch):
+def test_zvk_on_one_wide_point_makes_linearly_many_tuple_products(monkeypatch):
+    """Work count, no timing: Delta acts in closed form, by O(m) products
+    of letter tuples on an m-fold point, counted as the calls of
+    ``words.product`` that braids and genpres bind; expanding Delta^2
+    letter by letter would take about m^2."""
     m = 40
     d = parse_diagram(gen.wide_diagram(random.Random(m), m, "l").dsl)
     products = 0
-    real = Word.__mul__
 
-    def counted(a, b):
-        nonlocal products
-        products += 1
-        return real(a, b)
+    def counting(real):
+        def counted(*runs):
+            nonlocal products
+            products += 1
+            return real(*runs)
+        return counted
 
-    monkeypatch.setattr(Word, "__mul__", counted)
+    for module in (braids, genpres):
+        monkeypatch.setattr(module, "product", counting(module.product))
     p = zvk_presentation(d.deg_y, diagram_braid_monodromy(d))
     assert len(p.relators) == m - 1
-    assert products <= 10 * m, products
+    assert 0 < products <= 10 * m, products
+
+
+def test_building_the_presentations_takes_no_word_arithmetic(monkeypatch):
+    """The builders work on letter tuples and only wrap finished words."""
+    def refused(*args):
+        raise AssertionError("Word arithmetic while building a presentation")
+
+    for name in ("__mul__", "__pow__", "inverse", "conjugated_by", "substitute", "cyclically_reduced"):
+        monkeypatch.setattr(Word, name, refused)
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    built = 0
+    for d in (
+        [load(stem) for stem in all_corpus_stems()]
+        + [parse_diagram(p.read_text(), name=p.stem) for p in sorted(inputs.glob("*.wd"))]
+        + benchmark_wide_points()
+    ):
+        data = outcome(diagram_braid_monodromy, d)
+        results = [outcome(wirtinger_presentation, d), outcome(extended_wirtinger, d)]
+        if isinstance(data, list):
+            results.append(zvk_presentation(d.deg_y, data))
+        edge_words = outcome(edge_meridian_words, d)
+        built += sum(not isinstance(r, tuple) for r in results) + isinstance(edge_words, dict)
+    assert built > 40, built
+
+
+def test_wrapped_relators_are_reduced_words_of_valid_letters():
+    """The builders wrap their letter tuples unchecked: every relator must
+    be non-empty, freely reduced and made of nonzero ints, so equal to the
+    checked ``Word`` of its letters.  ZvK is left out on the long diagrams,
+    where its relators run to hundreds of thousands of letters."""
+    long = long_diagrams()
+    relators = 0
+    for d in closed_form_inputs() + long:
+        results = [outcome(wirtinger_presentation, d), outcome(extended_wirtinger, d)]
+        presentations = [r.presentation for r in results if not isinstance(r, tuple)]
+        data = outcome(diagram_braid_monodromy, d) if d not in long else None
+        if isinstance(data, list):
+            presentations.append(zvk_presentation(d.deg_y, data))
+        for p in presentations:
+            for r in p.relators:
+                assert r and type(r.letters) is tuple and Word(r.letters) == r, r
+            relators += len(p.relators)
+    assert relators > 10000, relators

@@ -73,8 +73,11 @@ def test_cyclic_reduction_strips_conjugating_prefix():
 
 def test_alternating_products():
     x, y = Word.gen(1), Word.gen(2)
-    assert alternating(x, y, 3) == x * y * x
-    assert alternating(y, x, 4) == y * x * y * x
+    assert alternating(x.letters, y.letters, 3) == (x * y * x).letters
+    assert alternating(y.letters, x.letters, 4) == (y * x * y * x).letters
+    # the factors are reduced, and only their seams cancel
+    assert alternating((1, 2), (-2, 3), 3) == (1, 3, 1, 2)
+    assert alternating((1,), (2,), 0) == ()
 
 
 def test_max_generator():
