@@ -102,12 +102,6 @@ def symmetric_group(n: int) -> FiniteGroupTable:
     return FiniteGroupTable("S%d" % n, len(elems), mult, tuple(inverse))
 
 
-def hom_bound() -> int:
-    """The node budget of a search: how many candidate generator images it
-    may try (``WIRTLAB_HOM_BOUND``, a non-negative integer, default 1e7)."""
-    return env_bound(HOM_BOUND_ENV, DEFAULT_HOM_BOUND)
-
-
 @cache
 def _columns(table: FiniteGroupTable) -> tuple[tuple[int, ...], ...]:
     """The columns of the multiplication table: ``cols[x][a]`` is ``a * x``."""
@@ -223,7 +217,7 @@ def count_homs(p: Presentation, table: FiniteGroupTable, bound: int | None = Non
     as the count passes it; callers should Tietze-simplify first.
     """
     if bound is None:
-        bound = hom_bound()
+        bound = env_bound(HOM_BOUND_ENV, DEFAULT_HOM_BOUND)
     n = len(p.generators)
     if n == 0:
         return 1
