@@ -107,10 +107,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out: list[Letter] = []
-        for _ in range(n):
-            append_reduced(out, self.letters)
-        return Word._reduced(tuple(out))
+        return Word._reduced(product(*[self.letters] * n))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -171,10 +168,7 @@ def alternating(
     a: tuple[Letter, ...], b: tuple[Letter, ...], length: int
 ) -> tuple[Letter, ...]:
     """The letters of the alternating product ``a b a b ...`` of the
-    freely reduced ``a`` and ``b``, with ``length`` factors.  When neither
-    seam, a b nor b a, cancels, the product is the concatenation."""
-    if a and b and a[-1] != -b[0] and b[-1] != -a[0]:
-        return (a + b) * (length // 2) + a * (length % 2)
+    freely reduced ``a`` and ``b``, with ``length`` factors."""
     return product(*(b if i % 2 else a for i in range(length)))
 
 
