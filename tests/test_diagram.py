@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import deque
 from dataclasses import fields
@@ -30,6 +31,7 @@ from wirtlab.dsl import parse_diagram
 from wirtlab.genpres import wirtinger_presentation
 from wirtlab.hypocycloid import quotient_diagram
 from tests.conftest import all_corpus_stems, corpus_path
+from tests.test_zvk_differential import gen
 
 
 def circle_diagram():
@@ -337,7 +339,25 @@ def test_sweep_dump_covers_every_field():
     )
 
 
+# the benchmark's big-diagrams inputs at seed 101, drawn in its order from
+# one generator: two long diagrams (strands, through events), then wide
+# ordinary points (m, sides of the points)
+BIG_LONG = ((8, 200), (12, 300))
+BIG_WIDE = ((20, "r"), (20, "llr"), (24, "ll"), (30, "l"), (36, "r"))
+
+
+def big_diagrams() -> dict[str, CurveDiagram]:
+    rng = random.Random("big-diagrams:101")
+    samples = {"big_long_%d_%d" % shape: gen.long_diagram(rng, *shape) for shape in BIG_LONG}
+    samples.update(
+        ("big_wide_%d_%s" % shape, gen.wide_diagram(rng, *shape)) for shape in BIG_WIDE
+    )
+    return {name: parse_diagram(s.dsl, name=name) for name, s in samples.items()}
+
+
 def pinned_diagram(name: str) -> CurveDiagram:
+    if name.startswith("big_"):
+        return big_diagrams()[name]
     if name.startswith("quotient_diagram_k"):
         return quotient_diagram(int(name[len("quotient_diagram_k"):]))
     path = Path(__file__).parent / "golden" / "inputs" / (name + ".wd")
@@ -396,6 +416,67 @@ def test_sweep_is_pinned(name):
     assert hashlib.md5(dump.encode()).hexdigest() == SWEEP_MD5[name]
 
 
+def region_dump(sw) -> str:
+    """The region report with the face and bounded-face counts, or the
+    refusal of a sweep with violations."""
+    try:
+        fc = faces(sw)
+    except DiagramError as exc:
+        return "refused: %s" % exc
+    counts = (len(fc.face_fragments), sum(fc.bounded.values()))
+    return "%r %s" % (counts, json.dumps(auto_region_B(sw).to_json(), sort_keys=True))
+
+
+# md5 of region_dump(sweep_ranks(d)) for every diagram in SWEEP_MD5 and the
+# benchmark's seven big-diagrams inputs at seed 101
+REGION_MD5 = {
+    "big_long_12_300": "ef6130a9da9af62da7457c1cd26ba037",
+    "big_long_8_200": "f8109d39259c6f202888a450eec4f06c",
+    "big_wide_20_llr": "36c6a915c5d3c284fdaa6d6d0da14afe",
+    "big_wide_20_r": "4d38f59070d5048333888da44d8496e1",
+    "big_wide_24_ll": "17294bd5639a9301eceda3c31882a604",
+    "big_wide_30_l": "b928d6c8f20766ee20332328b4aafee5",
+    "big_wide_36_r": "660bc8744a8e2859ae60ebfda3adbb85",
+    "block_out_of_range": "8234c038767b719b1524cb5888c6ebb8",
+    "cardioid": "67a5d6bcffb62c1853bf65d410c6a911",
+    "component_mismatch": "f398852791330515effd3fdf6e1b0d61",
+    "concentric_circles": "9bcde6511f491963da52d333ad1dcf58",
+    "crosscheck_1": "b85d2fcb356f64c7a4715ceffa17d4e0",
+    "crosscheck_18": "516b836c93873a4b90b3d633e349d443",
+    "crosscheck_19": "26ea3cb8c9424ebe7a8e3d088ec2fb92",
+    "crosscheck_2": "61f901701a1cbad59bbacf0131a2ea4e",
+    "crosscheck_22": "2893b0e13204ba5a652fae3d655e7dc3",
+    "crosscheck_3": "d8025b22fd5c94f4ebd227a169a125a8",
+    "crosscheck_35": "0f9d830eb87b87ff16b42e41d520de1b",
+    "crosscheck_4": "cf2a9eacb30ea507143e1c33c0ca7762",
+    "crosscheck_5": "83850a80621da56d9b6fcd083f737261",
+    "crosscheck_8": "2893b0e13204ba5a652fae3d655e7dc3",
+    "cuspidal_cubic": "8654a6660bbf6a2bf489d04e10a0f1d2",
+    "deltoid": "bbd750ddaa776e79ad9b5e7862534c2e",
+    "hypocycloid_quotient_k2": "32efe2a0de4feebd401ce64cd6ccc625",
+    "hypocycloid_quotient_k3": "b85d2fcb356f64c7a4715ceffa17d4e0",
+    "hypocycloid_quotient_k4": "99b6db873d6a979bc589f6e30813b2df",
+    "long_100": "b1fad5a651b05d2ef87824eb07044c0b",
+    "nodal_cubic": "8654a6660bbf6a2bf489d04e10a0f1d2",
+    "parabola_two_lines": "0ddc9389fb08b7be5fb8a87fc1c5caa0",
+    "quotient_diagram_k5": "2171de0e5b0b02ad2513c76de642e0ce",
+    "quotient_diagram_k6": "e9113747ba22f2b633f4612fc0920d6b",
+    "quotient_diagram_k7": "0613f7ab5039769cdc491d496202a6fa",
+    "quotient_diagram_k8": "2b6fd4e3d68cc3190e72ec3f0717b413",
+    "smooth_cubic": "d9b126d44957448adff32c8d930d463e",
+}
+
+
+def test_region_pin_covers_every_diagram():
+    assert sorted(REGION_MD5) == sorted([*SWEEP_MD5, *big_diagrams()])
+
+
+@pytest.mark.parametrize("name", sorted(REGION_MD5))
+def test_region_is_pinned(name):
+    dump = region_dump(sweep_ranks(pinned_diagram(name)))
+    assert hashlib.md5(dump.encode()).hexdigest() == REGION_MD5[name]
+
+
 # d = 2 strands at L and one event at x = 1: a birth may open its block
 # anywhere from above the top strand to below the bottom one (top <= 3);
 # any other block must fit among the two live strands (top <= 1)
@@ -425,5 +506,10 @@ if __name__ == "__main__":
     print("SWEEP_MD5 = {")
     for name in pinned_names():
         dump = sweep_dump(sweep_ranks(pinned_diagram(name)))
+        print('    "%s": "%s",' % (name, hashlib.md5(dump.encode()).hexdigest()))
+    print("}")
+    print("REGION_MD5 = {")
+    for name in sorted([*SWEEP_MD5, *big_diagrams()]):
+        dump = region_dump(sweep_ranks(pinned_diagram(name)))
         print('    "%s": "%s",' % (name, hashlib.md5(dump.encode()).hexdigest()))
     print("}")
