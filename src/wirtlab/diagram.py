@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional, Union
 
 
@@ -351,19 +351,19 @@ def _validate(sw: SweepResult) -> ValidationReport:
 # faces of the complement of C_R + L_R
 # ---------------------------------------------------------------------------
 
-# A fragment is a (slab, gap) pair.  Gap g of a slab lies just below its
-# g-th strand from the top: gap 0 is the unbounded top one, gap len(slab)
-# the unbounded bottom one.
+# A fragment is a (slab, gap) pair with the integer id start[slab] + gap.
+# Gap g of a slab lies just below its g-th strand from the top: gap 0 is the
+# unbounded top one, gap len(slab) the unbounded bottom one.
 
 
 @dataclass
 class FaceComplex:
     sweep: SweepResult
-    faces: dict  # fragment -> face id
-    face_fragments: dict  # face id -> list of fragments
-    bounded: dict  # face id -> bool
+    start: list[int]  # fragment (si, g) has id start[si] + g; start[-1] of them
+    face: list[int]  # fragment id -> face id
+    bounded: list[bool]  # face id -> bounded
     points: int  # curve points on the event cuts (a block's strands share one)
-    glued: list[tuple[tuple, tuple]]  # fragment pairs glued across an event cut
+    glued: list[tuple[int, int]]  # fragment ids glued across an event cut
 
 
 def faces(sw: SweepResult) -> FaceComplex:
@@ -372,46 +372,38 @@ def faces(sw: SweepResult) -> FaceComplex:
     if sw.violations:
         raise DiagramError("cannot build faces: " + "; ".join(sw.violations))
 
-    # fragment (si, g) has the integer id start[si] + g
     start = [0, *accumulate(len(slab) + 1 for slab in sw.slabs)]
     total_points = 0
-    glued: list[tuple[tuple, tuple]] = []
+    glued: list[tuple[int, int]] = []
     for rec in sw.records:
         # L is a cut too, between the two sides
         ci = rec.index + (sw.diagram.side_of(rec.event) == "right")
         top, size = rec.event.top, rec.event.kind.size
-        left, right = sw.slabs[ci], sw.slabs[ci + 1]
         # The cut's gaps, from the top, lie between its points.  Those
         # above the block's point are the slab gaps with the same index on
-        # both sides; those below it count from the bottom of each slab.
-        # The block's inner gaps end at its point and are not glued.  The
-        # block side is the slab with more strands (for a through block
-        # both have as many).
-        points = max(len(left), len(right)) - size + 1
+        # both sides; the b-th of those below it, counted up from the bottom,
+        # is the b-th above each slab's bottom gap start[si + 1] - 1.  The
+        # block's inner gaps end at its point and are not glued.  The block
+        # side is the slab with more strands (for a through block both have
+        # as many), and top <= points.
+        points = max(len(sw.slabs[ci]), len(sw.slabs[ci + 1])) - size + 1
         total_points += points
-        for s in range(points + 1):
-            lf = (ci, s if s < top else s + len(left) - points)
-            rf = (ci + 1, s if s < top else s + len(right) - points)
-            glued.append((lf, rf))
+        glued += ((start[ci] + s, start[ci + 1] + s) for s in range(top))
+        glued += (
+            (start[ci + 1] - 1 - b, start[ci + 2] - 1 - b) for b in range(points + 1 - top)
+        )
 
     # a face's id is the class label of its fragments
-    label = classes(start[-1], (
-        (start[lsi] + lg, start[rsi] + rg) for (lsi, lg), (rsi, rg) in glued
-    ))
-    face_of: dict = {}
-    face_frags: dict = {}
-    for si, slab in enumerate(sw.slabs):
-        for g in range(len(slab) + 1):
-            face = label[start[si] + g]
-            face_of[si, g] = face
-            face_frags.setdefault(face, []).append((si, g))
-
-    last = len(sw.slabs) - 1
-    bounded = {
-        face: all(0 < si < last and 0 < g < len(sw.slabs[si]) for si, g in frags)
-        for face, frags in face_frags.items()
-    }
-    return FaceComplex(sw, face_of, face_frags, bounded, total_points, glued)
+    face = classes(start[-1], glued)
+    # a face is unbounded exactly when one of its fragments lies in the
+    # first or last slab or in a top or bottom gap
+    bounded = [True] * (max(face) + 1)
+    for frag in chain(
+        range(start[1]), range(start[-2], start[-1]),
+        start[:-1], (s - 1 for s in start[1:]),
+    ):
+        bounded[face[frag]] = False
+    return FaceComplex(sw, start, face, bounded, total_points, glued)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +413,6 @@ def faces(sw: SweepResult) -> FaceComplex:
 @dataclass
 class RegionReport:
     ok: bool
-    faces: list[int]  # face ids making up the region
     euler: Optional[int]
     connected: Optional[bool]
     blocked_faces: list[str]  # bounded faces containing obstruction points
@@ -452,13 +443,14 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
 
     The report also carries the Euler characteristic and connectivity of
     the filled union as an independent verification.  The Euler
-    characteristic is V - E + F counted off the faces' cells; connectivity
-    comes from the classes of the sweep's strand tokens.  The union is a
-    compact set whose complement in the sphere (the unbounded faces and
-    infinity) is connected, so by Alexander duality its Euler
-    characteristic is its number of components: the two numbers must agree
-    that the union is connected exactly when the characteristic is 1."""
-    complex_ = faces(sw)
+    characteristic is V - E + F, with F counted off the ``inside`` list of
+    the fragments in B; connectivity comes from the classes of the sweep's
+    strand tokens.  The union is a compact set whose complement in the
+    sphere (the unbounded faces and infinity) is connected, so by Alexander
+    duality its Euler characteristic is its number of components: the two
+    numbers must agree that the union is connected exactly when the
+    characteristic is 1."""
+    fc = faces(sw)
     blocked: dict[int, list[str]] = {}
     for rec in sw.records:
         if rec.action == "through":
@@ -469,24 +461,23 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
         # from the block, so just below that slab's strand top - 1
         side = "left" if rec.event.kind.branch_side == "right" else "right"
         cut = rec.index + (sw.diagram.side_of(rec.event) == "right")
-        face = complex_.faces[cut + (side == "right"), rec.event.top - 1]
-        if complex_.bounded[face]:
+        face = fc.face[fc.start[cut + (side == "right")] + rec.event.top - 1]
+        if fc.bounded[face]:
             blocked.setdefault(face, []).append(
                 "obstruction %s of %s" % (side, rec.event.label())
             )
-    chosen = [face for face, is_b in complex_.bounded.items() if is_b]
     blocked_faces = [
         "bounded face must belong to the region but contains %s"
         % "; ".join(labels)
         for labels in blocked.values()
     ]
 
-    euler, connected = _euler_and_connectivity(complex_, set(chosen))
+    euler, connected = _euler_and_connectivity(fc)
     ok = not blocked_faces and euler == 1 and connected
     if ok:
         message = (
             "region accepted: all %d bounded faces are obstruction-free"
-            % len(chosen)
+            % sum(fc.bounded)
         )
     else:
         reasons = list(blocked_faces)
@@ -495,14 +486,15 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
         if not connected:
             reasons.append("B+C+L is not connected")
         message = "no valid region: " + "; ".join(reasons)
-    return RegionReport(ok, chosen, euler, connected, blocked_faces, message)
+    return RegionReport(ok, euler, connected, blocked_faces, message)
 
 
-def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
-    """Euler characteristic and connectivity of closed(B) + C_R + L_R."""
+def _euler_and_connectivity(fc: FaceComplex) -> tuple[int, bool]:
+    """Euler characteristic and connectivity of closed(B) + C_R + L_R, B
+    the bounded faces."""
     d = fc.sweep.diagram.d
     slabs = fc.sweep.slabs
-    frags = [frag for face in chosen for frag in fc.face_fragments[face]]
+    inside = [fc.bounded[face] for face in fc.face]  # fragment id -> in B
     # vertices: the curve's points on the event cuts, the d points of L and
     # its two clip ends, and a clip vertex at each unbounded strand end
     n_vertices = fc.points + d + 2 + len(slabs[0]) + len(slabs[-1])
@@ -510,18 +502,21 @@ def _euler_and_connectivity(fc: FaceComplex, chosen: set) -> tuple[int, bool]:
     # L, and the cut gap of each glued pair inside B
     n_edges = (
         sum(map(len, slabs)) + d + 1
-        + sum(fc.faces[lf] in chosen for lf, _ in fc.glued)
+        + sum(inside[lf] for lf, _ in fc.glued)
     )
-    euler = n_vertices - n_edges + len(frags)
+    euler = n_vertices - n_edges + sum(inside)
 
     # pieces of the union by strand token, with token 0 (class 0) standing
     # for L: a token's segments are joined through its points, a block's
     # strands meet at its event's point, and a fragment joins its two
-    # bounding strands
+    # bounding strands (a fragment in B is not a top or bottom gap)
     links = [(0, r) for r in range(1, d + 1)]
     for rec in fc.sweep.records:
         links += ((rec.block_strands[0], tok) for tok in rec.block_strands[1:])
-    links += ((slabs[si][g - 1], slabs[si][g]) for si, g in frags)
+    links += (
+        (slab[g - 1], slab[g]) for si, slab in enumerate(slabs)
+        for g in range(1, len(slab)) if inside[fc.start[si] + g]
+    )
     label = classes(1 + max(max(slab, default=0) for slab in slabs), links)
     connected = all(label[tok] == 0 for slab in slabs for tok in slab)
     return euler, connected

@@ -294,18 +294,6 @@ def test_resweep_after_round_trip_is_identical(corpus):
         ]
 
 
-def test_faces_partition_fragments(corpus):
-    for stem, d in corpus.items():
-        fc = faces(sweep_ranks(d))
-        seen = set()
-        for face, frags in fc.face_fragments.items():
-            for frag in frags:
-                assert fc.faces[frag] == face
-                assert frag not in seen
-                seen.add(frag)
-        assert seen == set(fc.faces)
-
-
 def test_faces_refuses_a_sweep_with_violations():
     d = parse_diagram(
         (Path(__file__).parent / "golden" / "inputs" / "block_out_of_range.wd").read_text()
@@ -416,6 +404,27 @@ def test_sweep_is_pinned(name):
     assert hashlib.md5(dump.encode()).hexdigest() == SWEEP_MD5[name]
 
 
+# the corpus, the golden inputs and quotient_diagram(k), k = 5..8
+@pytest.mark.parametrize("name", pinned_names())
+def test_faces_match_a_brute_force_oracle(name):
+    sw = sweep_ranks(pinned_diagram(name))
+    if sw.violations:
+        with pytest.raises(DiagramError):
+            faces(sw)
+        return
+    fc = faces(sw)
+    assert fc.face == breadth_first_labels(fc.start[-1], fc.glued)
+    # a face is bounded exactly when each of its fragments is interior: in
+    # neither the first nor the last slab, and neither a top nor a bottom gap
+    interior = [True] * len(fc.bounded)
+    last = len(sw.slabs) - 1
+    for si, slab in enumerate(sw.slabs):
+        for g in range(len(slab) + 1):
+            if not (0 < si < last and 0 < g < len(slab)):
+                interior[fc.face[fc.start[si] + g]] = False
+    assert fc.bounded == interior
+
+
 def region_dump(sw) -> str:
     """The region report with the face and bounded-face counts, or the
     refusal of a sweep with violations."""
@@ -423,7 +432,7 @@ def region_dump(sw) -> str:
         fc = faces(sw)
     except DiagramError as exc:
         return "refused: %s" % exc
-    counts = (len(fc.face_fragments), sum(fc.bounded.values()))
+    counts = (len(fc.bounded), sum(fc.bounded))
     return "%r %s" % (counts, json.dumps(auto_region_B(sw).to_json(), sort_keys=True))
 
 

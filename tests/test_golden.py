@@ -85,8 +85,8 @@ def render_regions() -> str:
         fc = faces(sw)
         records[name] = {
             "region": auto_region_B(sw).to_json(),
-            "faces": len(fc.face_fragments),
-            "bounded_faces": sum(fc.bounded.values()),
+            "faces": len(fc.bounded),
+            "bounded_faces": sum(fc.bounded),
         }
     return json.dumps(records, indent=1, sort_keys=True) + "\n"
 
