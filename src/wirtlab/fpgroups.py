@@ -173,15 +173,28 @@ def _positions(t: tuple[int, ...], x: int) -> list[int]:
         return found
 
 
+def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of t, in linear time: it starts where the last
+    Lyndon factor of t + t that begins in the first copy of t does, and
+    Duval's algorithm (J. Algorithms 4, 1983) finds the factors in order."""
+    n, tt = len(t), t + t
+    i = first = 0
+    while i < n:
+        first, j, k = i, i + 1, i
+        while j < 2 * n and tt[k] <= tt[j]:
+            k = i if tt[k] < tt[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return tt[first:first + n]
+
+
 def _cyclic_canonical(t: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical key of a relator's letters up to cyclic rotation and
     inversion: the least rotation of its cyclic reduction or of that one's
-    inverse.  Only a rotation that starts at an occurrence of a word's least
-    letter can be its least, so only those are built."""
+    inverse."""
     t = cyclically_reduce(t)
-    if not t:
-        return ()
-    return min(ls[i:] + ls[:i] for ls in (t, invert(t)) for i in _positions(ls, min(ls)))
+    return min(_least_rotation(t), _least_rotation(invert(t)))
 
 
 def _substitute(

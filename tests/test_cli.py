@@ -159,9 +159,10 @@ def test_simplify_refuses_a_long_wirtinger_presentation_past_the_letter_budget(c
     """On the benchmark's 8-strand, 200-event long diagram (seed 101),
     least-growth eliminations would grow one relator past two million
     letters; the default letter budget stops them after about 1,000 moves.
-    The budget bounds letters, not time: this draw happens to be refused
-    in about a second, but other long draws can take minutes to reach it
-    (keying long relators is quadratic), so this is no time bound."""
+    The budget bounds letters, not time: this draw is refused in about a
+    second and relators are keyed in linear time, but how many moves a
+    draw makes before it reaches the budget depends on the draw, so this
+    is no time bound."""
     diagram = tmp_path / "long.wd"
     diagram.write_text(gen.long_diagram(random.Random("big-diagrams:101"), 8, 200).dsl)
     code, out, _ = run(capsys, "wirtinger", str(diagram), "--format", "json")

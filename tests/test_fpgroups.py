@@ -41,7 +41,7 @@ from wirtlab import homcount  # noqa: E402
 from wirtlab.homcount import count_homs, symmetric_group  # noqa: E402
 from wirtlab.hypocycloid import orbifold_presentation  # noqa: E402
 from wirtlab.profiles import profile, profiles_equal  # noqa: E402
-from wirtlab.words import Word  # noqa: E402
+from wirtlab.words import Word, invert  # noqa: E402
 
 
 def test_presentation_json_round_trip():
@@ -223,6 +223,18 @@ def test_cyclic_canonical_matches_all_rotations():
         w = Word(core).conjugated_by(conj)
         assert _cyclic_canonical(w.letters) == all_rotations_key(w), w
     assert _cyclic_canonical(()) == all_rotations_key(Word()) == ()
+
+
+def test_cyclic_canonical_of_a_long_word_in_closed_form():
+    # r runs of k letters x1 and one run of k + 1, each after an x2^-1: a
+    # rotation from an x2^-1 is less the shorter its first run, so the least
+    # puts the long run last; the inverse's least letter, x1^-1, is greater
+    k, r = 50, 400
+    key = (-2, *[1] * k) * r + (-2, *[1] * (k + 1))
+    for i in (0, 1, len(key) - k - 2, 12345):
+        rotated = key[i:] + key[:i]
+        assert _cyclic_canonical(rotated) == key
+        assert _cyclic_canonical(invert(rotated)) == key
 
 
 def rescanning_tietze(p: Presentation):
