@@ -419,6 +419,7 @@ def trace_quotient(k: int) -> TracedCurve:
 # ---------------------------------------------------------------------------
 
 _SNAP = 10 ** 7
+_SEPARATION = 1e-6  # the least x-distance accepted between traced events
 
 
 def _snap(x: float) -> Fraction:
@@ -430,12 +431,20 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
     horizontal line, with L placed in the first gap right of the
     transversal crossing.  The result is verified against the theorem
     hypotheses before being returned."""
+    # The quotient has k^2 - k + 1 events with x in [-1, 1], so by pigeonhole
+    # two of them lie within 2 / (k^2 - k) of each other: past this k the
+    # separation check below must fail, so refuse before tracing.
+    if k > 1 and k * (k - 1) * _SEPARATION > 2:
+        raise TracingError(
+            "event separation below tolerance: k = %d puts %d events in [-1, 1], "
+            "two of them within %.3e" % (k, k * k - k + 1, 2 / (k * k - k))
+        )
     tr = trace_quotient(k)
     params = tr.params
     raw = sorted(tr.events, key=lambda ev: ev.x)
     xs = [ev.x for ev in raw]
     for a, b in zip(xs, xs[1:]):
-        if b - a < 1e-6:
+        if b - a < _SEPARATION:
             raise TracingError("event separation below tolerance: %.3e" % (b - a))
     # the strand order changes only at events, so one fiber per slab
     # between consecutive events serves every event beside it; L sits at

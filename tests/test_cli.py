@@ -119,6 +119,15 @@ def test_hypo_diagram_k12_stops_at_the_separation_check(capsys):
     assert error["error"].startswith("event separation below tolerance")
 
 
+@pytest.mark.parametrize("command, k", [("hypo-diagram", 1415), ("hypo-verify", 10**7)])
+def test_hypo_commands_refuse_a_k_too_large_to_separate_its_events(capsys, command, k):
+    code, out, err = run(capsys, command, "--k", str(k))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "TracingError"
+    assert error["error"].startswith("event separation below tolerance: k = %d " % k)
+
+
 @pytest.mark.parametrize("command", ["hypo-diagram", "hypo-verify"])
 def test_hypo_commands_refuse_k_below_2(capsys, command):
     code, out, err = run(capsys, command, "--k", "1")

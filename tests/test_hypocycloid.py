@@ -84,6 +84,27 @@ def test_critical_parameters_requires_fold_shape():
         critical_parameters(HypoParams(3, 1))
 
 
+def test_quotient_diagram_refuses_from_k_1415_before_tracing(monkeypatch):
+    # 1414 * 1413 < 2e6 < 1415 * 1414: the pigeonhole bound on the event
+    # separation first falls below 1e-6 at k = 1415
+    traced = []
+
+    class Traced(Exception):
+        pass
+
+    def trace(k):
+        traced.append(k)
+        raise Traced
+
+    monkeypatch.setattr(hypocycloid, "trace_quotient", trace)
+    with pytest.raises(Traced):
+        quotient_diagram(1414)
+    for k in (1415, 10**7):
+        with pytest.raises(TracingError, match="^event separation below tolerance: k = %d puts " % k):
+            quotient_diagram(k)
+    assert traced == [1414]
+
+
 def test_trace_census():
     for k in range(2, 12):
         tr = trace_quotient(k)
