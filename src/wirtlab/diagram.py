@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Optional, Union
 
 
@@ -396,13 +396,11 @@ def faces(sw: SweepResult) -> FaceComplex:
     # a face's id is the class label of its fragments
     face = classes(start[-1], glued)
     # a face is unbounded exactly when one of its fragments lies in the
-    # first or last slab or in a top or bottom gap
+    # first or last slab: every event cut glues the top gaps on its two
+    # sides, and the bottom gaps, so each top or bottom gap reaches one
     bounded = [True] * (max(face) + 1)
-    for frag in chain(
-        range(start[1]), range(start[-2], start[-1]),
-        start[:-1], (s - 1 for s in start[1:]),
-    ):
-        bounded[face[frag]] = False
+    for f in face[:start[1]] + face[start[-2]:]:
+        bounded[f] = False
     return FaceComplex(sw, start, face, bounded, total_points, glued)
 
 

@@ -437,7 +437,7 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
     if k > 1 and k * (k - 1) * _SEPARATION > 2:
         raise TracingError(
             "event separation below tolerance: k = %d puts %d events in [-1, 1], "
-            "two of them within %.3e" % (k, k * k - k + 1, 2 / (k * k - k))
+            "two of them at most %.3e apart" % (k, k * k - k + 1, 2 / (k * k - k))
         )
     tr = trace_quotient(k)
     params = tr.params
