@@ -9,15 +9,18 @@ itself yields a curve-plus-line arrangement whose diagram satisfies the
 sufficiency hypotheses checked by ``check_theorem``.
 
 This module traces that folded arrangement numerically and assembles its
-``CurveDiagram``: the folded off-axis cusp pairs give cusp events, folded
-node pairs give crossings, axis nodes become simple tangencies with the
-line (intersection multiplicity 2), the single vertical tangency becomes
-a transversal line crossing, and the on-axis cusp becomes a contact-order
-3 crossing with the line; a crossing of contact order c is the A_(2c-1)
-point.  Every node is a parameter pair pi*m/n +- delta: closed-form centre
-angle, delta a root of one scalar equation.  k = 2..11 trace; from k = 12
-two events lie closer than the separation tolerance and tracing stops with
-a ``TracingError``.
+``CurveDiagram``.  Each traced event carries its ``diagram`` kind from the
+start: the folded off-axis cusp pairs are ``Cusp(2, side)``, and every
+other event is a crossing of two strands with contact order c, the
+A_(2c-1) point ``Crossing(2c - 1)``.  Folded node pairs are nodes (c = 1);
+of the line events, axis nodes fold to simple tangencies with the line
+(c = 2), the single vertical tangency to a transversal crossing (c = 1)
+and the on-axis cusp to an order-3 contact (c = 3), each c measured.
+Every node is a parameter pair pi*m/n +- delta: closed-form centre angle,
+delta a root of one scalar equation, which must have k - 2 roots for
+either parity of m; that one count fixes the number of nodes.
+k = 2..11 trace; from k = 12 two events lie closer than the separation
+tolerance and tracing stops with a ``TracingError``.
 
 Strands are ranked in one fiber per slab between consecutive events: the
 real fold pieces by w = y^2 > 0, then the line, then the arc with imaginary
@@ -44,9 +47,9 @@ from .words import Word
 
 
 class TracingError(ValueError):
-    """Numeric tracing failed: a tolerance, separation, census, or
-    classification check did not come out as the closed-form counts
-    predict."""
+    """Numeric tracing failed: a residual, root count, contact order,
+    separation or strand-order check did not come out as the closed-form
+    picture predicts."""
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,10 @@ def _node_deltas(params: HypoParams, m: int) -> list[float]:
     solve k sin(ell delta) = (-1)^m ell sin(k delta).  Its frequency is at most k,
     so 64k scan steps put each root in a sign-change bracket of its own, and
     ``_solve`` (Newton on f' = k ell (cos(ell delta) -+ cos(k delta))) certifies
-    it there.  Only the parity of m enters, and solve errors name m mod 2."""
+    it there.  There are ell - 1 roots for either parity (k - 2 on the fold,
+    ell = k - 1), one per real node pair with this centre angle; a scan that
+    finds another number is refused.  Only the parity of m enters, and errors
+    name m mod 2."""
     k, l = params.k, params.ell
     sign = -1.0 if m % 2 else 1.0
     f = lambda d: k * sin(l * d) - sign * l * sin(k * d)
@@ -210,8 +216,11 @@ def _node_deltas(params: HypoParams, m: int) -> list[float]:
     ds = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
     fs = [f(d) for d in ds]
     what = "node m=%d" % (m % 2)
-    return [_solve(f, df, ds[i - 1], ds[i], what)
-            for i in range(1, steps + 1) if fs[i] == 0.0 or fs[i - 1] * fs[i] < 0.0]
+    roots = [_solve(f, df, ds[i - 1], ds[i], what)
+             for i in range(1, steps + 1) if fs[i] == 0.0 or fs[i - 1] * fs[i] < 0.0]
+    if len(roots) != l - 1:
+        raise TracingError("%s: expected %d roots, found %d" % (what, l - 1, len(roots)))
+    return roots
 
 
 @dataclass(frozen=True)
@@ -235,8 +244,6 @@ def critical_parameters(params: HypoParams, tol: float = _RESIDUAL_TOL) -> Criti
     residuals["tangency"] = max(abs(_dx(params, pi)), abs(_y(params, pi)))
 
     roots = _node_deltas(params, 0)
-    if len(roots) != params.k - 2:
-        raise TracingError("expected %d axis-node angles, found %d" % (params.k - 2, len(roots)))
     for i, r in enumerate(roots):
         residuals["axis_node_%d" % i] = abs(_y(params, r))
 
@@ -250,10 +257,6 @@ def critical_parameters(params: HypoParams, tol: float = _RESIDUAL_TOL) -> Criti
 # folded trace: real arcs in w = y^2 > 0, the line w = 0, imaginary arcs w < 0
 # ---------------------------------------------------------------------------
 
-def _w(params: HypoParams, t: float) -> float:
-    return _y(params, t) ** 2
-
-
 # The arcs with real x but imaginary y, t = i*s and t = pi + i*s, have w < 0,
 # so each lies below the line wherever it exists: t = i*s over x > 1, right
 # of every event, and PSI2 (t = pi + i*s) on one side of the transversal
@@ -266,13 +269,8 @@ PSI2 = ("psi", 2)
 @dataclass(frozen=True)
 class RawEvent:
     x: float
-    w: float
-    kind: str  # cusp | tacnode | crossing | transversal | inflection
+    kind: Cusp | Crossing  # Crossing(2c - 1) for contact order c
     arcs: tuple  # the two arc ids forming the event's strand block
-    branch_side: str | None = None  # cusps only
-    # contact order c of the two strands, so the event is the A_(2c-1)
-    # crossing: measured for line events, 1 for nodes, None for cusps
-    contact_order: int | None = None
 
 
 @dataclass
@@ -282,12 +280,6 @@ class TracedCurve:
     transversal_x: float
     events: list[RawEvent]
 
-    def census(self) -> dict:
-        counts = {"cusp": 0, "tacnode": 0, "crossing": 0, "transversal": 0, "inflection": 0}
-        for ev in self.events:
-            counts[ev.kind] += 1
-        return counts
-
 
 def _piece_x_range(params: HypoParams, piece: tuple[float, float]) -> tuple[float, float]:
     a, b = piece
@@ -295,12 +287,10 @@ def _piece_x_range(params: HypoParams, piece: tuple[float, float]) -> tuple[floa
     return (min(xa, xb), max(xa, xb))
 
 
-def _piece_t_at(params: HypoParams, piece: tuple[float, float], x0: float, what: str) -> float:
-    return _solve(lambda t: _x(params, t) - x0, lambda t: _dx(params, t), piece[0], piece[1], what)
-
-
 def _piece_w_at(params: HypoParams, piece: tuple[float, float], x0: float, what: str) -> float:
-    return _w(params, _piece_t_at(params, piece, x0, what))
+    """w = y^2 on the fold piece where x(t) = x0."""
+    t = _solve(lambda t: _x(params, t) - x0, lambda t: _dx(params, t), piece[0], piece[1], what)
+    return _y(params, t) ** 2
 
 
 def _heights(tr: TracedCurve, x0: float) -> list[tuple]:
@@ -343,8 +333,10 @@ def _contact_order(sample, expected: int, label: str) -> int:
 
 def trace_quotient(k: int) -> TracedCurve:
     """Trace the folded quotient of the (k, k-1) hypocycloid plus the
-    horizontal line and classify all of its diagram events, checking the
-    detected census against the closed-form counts."""
+    horizontal line into its events, each with its ``diagram`` kind: k - 1
+    folded cusps, k line events of measured contact order and (k - 1)(k - 2)
+    nodes: for each centre angle pi*m/n, m = 1..k-1, the k - 2 roots that
+    ``_node_deltas`` counts."""
     if k < 2:
         raise ValueError("need k >= 2")
     params = HypoParams(k, k - 1)
@@ -360,31 +352,28 @@ def trace_quotient(k: int) -> TracedCurve:
     # folded cusps: one per off-axis mirror pair
     for j, t in enumerate(cusp_ts):
         side = "right" if _ddx(params, t) > 0 else "left"
-        tr.events.append(
-            RawEvent(_x(params, t), _w(params, t), "cusp",
-                     (("phi", j), ("phi", j + 1)), branch_side=side)
-        )
+        tr.events.append(RawEvent(_x(params, t), Cusp(2, side), (("phi", j), ("phi", j + 1))))
 
     # line events: axis nodes fold to simple tangencies with the line
     # (contact order 2), the vertical tangency to a transversal crossing
     # (order 1) and the on-axis cusp to an order-3 crossing at x = 1.  Each
-    # is (kind, parameter, piece, block arc, order), and its contact is
-    # sampled on the side of x0 where the piece extends.
+    # is (name, parameter, piece, block arc, order), the name only labelling
+    # its contact samples, taken on the side of x0 where the piece extends.
     last = len(pieces) - 1
     line_events = [("tacnode", t, piece_of(t)[1], piece_of(t), 2) for t in crit.axis_node_angles]
     line_events += [
         ("transversal", pi, last, ("phi", last) if _ddx(params, pi) > 0 else PSI2, 1),
         ("inflection", 0.0, 0, ("phi", 0), 3),
     ]
-    for kind, t, i, arc, expected in line_events:
+    for name, t, i, arc, expected in line_events:
         x0, hi = _x(params, t), _piece_x_range(params, pieces[i])[1]
-        label = "%s x=%.6f" % (kind, x0)
+        label = "%s x=%.6f" % (name, x0)
         what = "contact sample at " + label
         order = _contact_order(
             lambda h: _piece_w_at(params, pieces[i], x0 + h if hi > x0 + h else x0 - h, what),
             expected, label,
         )
-        tr.events.append(RawEvent(x0, 0.0, kind, (arc, LINE), contact_order=order))
+        tr.events.append(RawEvent(x0, Crossing(2 * order - 1), (arc, LINE)))
 
     # folded node pairs pi*m/n +- delta for m = 1..k-1 (n-m is the mirror of m);
     # delta depends on m only through its parity, and for even m the deltas
@@ -398,19 +387,7 @@ def trace_quotient(k: int) -> TracedCurve:
                 raise TracingError("node residual %.3e above tolerance %g at m=%d, delta=%.12g"
                                    % (residual, _RESIDUAL_TOL, m, d))
             f1, f2 = abs(remainder(t1, 2 * pi)), abs(remainder(t2, 2 * pi))
-            arcs = (piece_of(f1), piece_of(f2))
-            tr.events.append(RawEvent(_x(params, f1), _w(params, f1), "crossing", arcs,
-                                      contact_order=1))
-
-    expected = {
-        "cusp": k - 1,
-        "tacnode": k - 2,
-        "crossing": (n - 1) * (k - 2) // 2,
-        "transversal": 1,
-        "inflection": 1,
-    }
-    if tr.census() != expected:
-        raise TracingError("event census mismatch: found %s, expected %s" % (tr.census(), expected))
+            tr.events.append(RawEvent(_x(params, f1), Crossing(1), (piece_of(f1), piece_of(f2))))
     return tr
 
 
@@ -455,32 +432,31 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
     l_float = mids[l_slab]
 
     events: list[Event] = []
+    placed = {_snap(l_float): "L x=%.6f" % l_float}  # snapped x -> what sits there
     for i, ev in enumerate(raw):
-        right = ev.branch_side == "right" if ev.kind == "cusp" else ev.x < l_float
+        label = "%s x=%.6f" % (type(ev.kind).__name__.lower(), ev.x)
+        right = ev.kind.branch_side == "right" if isinstance(ev.kind, Cusp) else ev.x < l_float
         slab = i if right else i - 1
         if not 0 <= slab < len(fibers):
-            raise TracingError("no slab on the block side of %s x=%.6f" % (ev.kind, ev.x))
+            raise TracingError("no slab on the block side of " + label)
         ranks = {arc: r for r, arc in enumerate(fibers[slab], start=1)}
         try:
             r1, r2 = sorted(ranks[a] for a in ev.arcs)
         except KeyError:
-            raise TracingError("block strand missing beside %s x=%.6f" % (ev.kind, ev.x))
+            raise TracingError("block strand missing beside " + label)
         if r2 != r1 + 1:
-            raise TracingError(
-                "block strands not adjacent beside %s x=%.6f" % (ev.kind, ev.x)
-            )
-        kind = Crossing(2 * ev.contact_order - 1) if ev.contact_order else Cusp(2, ev.branch_side)
-        events.append(Event(_snap(ev.x), kind, r1))
-
-    snapped = [e.x for e in events] + [_snap(l_float)]
-    if len(set(snapped)) != len(snapped):
-        raise TracingError("x-coordinate snapping collided")
+            raise TracingError("block strands not adjacent beside " + label)
+        x = _snap(ev.x)
+        if x in placed:
+            raise TracingError("x-coordinate snapping collided: %s and %s both snap to %s"
+                               % (placed[x], label, x))
+        placed[x] = label
+        events.append(Event(x, ev.kind, r1))
 
     fiber = fibers[l_slab]
     if len(fiber) != k + 1:
-        raise TracingError(
-            "strand-count mismatch at L: found %d, expected %d" % (len(fiber), k + 1)
-        )
+        raise TracingError("strand-count mismatch at L x=%.6f: found %d, expected %d"
+                           % (l_float, len(fiber), k + 1))
     components = tuple("l" if arc == LINE else "c" for arc in fiber)
     diagram = CurveDiagram(
         k + 1, _snap(l_float), components, tuple(events),

@@ -11,6 +11,7 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 
 import gen  # noqa: E402
 
+from wirtlab import hypocycloid  # noqa: E402
 from wirtlab.cli import main  # noqa: E402
 from wirtlab.fpgroups import artin_from_graph  # noqa: E402
 from tests.conftest import corpus_path  # noqa: E402
@@ -117,6 +118,17 @@ def test_hypo_diagram_k12_stops_at_the_separation_check(capsys):
     error = json.loads(err)
     assert error["type"] == "TracingError"
     assert error["error"].startswith("event separation below tolerance")
+
+
+def test_hypo_diagram_reports_an_assembly_refusal(capsys, monkeypatch):
+    # a snapping grid of 1/10 puts L and the transversal crossing of k = 3
+    # on one point
+    monkeypatch.setattr(hypocycloid, "_SNAP", 10)
+    code, out, err = run(capsys, "hypo-diagram", "--k", "3")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["type"] == "TracingError"
+    assert error["error"].startswith("x-coordinate snapping collided: L x=")
 
 
 @pytest.mark.parametrize("command, k", [("hypo-diagram", 1415), ("hypo-verify", 10**7)])

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import re
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from wirtlab.diagram import check_theorem, sweep_ranks
+from wirtlab.diagram import Crossing, Cusp, check_theorem, sweep_ranks
 from wirtlab import hypocycloid
 from wirtlab.dsl import serialize_diagram
 from wirtlab.hypocycloid import (
@@ -15,6 +17,7 @@ from wirtlab.hypocycloid import (
     _heights,
     _node_deltas,
     _piece_w_at,
+    _snap,
     _solve,
     critical_parameters,
     hypo_point,
@@ -105,28 +108,42 @@ def test_quotient_diagram_refuses_from_k_1415_before_tracing(monkeypatch):
     assert traced == [1414]
 
 
+# md5 of `hypo-diagram --k K` concatenated over K = 2..11
+HYPO_DIAGRAM_MD5 = "2d877d39b9c27862ac8cd166de1e49eb"
+
+
+def kind_census(tr) -> Counter:
+    """Traced events counted by (DSL kind name, m, whether the line is in
+    the block): the counts the DSL of ``quotient_diagram`` shows."""
+    return Counter((type(ev.kind).__name__.lower(), ev.kind.m, LINE in ev.arcs) for ev in tr.events)
+
+
+def hypo_diagram_md5() -> str:
+    text = "".join(serialize_diagram(quotient_diagram(k)) for k in range(2, 12))
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+def expected_census(k: int) -> Counter:
+    return +Counter({
+        ("cusp", 2, False): k - 1,
+        ("crossing", 3, True): k - 2,  # axis nodes fold to tangencies with the line
+        ("crossing", 1, False): (k - 1) * (k - 2),  # folded node pairs
+        ("crossing", 1, True): 1,  # the vertical tangency
+        ("crossing", 5, True): 1,  # the on-axis cusp
+    })
+
+
 def test_trace_census():
     for k in range(2, 12):
-        tr = trace_quotient(k)
-        census = tr.census()
-        n = 2 * k - 1
-        assert census["cusp"] == k - 1
-        assert census["tacnode"] == k - 2
-        assert census["crossing"] == (n - 1) * (k - 2) // 2
-        assert census["transversal"] == 1
-        assert census["inflection"] == 1
+        assert kind_census(trace_quotient(k)) == expected_census(k), k
 
 
 def test_quotient_diagram_is_verified():
-    texts = []
     for k in range(2, 12):
         d = quotient_diagram(k)
         assert d.d == k + 1
         assert check_theorem(d).verified
-        texts.append(serialize_diagram(d))
-    # md5 of `hypo-diagram --k K` concatenated over K = 2..11
-    digest = hashlib.md5("".join(texts).encode()).hexdigest()
-    assert digest == "2d877d39b9c27862ac8cd166de1e49eb"
+    assert hypo_diagram_md5() == HYPO_DIAGRAM_MD5
 
 
 @pytest.mark.parametrize("k", range(2, 12))
@@ -154,14 +171,13 @@ def test_closed_form_nodes_agree_with_x_inversion(k):
     for m in range(k):
         assert len(_node_deltas(params, m)) == k - 2
     tr = trace_quotient(k)
-    crossings = [ev for ev in tr.events if ev.kind == "crossing"]
-    assert len(crossings) == (k - 1) * (k - 2)
-    for ev in crossings:
+    nodes = [ev for ev in tr.events if ev.kind == Crossing(1) and LINE not in ev.arcs]
+    assert len(nodes) == (k - 1) * (k - 2)
+    for ev in nodes:
         (_, i), (_, j) = ev.arcs
         assert i != j
-        for piece in (tr.pieces[i], tr.pieces[j]):
-            w = _piece_w_at(params, piece, ev.x, "crossing x=%.6f" % ev.x)
-            assert w == pytest.approx(ev.w, abs=1e-9)
+        w1, w2 = (_piece_w_at(params, tr.pieces[p], ev.x, "node x=%.6f" % ev.x) for p in (i, j))
+        assert w1 == pytest.approx(w2, abs=1e-9)
 
 
 def test_orbifold_presentation_adds_involution_relators():
@@ -205,9 +221,11 @@ def test_every_line_event_keeps_the_contact_order_refusals(k, monkeypatch):
     monkeypatch.setattr(hypocycloid, "_contact_order", checked)
     tr = trace_quotient(k)
     line = [ev for ev in tr.events if LINE in ev.arcs]
-    assert [ev.kind for ev in line] == ["tacnode"] * (k - 2) + ["transversal", "inflection"]
-    assert measured == [("%s x=%.6f" % (ev.kind, ev.x), ev.contact_order) for ev in line]
-    assert [ev.contact_order for ev in line] == [2] * (k - 2) + [1, 3]
+    assert [ev.kind for ev in line] == [Crossing(3)] * (k - 2) + [Crossing(1), Crossing(5)]
+    names = ["tacnode"] * (k - 2) + ["transversal", "inflection"]
+    assert measured == [
+        ("%s x=%.6f" % (name, ev.x), (ev.kind.m + 1) // 2) for name, ev in zip(names, line)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -409,3 +427,138 @@ def test_a_fiber_over_a_piece_that_misses_it_names_the_fiber(monkeypatch):
     monkeypatch.setattr(hypocycloid, "_piece_x_range", lambda params, piece: (-2.0, 2.0))
     with pytest.raises(TracingError, match=r"^fiber x=0\.990000 piece \d+: bracket .* does not straddle"):
         _heights(tr, 0.99)
+
+
+# ---------------------------------------------------------------------------
+# every refusal of trace_quotient and quotient_diagram, reached through a seam
+# ---------------------------------------------------------------------------
+
+def test_node_residual_refusal_names_the_node(monkeypatch):
+    """Odd-parity deltas moved off their roots give node pairs whose two
+    points differ, and the residual check names m and delta."""
+    def shifted(params, m, real=hypocycloid._node_deltas):
+        return [d + 1e-6 if m % 2 else d for d in real(params, m)]
+
+    monkeypatch.setattr(hypocycloid, "_node_deltas", shifted)
+    with pytest.raises(TracingError, match=r"^node residual \S+ above tolerance 1e-12 at m=1, delta=\d"):
+        trace_quotient(3)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_node_root_count_refusal_names_the_parity(parity, monkeypatch):
+    """A scan narrowed to the single point pi/2 for one parity finds none of
+    its k - 2 roots, and the count check names that parity."""
+    margin = hypocycloid._NODE_MARGIN
+
+    def narrowed(params, m, real=hypocycloid._node_deltas):
+        monkeypatch.setattr(hypocycloid, "_NODE_MARGIN", math.pi / 2 if m % 2 == parity else margin)
+        return real(params, m)
+
+    monkeypatch.setattr(hypocycloid, "_node_deltas", narrowed)
+    with pytest.raises(TracingError, match="^node m=%d: expected 2 roots, found 0$" % parity):
+        trace_quotient(4)
+
+
+def _doctor_trace(monkeypatch, change):
+    """Make ``quotient_diagram`` assemble a traced curve that ``change``
+    has edited in place."""
+    def doctored(k, real=trace_quotient):
+        tr = real(k)
+        change(tr)
+        return tr
+
+    monkeypatch.setattr(hypocycloid, "trace_quotient", doctored)
+
+
+def _edit(tr, pick, **fields):
+    ev = pick(tr)
+    tr.events[tr.events.index(ev)] = replace(ev, **fields)
+
+
+def _rightmost(tr):
+    return max(tr.events, key=lambda ev: ev.x)
+
+
+def _transversal(tr):
+    return next(ev for ev in tr.events if ev.x == tr.transversal_x)
+
+
+def test_a_block_side_past_the_last_slab_is_refused(monkeypatch):
+    """The rightmost event (the order-3 contact at x = 1) made a cusp
+    opening right has no slab on its block side."""
+    _doctor_trace(monkeypatch, lambda tr: _edit(tr, _rightmost, kind=Cusp(2, "right")))
+    with pytest.raises(TracingError, match=r"^no slab on the block side of cusp x=1\.000000$"):
+        quotient_diagram(3)
+
+
+def test_a_block_arc_missing_from_its_fiber_is_refused(monkeypatch):
+    _doctor_trace(monkeypatch, lambda tr: _edit(tr, _rightmost, arcs=(("phi", 99), LINE)))
+    with pytest.raises(TracingError, match=r"^block strand missing beside crossing x=1\.000000$"):
+        quotient_diagram(3)
+
+
+def test_block_arcs_apart_in_their_fiber_are_refused(monkeypatch):
+    """The transversal crossing's block, moved to the top and bottom
+    strands of the fiber at L beside it, is not adjacent."""
+    def change(tr):
+        x = _transversal(tr).x
+        right = min(ev.x for ev in tr.events if ev.x > x)
+        fiber = _heights(tr, 0.5 * (x + right))
+        _edit(tr, _transversal, arcs=(fiber[0], fiber[-1]))
+
+    _doctor_trace(monkeypatch, change)
+    with pytest.raises(TracingError, match=r"^block strands not adjacent beside crossing x=0\.200000$"):
+        quotient_diagram(3)
+
+
+def test_snapping_collisions_name_both_sides(monkeypatch):
+    """On a grid of 1/10, L (at 0.2011) and the transversal crossing at
+    x = 0.2 snap to the same point."""
+    monkeypatch.setattr(hypocycloid, "_SNAP", 10)
+    pattern = (r"^x-coordinate snapping collided: "
+               r"L x=0\.201\d+ and crossing x=0\.200000 both snap to 1/5$")
+    with pytest.raises(TracingError, match=pattern):
+        quotient_diagram(3)
+
+
+def test_a_strand_count_off_at_l_is_refused(monkeypatch):
+    """An extra strand at the bottom of every fiber leaves each block in
+    place, and only the count at L sees it."""
+    def padded(tr, x0, real=_heights):
+        return real(tr, x0) + [("phi", 99)]
+
+    monkeypatch.setattr(hypocycloid, "_heights", padded)
+    pattern = r"^strand-count mismatch at L x=0\.201\d+: found 5, expected 4$"
+    with pytest.raises(TracingError, match=pattern):
+        quotient_diagram(3)
+
+
+def test_a_diagram_failing_the_theorem_is_refused(monkeypatch):
+    """A node turned into a cusp opening away from L passes every strand
+    check, and the theorem check names it in its facing violation."""
+    def first_node(tr):
+        return next(ev for ev in tr.events if ev.kind == Crossing(1) and LINE not in ev.arcs)
+
+    node_xs = []
+
+    def change(tr):
+        node_xs.append(first_node(tr).x)
+        _edit(tr, first_node, kind=Cusp(2, "left"))
+
+    _doctor_trace(monkeypatch, change)
+    with pytest.raises(TracingError) as exc:
+        quotient_diagram(3)
+    message = str(exc.value)
+    assert message.startswith("traced diagram failed the theorem check: ")
+    assert "facing: cusp at x=%s has branches on the left" % _snap(node_xs[0]) in message
+
+
+if __name__ == "__main__":
+    # Print HYPO_DIAGRAM_MD5 and the per-k kind census of trace_quotient as
+    # computed by the wirtlab on the import path; run from the repository
+    # root as PYTHONPATH=<checkout>/src python -m tests.test_hypocycloid
+    print('HYPO_DIAGRAM_MD5 = "%s"' % hypo_diagram_md5())
+    for k in range(2, 12):
+        census = kind_census(trace_quotient(k))
+        mark = "" if census == expected_census(k) else "  # expected %s" % dict(expected_census(k))
+        print("k=%d %s%s" % (k, dict(sorted(census.items())), mark))

@@ -1,4 +1,5 @@
-"""The README's "Library entry points" table names only what exists."""
+"""The README's "Library entry points" table names only what exists, and
+its counterexample says what the library computes for it."""
 
 import importlib
 import re
@@ -6,6 +7,18 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+
+from wirtlab.diagram import check_theorem
+from wirtlab.dsl import parse_diagram
+from wirtlab.fpgroups import Presentation, commutator
+from wirtlab.genpres import (
+    diagram_braid_monodromy,
+    extended_wirtinger,
+    wirtinger_presentation,
+    zvk_presentation,
+)
+from wirtlab.profiles import profile
+from wirtlab.words import Word
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +52,18 @@ def test_backticked_names_resolve(modules, names):
     loaded = [importlib.import_module(m) for m in modules]
     for name in names:
         assert any(hasattr(mod, name) for mod in loaded), name
+
+
+def test_the_counterexample_with_non_real_critical_values():
+    """The ellipse above a line that misses it: every check passes and the
+    presentations agree, but the true group is Z^2, which S3 tells apart."""
+    text = README.read_text(encoding="utf-8")
+    after = text.split("The smallest known counterexample", 1)[1]
+    d = parse_diagram(after.split("```\n", 2)[1])
+    assert check_theorem(d).verdict == "Verified"
+    assert wirtinger_presentation(d).presentation.describe() == "< x1, x2 |  >"
+    assert extended_wirtinger(d).presentation.describe() == "< x1, x2 |  >"
+    zvk = profile(zvk_presentation(d.d, diagram_braid_monodromy(d)))
+    assert dict(zvk.hom_counts) == {"S3": 36, "S4": 576}
+    z2 = Presentation(("a", "b"), (commutator(Word.gen(1), Word.gen(2)),))
+    assert dict(profile(z2, ("S3",)).hom_counts) == {"S3": 18}
