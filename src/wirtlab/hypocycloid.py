@@ -24,7 +24,10 @@ tolerance and tracing stops with a ``TracingError``.
 
 Strands are ranked in one fiber per slab between consecutive events: the
 real fold pieces by w = y^2 > 0, then the line, then the arc with imaginary
-y (w < 0) on its side of the transversal crossing.
+y (w < 0) on its side of the transversal crossing.  x is monotone on each
+fold piece, so one sweep along the piece in increasing t solves x(t) = x0
+at every slab midpoint x0 it spans, each solve bracketed by the root
+before it.
 
 Killing the squares of the line meridians in the resulting Wirtinger
 presentation gives an orbifold group that is compared, via invariant
@@ -78,13 +81,17 @@ def hypo_point(params: HypoParams, t: float) -> tuple[float, float]:
     return _x(params, t), _y(params, t)
 
 
+# The evaluators form n = k + ell themselves rather than read the property:
+# they run in every root solve.
 def _x(params: HypoParams, t: float) -> float:
-    k, l, n = params.k, params.ell, params.n
+    k, l = params.k, params.ell
+    n = k + l
     return (k * cos(l * t) + l * cos(k * t)) / n
 
 
 def _y(params: HypoParams, t: float) -> float:
-    k, l, n = params.k, params.ell, params.n
+    k, l = params.k, params.ell
+    n = k + l
     return (k * sin(l * t) - l * sin(k * t)) / n
 
 
@@ -120,17 +127,20 @@ def hypo_stats(params: HypoParams) -> HypoStats:
 
 
 def _dx(params: HypoParams, t: float) -> float:
-    k, l, n = params.k, params.ell, params.n
+    k, l = params.k, params.ell
+    n = k + l
     return -k * l * (sin(l * t) + sin(k * t)) / n
 
 
 def _dy(params: HypoParams, t: float) -> float:
-    k, l, n = params.k, params.ell, params.n
+    k, l = params.k, params.ell
+    n = k + l
     return k * l * (cos(l * t) - cos(k * t)) / n
 
 
 def _ddx(params: HypoParams, t: float) -> float:
-    k, l, n = params.k, params.ell, params.n
+    k, l = params.k, params.ell
+    n = k + l
     return -k * l * (l * cos(l * t) + k * cos(k * t)) / n
 
 
@@ -281,36 +291,44 @@ class TracedCurve:
     events: list[RawEvent]
 
 
-def _piece_x_range(params: HypoParams, piece: tuple[float, float]) -> tuple[float, float]:
-    a, b = piece
-    xa, xb = _x(params, a), _x(params, b)
-    return (min(xa, xb), max(xa, xb))
+def _piece_x_ends(params: HypoParams, piece: tuple[float, float]) -> tuple[float, float]:
+    """x at the two ends of a fold piece, in increasing t."""
+    return _x(params, piece[0]), _x(params, piece[1])
 
 
-def _piece_w_at(params: HypoParams, piece: tuple[float, float], x0: float, what: str) -> float:
-    """w = y^2 on the fold piece where x(t) = x0."""
-    t = _solve(lambda t: _x(params, t) - x0, lambda t: _dx(params, t), piece[0], piece[1], what)
-    return _y(params, t) ** 2
+def _piece_t_at(params: HypoParams, bracket: tuple[float, float], x0: float, what: str) -> float:
+    """The t in bracket, on one fold piece, where x(t) = x0."""
+    return _solve(lambda t: _x(params, t) - x0, lambda t: _dx(params, t), bracket[0], bracket[1], what)
 
 
-def _heights(tr: TracedCurve, x0: float) -> list[tuple]:
-    """Arc ids of the strands over x0, top to bottom: the real fold pieces
-    by w, the line, then PSI2 if present.  x0 must avoid event x-values and
-    must not exceed 1, where the t = i*s arc joins the fiber."""
+def _fibers(tr: TracedCurve, xs: list[float]) -> list[list[tuple]]:
+    """Arc ids of the strands over each x0 of xs, top to bottom: the real
+    fold pieces by w, the line, then PSI2 if present.  The xs must increase,
+    avoid event x-values and not exceed 1, where the t = i*s arc joins the
+    fiber.  x is monotone on a fold piece, so one walk along each piece in
+    increasing t meets the x0 it spans in order, and each x(t) = x0 is
+    solved between the root before it on that piece and the piece's end."""
     p = tr.params
-    if x0 > 1.0:
-        raise TracingError("no fiber is traced right of x = 1: x=%.6f" % x0)
-    real = []
+    for x0 in xs:
+        if x0 > 1.0:
+            raise TracingError("no fiber is traced right of x = 1: x=%.6f" % x0)
+    real: list[list[tuple]] = [[] for _ in xs]
     for i, piece in enumerate(tr.pieces):
-        lo, hi = _piece_x_range(p, piece)
-        if lo < x0 < hi:
-            real.append((_piece_w_at(p, piece, x0, "fiber x=%.6f piece %d" % (x0, i)), ("phi", i)))
-    real.sort(key=lambda pair: -pair[0])
-    out = [arc for _, arc in real] + [LINE]
+        xa, xb = _piece_x_ends(p, piece)
+        lo, hi = min(xa, xb), max(xa, xb)
+        spanned = [j for j, x0 in enumerate(xs) if lo < x0 < hi]
+        if xa > xb:
+            spanned.reverse()  # x falls as t grows
+        t = piece[0]
+        for j in spanned:
+            t = _piece_t_at(p, (t, piece[1]), xs[j], "fiber x=%.6f piece %d" % (xs[j], i))
+            real[j].append((_y(p, t) ** 2, ("phi", i)))
     xpi = tr.transversal_x
-    on_psi2_side = x0 < xpi if p.k % 2 == 1 else x0 > xpi
-    if on_psi2_side:
-        out.append(PSI2)
+    out = []
+    for x0, ws in zip(xs, real):
+        ws.sort(key=lambda pair: -pair[0])
+        on_psi2_side = x0 < xpi if p.k % 2 == 1 else x0 > xpi
+        out.append([arc for _, arc in ws] + [LINE] + ([PSI2] if on_psi2_side else []))
     return out
 
 
@@ -366,11 +384,12 @@ def trace_quotient(k: int) -> TracedCurve:
         ("inflection", 0.0, 0, ("phi", 0), 3),
     ]
     for name, t, i, arc, expected in line_events:
-        x0, hi = _x(params, t), _piece_x_range(params, pieces[i])[1]
+        x0, hi = _x(params, t), max(_piece_x_ends(params, pieces[i]))
         label = "%s x=%.6f" % (name, x0)
         what = "contact sample at " + label
         order = _contact_order(
-            lambda h: _piece_w_at(params, pieces[i], x0 + h if hi > x0 + h else x0 - h, what),
+            lambda h: _y(params, _piece_t_at(params, pieces[i], x0 + h if hi > x0 + h else x0 - h,
+                                             what)) ** 2,
             expected, label,
         )
         tr.events.append(RawEvent(x0, Crossing(2 * order - 1), (arc, LINE)))
@@ -427,7 +446,7 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
     # between consecutive events serves every event beside it; L sits at
     # the midpoint of the slab right of the transversal crossing
     mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
-    fibers = [_heights(tr, x) for x in mids]
+    fibers = _fibers(tr, mids)
     l_slab = xs.index(tr.transversal_x)
     l_float = mids[l_slab]
 
