@@ -28,9 +28,11 @@ in validation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 from typing import Optional, Union
 
 
@@ -152,6 +154,11 @@ class CurveDiagram:
     def side_of(self, event: Event) -> str:
         return "left" if event.x < self.line_x else "right"
 
+    def left_count(self) -> int:
+        """The number of events left of L, the first ones of the x-sorted
+        ``events``, found by bisection."""
+        return bisect_left(self.events, self.line_x, key=attrgetter("x"))
+
 
 def event_action(diagram: CurveDiagram, event: Event) -> str:
     """'through', 'death' or 'birth' for the outward sweep from L."""
@@ -183,26 +190,33 @@ def classes(n: int, pairs) -> list[int]:
     equivalence that the integer ``pairs`` generate.  Classes are numbered
     0, 1, ... in order of their least member.
 
-    A union-find with path halving (Tarjan, J. ACM 22, 1975) that links
-    the larger root under the smaller, so every parent is at most its child
-    and each root is its class's least member."""
+    A union-find with path halving (Tarjan and van Leeuwen, J. ACM 31,
+    1984) that links the larger root under the smaller, so every parent is
+    at most its child and each root is its class's least member.  The finds
+    are inlined: a call per lookup would cost more than the lookup."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     for a, b in pairs:
-        a, b = find(a), find(b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    label: list[int] = []
+        p = parent[a]
+        while p != a:
+            parent[a] = a = parent[p]
+            p = parent[a]
+        p = parent[b]
+        while p != b:
+            parent[b] = b = parent[p]
+            p = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # relabel in place: a parent p < x holds its label already
     count = 0
-    for x, p in enumerate(parent):  # p <= x, so p is labelled already
-        label.append(label[p] if p < x else count)
-        count += p == x
-    return label
+    for x, p in enumerate(parent):
+        if p < x:
+            parent[x] = parent[p]
+        else:
+            parent[x] = count
+            count += 1
+    return parent
 
 
 @dataclass
@@ -247,7 +261,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
     slabs: list[tuple[int, ...]] = []
     records: list[EventRecord] = []
     # diagram.events is sorted by x, so each side's events are a run of it
-    n_left = sum(1 for e in diagram.events if e.x < diagram.line_x)
+    n_left = diagram.left_count()
     sides = (
         ("left", range(n_left - 1, -1, -1)),
         ("right", range(n_left, len(diagram.events))),
@@ -373,11 +387,12 @@ def faces(sw: SweepResult) -> FaceComplex:
         raise DiagramError("cannot build faces: " + "; ".join(sw.violations))
 
     start = [0, *accumulate(len(slab) + 1 for slab in sw.slabs)]
+    n_left = sw.diagram.left_count()
     total_points = 0
     glued: list[tuple[int, int]] = []
     for rec in sw.records:
         # L is a cut too, between the two sides
-        ci = rec.index + (sw.diagram.side_of(rec.event) == "right")
+        ci = rec.index + (rec.index >= n_left)
         top, size = rec.event.top, rec.event.kind.size
         # The cut's gaps, from the top, lie between its points.  Those
         # above the block's point are the slab gaps with the same index on
@@ -449,6 +464,7 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
     numbers must agree that the union is connected exactly when the
     characteristic is 1."""
     fc = faces(sw)
+    n_left = sw.diagram.left_count()
     blocked: dict[int, list[str]] = {}
     for rec in sw.records:
         if rec.action == "through":
@@ -458,7 +474,7 @@ def auto_region_B(sw: SweepResult) -> RegionReport:
         # and the point on the left), just beside the event's point, away
         # from the block, so just below that slab's strand top - 1
         side = "left" if rec.event.kind.branch_side == "right" else "right"
-        cut = rec.index + (sw.diagram.side_of(rec.event) == "right")
+        cut = rec.index + (rec.index >= n_left)
         face = fc.face[fc.start[cut + (side == "right")] + rec.event.top - 1]
         if fc.bounded[face]:
             blocked.setdefault(face, []).append(

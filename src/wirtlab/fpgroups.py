@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .guards import ResourceGuardError, env_bound
 from .words import (
-    Word, alternating, append_reduced, cyclically_reduce, format_word, invert, product,
+    Word, alternating_factors, append_reduced, cyclically_reduce, format_word, invert, product,
 )
 
 
@@ -42,9 +44,13 @@ class Presentation:
             if name in seen:
                 raise ValueError("duplicate generator name %r" % name)
             seen.add(name)
-        for i, r in enumerate(self.relators, start=1):
-            if r.max_generator() > len(self.generators):
-                raise ValueError("relator %d uses an unknown generator" % i)
+        # one pass over every letter; only a failing check looks for the
+        # first bad relator, to name it
+        n = len(self.generators)
+        letters = chain.from_iterable(map(attrgetter("letters"), self.relators))
+        if max(map(abs, letters), default=0) > n:
+            i = next(i for i, r in enumerate(self.relators, start=1) if r.max_generator() > n)
+            raise ValueError("relator %d uses an unknown generator" % i)
 
     def gen(self, name: str) -> Word:
         return Word.gen(self.generators.index(name) + 1)
@@ -413,8 +419,13 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
 
 def artin_letters(a: tuple[int, ...], b: tuple[int, ...], length: int) -> tuple[int, ...]:
     """The letters of the relator a b a ... = b a b ..., ``length`` factors
-    a side, of the freely reduced letter tuples ``a`` and ``b``."""
-    return product(alternating(a, b, length), invert(alternating(b, a, length)))
+    a side, of the freely reduced letter tuples ``a`` and ``b``, in one
+    product: (b a b ...)^-1 is the alternating product of the inverted
+    factors from the last one, which is b^-1 when ``length`` is odd and
+    a^-1 when it is even."""
+    ia, ib = invert(a), invert(b)
+    back = (ib, ia) if length % 2 else (ia, ib)
+    return product(*alternating_factors(a, b, length), *alternating_factors(*back, length))
 
 
 def artin_relator(a: Word, b: Word, length: int) -> Word:

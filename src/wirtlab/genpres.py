@@ -30,7 +30,9 @@ meridian words and the monodromy meridians are wrapped the same way.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .braids import Braid, half_twist, twist_images
 from .diagram import (
@@ -182,7 +184,7 @@ def local_braid(kind, half: bool = False) -> Braid:
 
 def _outward_runs(sw: SweepResult) -> tuple[list[EventRecord], list[EventRecord]]:
     """Each side's run of ``sw.records``, ordered from L outward."""
-    n_left = sum(sw.diagram.side_of(rec.event) == "left" for rec in sw.records)
+    n_left = bisect_left(sw.records, sw.diagram.left_count(), key=attrgetter("index"))
     return sw.records[:n_left][::-1], sw.records[n_left:]
 
 

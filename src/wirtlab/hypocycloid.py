@@ -439,9 +439,12 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
     params = tr.params
     raw = sorted(tr.events, key=lambda ev: ev.x)
     xs = [ev.x for ev in raw]
-    for a, b in zip(xs, xs[1:]):
-        if b - a < _SEPARATION:
-            raise TracingError("event separation below tolerance: %.3e" % (b - a))
+    labels = ["%s x=%.6f" % (type(ev.kind).__name__.lower(), ev.x) for ev in raw]
+    for i in range(1, len(xs)):
+        gap = xs[i] - xs[i - 1]
+        if gap < _SEPARATION:
+            raise TracingError("event separation below tolerance: %.3e between %s and %s"
+                               % (gap, labels[i - 1], labels[i]))
     # the strand order changes only at events, so one fiber per slab
     # between consecutive events serves every event beside it; L sits at
     # the midpoint of the slab right of the transversal crossing
@@ -452,8 +455,7 @@ def quotient_diagram(k: int, name: str | None = None) -> CurveDiagram:
 
     events: list[Event] = []
     placed = {_snap(l_float): "L x=%.6f" % l_float}  # snapped x -> what sits there
-    for i, ev in enumerate(raw):
-        label = "%s x=%.6f" % (type(ev.kind).__name__.lower(), ev.x)
+    for i, (ev, label) in enumerate(zip(raw, labels)):
         right = ev.kind.branch_side == "right" if isinstance(ev.kind, Cusp) else ev.x < l_float
         slab = i if right else i - 1
         if not 0 <= slab < len(fibers):

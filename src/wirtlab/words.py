@@ -7,7 +7,8 @@ decides that encoding.  Words are kept freely reduced at all times:
 adjacent letters ``x, -x`` cancel.  The empty word is the identity.
 
 The tuple helpers :func:`append_reduced`, :func:`product`, :func:`invert`,
-:func:`alternating` and :func:`cyclically_reduce` work on letter tuples;
+:func:`alternating`, :func:`alternating_factors` and
+:func:`cyclically_reduce` work on letter tuples;
 :class:`Word`'s methods, the presentation builders in :mod:`wirtlab.genpres`
 and :mod:`wirtlab.braids`, and the Tietze loop in :mod:`wirtlab.fpgroups`
 share them.
@@ -47,10 +48,20 @@ def append_reduced(out: list[Letter], run: Sequence[Letter]) -> None:
 
 
 def product(*runs: Sequence[Letter]) -> tuple[Letter, ...]:
-    """The letters of the product of the freely reduced ``runs``."""
+    """The letters of the product of the freely reduced ``runs``.  Only
+    the seams can cancel, so each is checked inline, as
+    :func:`append_reduced` does, without a call per run."""
     out: list[Letter] = []
     for run in runs:
-        append_reduced(out, run)
+        if out and run and out[-1] == -run[0]:
+            out.pop()
+            j, n = 1, len(run)
+            while out and j < n and out[-1] == -run[j]:
+                out.pop()
+                j += 1
+            out.extend(run[j:])
+        else:
+            out.extend(run)
     return tuple(out)
 
 
@@ -169,7 +180,16 @@ def alternating(
 ) -> tuple[Letter, ...]:
     """The letters of the alternating product ``a b a b ...`` of the
     freely reduced ``a`` and ``b``, with ``length`` factors."""
-    return product(*(b if i % 2 else a for i in range(length)))
+    return product(*alternating_factors(a, b, length))
+
+
+def alternating_factors(
+    a: tuple[Letter, ...], b: tuple[Letter, ...], length: int
+) -> tuple[tuple[Letter, ...], ...]:
+    """The ``length`` factors ``a, b, a, ...`` of an alternating product,
+    for a caller that multiplies them together with other factors in one
+    :func:`product`."""
+    return (a, b) * (length // 2) + (a,) * (length % 2)
 
 
 def format_word(w: Word, names: list[str] | None = None) -> str:

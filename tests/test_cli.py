@@ -117,7 +117,11 @@ def test_hypo_diagram_k12_stops_at_the_separation_check(capsys):
     assert code == 2 and out == ""
     error = json.loads(err)
     assert error["type"] == "TracingError"
-    assert error["error"].startswith("event separation below tolerance")
+    # the gap, then the two events it lies between, named as traced
+    assert error["error"] == (
+        "event separation below tolerance: 7.778e-07 between "
+        "crossing x=-0.043479 and crossing x=-0.043478"
+    )
 
 
 def test_hypo_diagram_reports_an_assembly_refusal(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from collections import deque
 from dataclasses import fields
 from fractions import Fraction
@@ -27,8 +28,10 @@ from wirtlab.diagram import (
     sweep_ranks,
     validate_wirtinger_type,
 )
+from wirtlab import diagram as diagram_module
+from wirtlab import genpres
 from wirtlab.dsl import parse_diagram
-from wirtlab.genpres import wirtinger_presentation
+from wirtlab.genpres import extended_wirtinger, wirtinger_presentation
 from wirtlab.hypocycloid import quotient_diagram
 from tests.conftest import all_corpus_stems, corpus_path
 from tests.test_zvk_differential import gen
@@ -209,14 +212,41 @@ def breadth_first_labels(n: int, pairs) -> list[int]:
     return label
 
 
-def test_classes_match_a_breadth_first_search():
+def long_classes_inputs(monkeypatch) -> dict:
+    """The ``(n, pairs)`` that each caller of ``classes`` passes while one
+    seeded long diagram (8 strands, 60 events) is checked and presented, by
+    the caller's name: up to hundreds of elements and pairs, against at
+    most 40 elements in the random cases."""
+    seen = {}
+
+    def record(n, pairs):
+        pairs = list(pairs)
+        seen[sys._getframe(1).f_code.co_name] = (n, pairs)
+        return classes(n, pairs)
+
+    monkeypatch.setattr(diagram_module, "classes", record)
+    monkeypatch.setattr(genpres, "classes", record)
+    d = parse_diagram(gen.long_diagram(random.Random(60), 8, 60).dsl)
+    check_theorem(d)
+    wirtinger_presentation(d)
+    return seen
+
+
+def test_classes_match_a_breadth_first_search(monkeypatch):
     rng = random.Random(0)
+    cases = []
     for _ in range(300):
         n = rng.randint(1, 40)
         pairs = [
             (rng.randrange(n), rng.randrange(n))
             for _ in range(rng.randint(0, 2 * n))
         ]
+        cases.append((n, pairs))
+    long = long_classes_inputs(monkeypatch)
+    assert sorted(long) == [
+        "_edge_generators", "_euler_and_connectivity", "faces", "sweep_ranks",
+    ]
+    for n, pairs in cases + list(long.values()):
         assert classes(n, pairs) == breadth_first_labels(n, pairs), (n, pairs)
 
 
@@ -486,6 +516,35 @@ def test_region_is_pinned(name):
     assert hashlib.md5(dump.encode()).hexdigest() == REGION_MD5[name]
 
 
+# Fraction comparisons (a < b) made by one check_theorem, wirtinger_presentation
+# and extended_wirtinger on the benchmark's 302-event long diagram: the three
+# sweeps, faces, region B and the extended method's outward runs each bisect
+# the events for L's place, and only one-sided events compare their own x
+# with L's.  A comparison per event and per record made 1520.
+LONG_FRACTION_COMPARISONS = 56
+
+
+def fraction_comparisons(monkeypatch) -> int:
+    d = big_diagrams()["big_long_12_300"]
+    count = 0
+    less = Fraction.__lt__
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return less(a, b)
+
+    monkeypatch.setattr(Fraction, "__lt__", counted)
+    check_theorem(d)
+    wirtinger_presentation(d)
+    extended_wirtinger(d)
+    return count
+
+
+def test_long_diagram_sides_take_few_fraction_comparisons(monkeypatch):
+    assert fraction_comparisons(monkeypatch) == LONG_FRACTION_COMPARISONS
+
+
 # d = 2 strands at L and one event at x = 1: a birth may open its block
 # anywhere from above the top strand to below the bottom one (top <= 3);
 # any other block must fit among the two live strands (top <= 1)
@@ -510,8 +569,9 @@ def test_range_check_edges(kind, last_top):
 
 
 if __name__ == "__main__":
-    # Print SWEEP_MD5 as computed by the wirtlab on the import path; run from
-    # the repository root as PYTHONPATH=<checkout>/src python -m tests.test_diagram
+    # Print SWEEP_MD5, REGION_MD5 and LONG_FRACTION_COMPARISONS as computed by
+    # the wirtlab on the import path; run from the repository root as
+    # PYTHONPATH=<checkout>/src python -m tests.test_diagram
     print("SWEEP_MD5 = {")
     for name in pinned_names():
         dump = sweep_dump(sweep_ranks(pinned_diagram(name)))
@@ -522,3 +582,5 @@ if __name__ == "__main__":
         dump = region_dump(sweep_ranks(pinned_diagram(name)))
         print('    "%s": "%s",' % (name, hashlib.md5(dump.encode()).hexdigest()))
     print("}")
+    with pytest.MonkeyPatch.context() as mp:
+        print("LONG_FRACTION_COMPARISONS = %d" % fraction_comparisons(mp))

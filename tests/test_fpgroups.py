@@ -50,6 +50,26 @@ def test_presentation_json_round_trip():
     assert q.generators == p.generators and q.relators == p.relators
 
 
+# relators over the generators a, b, c, and the first one that uses an
+# unknown generator: later bad relators, inverse letters and a larger bad
+# index further on must not change which one is named
+@pytest.mark.parametrize("letters, first_bad", [
+    ([(4,), (1, 5)], 1),
+    ([(1, 2), (-4,), (3,), (9, 1)], 2),
+    ([(1,), (2, -3), (), (3, 1, 7), (-4,), (5,)], 4),
+])
+def test_the_first_relator_with_an_unknown_generator_is_named(letters, first_bad):
+    message = "^relator %d uses an unknown generator$" % first_bad
+    with pytest.raises(ValueError, match=message):
+        Presentation(("a", "b", "c"), tuple(Word(r) for r in letters))
+    data = {
+        "generators": ["a", "b", "c"],
+        "relators": [[[abs(x), 1 if x > 0 else -1] for x in r] for r in letters],
+    }
+    with pytest.raises(ValueError, match=message):
+        Presentation.from_json(data)
+
+
 def test_presentation_gap_output():
     p = Presentation(("a", "b"), (commutator(Word.gen(1), Word.gen(2)),))
     gap = p.to_gap()

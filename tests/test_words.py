@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from wirtlab.words import Word, alternating, format_word, free_reduce
+from wirtlab.fpgroups import artin_letters
+from wirtlab.words import (
+    Word, alternating, alternating_factors, format_word, free_reduce, invert, product,
+)
 
 
 def random_word(rng, d, length):
@@ -78,6 +81,42 @@ def test_alternating_products():
     # the factors are reduced, and only their seams cancel
     assert alternating((1, 2), (-2, 3), 3) == (1, 3, 1, 2)
     assert alternating((1,), (2,), 0) == ()
+
+
+def test_product_equals_free_reduction_of_the_concatenated_runs():
+    # the x3 run cancels whole, and the last run keeps cancelling through
+    # the x2 x1 left by the first
+    assert product((1, 2), (3,), (-3,), (-2, -1, 4)) == (4,)
+    rng = random.Random(3700)
+    for _ in range(500):
+        runs = []
+        for _ in range(rng.randint(0, 7)):
+            done = free_reduce(x for run in runs for x in run)
+            tail = random_word(rng, 3, rng.randint(0, 3)).letters
+            if done and rng.random() < 0.5:
+                # undo a suffix of the output so far, which may reach back
+                # through several runs, then go on with the tail (if any)
+                k = rng.randint(1, len(done))
+                runs.append(free_reduce(invert(done[-k:]) + tail))
+            else:
+                runs.append(tail)
+        assert product(*runs) == free_reduce(x for run in runs for x in run), runs
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_alternating_products_and_artin_letters_match_word_products(length):
+    rng = random.Random(length)
+    for _ in range(100):
+        a = random_word(rng, 3, rng.randint(0, 4))
+        b = random_word(rng, 3, rng.randint(0, 4))
+        ab, ba = Word(), Word()
+        for i in range(length):
+            ab, ba = ab * (b if i % 2 else a), ba * (a if i % 2 else b)
+        assert alternating_factors(a.letters, b.letters, length) == tuple(
+            (b if i % 2 else a).letters for i in range(length)
+        )
+        assert alternating(a.letters, b.letters, length) == ab.letters, (a, b)
+        assert artin_letters(a.letters, b.letters, length) == (ab * ba.inverse()).letters, (a, b)
 
 
 def test_max_generator():
