@@ -151,21 +151,10 @@ class CurveDiagram:
     def d(self) -> int:
         return len(self.components)
 
-    def side_of(self, event: Event) -> str:
-        return "left" if event.x < self.line_x else "right"
-
     def left_count(self) -> int:
         """The number of events left of L, the first ones of the x-sorted
         ``events``, found by bisection."""
         return bisect_left(self.events, self.line_x, key=attrgetter("x"))
-
-
-def event_action(diagram: CurveDiagram, event: Event) -> str:
-    """'through', 'death' or 'birth' for the outward sweep from L."""
-    if isinstance(event.kind, (Ordinary, Crossing)):
-        return "through"
-    toward_l = "right" if diagram.side_of(event) == "left" else "left"
-    return "death" if event.kind.branch_side == toward_l else "birth"
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +165,9 @@ def event_action(diagram: CurveDiagram, event: Event) -> str:
 class EventRecord:
     index: int  # position in diagram.events; slabs[index + 1] lies just inside it
     event: Event
-    action: str  # through | death | birth
+    # through | death | birth: a one-sided block is a birth when its
+    # branches lie on its own side of L, away from L
+    action: str
     near_edges: tuple[int, ...]  # block edges on the L side (empty for birth)
     far_edges: tuple[int, ...]  # block edges on the far side (empty for death)
     block_edges: tuple[int, ...]  # far edges for a birth, else near edges
@@ -275,8 +266,12 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
         for idx in order:
             event = diagram.events[idx]
             ivs.append(tuple(live_strands))
-            action = event_action(diagram, event)
-            size = event.kind.size
+            kind = event.kind
+            if isinstance(kind, (Ordinary, Crossing)):
+                action = "through"
+            else:
+                action = "birth" if kind.branch_side == side else "death"
+            size = kind.size
             lo = event.top - 1
             n_near = 0 if action == "birth" else size
             n_far = 0 if action == "death" else size
@@ -297,7 +292,7 @@ def sweep_ranks(diagram: CurveDiagram) -> SweepResult:
                 # reverses the block when its exponent is odd.  Either
                 # pairing is its own inverse, so far[pairing] lists the far
                 # edge continuing each near edge.
-                pairing = slice(None, None, -1 if event.kind.twist // 2 % 2 else 1)
+                pairing = slice(None, None, -1 if kind.twist // 2 % 2 else 1)
                 far_strands, continued = near_strands[pairing], far[pairing]
                 links += zip(far, near[pairing])
             else:  # a one-sided block's two strands are one branch
@@ -524,10 +519,12 @@ def _euler_and_connectivity(fc: FaceComplex) -> tuple[int, bool]:
     # for L: a token's segments are joined through its points, a block's
     # strands meet at its event's point, and a fragment joins its two
     # bounding strands (a fragment in B is not a top or bottom gap)
-    links = [(0, r) for r in range(1, d + 1)]
+    # each fragment in B links the same two tokens again in every slab the
+    # tokens share, so the links are a set
+    links = {(0, r) for r in range(1, d + 1)}
     for rec in fc.sweep.records:
-        links += ((rec.block_strands[0], tok) for tok in rec.block_strands[1:])
-    links += (
+        links.update((rec.block_strands[0], tok) for tok in rec.block_strands[1:])
+    links.update(
         (slab[g - 1], slab[g]) for si, slab in enumerate(slabs)
         for g in range(1, len(slab)) if inside[fc.start[si] + g]
     )
@@ -536,14 +533,15 @@ def _euler_and_connectivity(fc: FaceComplex) -> tuple[int, bool]:
     return euler, connected
 
 
-def check_facing(diagram: CurveDiagram) -> list[str]:
+def check_facing(sw: SweepResult) -> list[str]:
     """Every cusp and tangency must present its branches toward L, so that
-    the outward sweep never gives birth to a strand pair."""
+    the outward sweep never gives birth to a strand pair.  Read off the
+    records of a sweep that recorded every event."""
     return [
         "facing: %s has branches on the %s, away from L"
-        % (ev.label(), ev.kind.branch_side)
-        for ev in diagram.events
-        if event_action(diagram, ev) == "birth"
+        % (rec.event.label(), rec.event.kind.branch_side)
+        for rec in sw.records
+        if rec.action == "birth"
     ]
 
 
@@ -605,7 +603,7 @@ def _check_theorem(sw: SweepResult) -> TheoremReport:
             False, list(validation.violations), None, validation, "StructuralViolation"
         )
     connectivity = check_connectivity(sw)
-    violations = connectivity + check_facing(sw.diagram)
+    violations = connectivity + check_facing(sw)
     region = None
     if violations:
         verdict = "ConnectivityViolation" if connectivity else "FacingViolation"

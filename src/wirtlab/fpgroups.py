@@ -9,7 +9,8 @@ length growth, (occurrences of g in the other relators) * (len(r) - 2) - 2,
 ties going to the shorter relator, the lower generator, then the earlier
 relator.  It and its transcripts keep the source numbering; the kept
 generators are renumbered 1.. once, at the end.  It works on each
-relator's letter tuple with the tuple helpers of :mod:`wirtlab.words`;
+relator's letter tuple with the tuple helpers of :mod:`wirtlab.words`, and
+an elimination joins a relator's runs and images in one ``product``;
 :func:`replay_transcript` checks a transcript by applying its moves with
 :meth:`Word.substitute <wirtlab.words.Word.substitute>`, independent of
 that loop.  A budget bounds the letters the loop's relators may hold
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .guards import ResourceGuardError, env_bound
 from .words import (
-    Word, alternating_factors, append_reduced, cyclically_reduce, format_word, invert, product,
+    Word, alternating_factors, cyclically_reduce, format_word, invert, product,
 )
 
 
@@ -208,15 +209,15 @@ def _substitute(
 ) -> tuple[int, ...]:
     """The relator letters t with x_g replaced by ``image`` and x_g^-1 by
     ``inverse``.  The runs between the replaced letters and the images are
-    reduced already, so they are copied whole and only the seams cancel."""
-    out: list[int] = []
+    reduced already, so they are joined whole in one :func:`product`, which
+    cancels only at the seams."""
+    runs: list[tuple[int, ...]] = []
     start = 0
     for i in sorted(_positions(t, g) + _positions(t, -g)):
-        append_reduced(out, t[start:i])
-        append_reduced(out, image if t[i] == g else inverse)
+        runs += (t[start:i], image if t[i] == g else inverse)
         start = i + 1
-    append_reduced(out, t[start:])
-    return tuple(out)
+    runs.append(t[start:])
+    return product(*runs)
 
 
 def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove) -> list[int]:
@@ -238,11 +239,11 @@ def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove)
             abs(x) == k or abs(x) in gone or abs(x) > n_gens for x in move.word
         ):
             raise ValueError("%r is not a IIa move on the remaining generators" % (move,))
-        images, inverses = {k: move.word}, {}
+        images = {k: move.word}
         rewritten = []
         for i, r in enumerate(rels):
             if k in r.letters or -k in r.letters:
-                rels[i] = r.substitute(images, inverses)
+                rels[i] = r.substitute(images)
                 rewritten.append(i)
         gone.add(k)
         return rewritten

@@ -61,14 +61,6 @@ class UnsupportedConfiguration(DiagramError):
 # generator bookkeeping
 # ---------------------------------------------------------------------------
 
-def _edge_generators(sw: SweepResult, merges) -> dict:
-    """Extended edge id -> generator index (1-based).  The edges that
-    ``merges`` identify share a generator; generators are numbered in order
-    of their least edge."""
-    label = classes(sw.edge_count + 1, merges)  # edge 0 is alone in class 0
-    return {e: label[e] for e in range(1, sw.edge_count + 1)}
-
-
 def _require_valid(sw: SweepResult) -> None:
     report = _validate(sw)
     if not report.ok:
@@ -85,13 +77,14 @@ def _require_valid(sw: SweepResult) -> None:
 class WirtingerResult:
     presentation: Presentation
     sweep: SweepResult
-    edge_gen: dict  # extended edge id -> generator index (1-based)
+    # generator index (1-based) of each extended edge id; entry 0 is unused
+    edge_gen: list[int]
     fiber_generators: tuple[str, ...]  # generator name per rank, top to bottom
     generator_components: dict  # generator name -> component name or None
-    passed: dict  # event index -> indices of the obstruction events passed
+    passed: dict  # event index -> the records of the obstruction events passed
 
 
-def _vertex_relators(sw: SweepResult, rec: EventRecord, crossed: list[EventRecord], edge_gen: dict) -> list[tuple[int, ...]]:
+def _vertex_relators(sw: SweepResult, rec: EventRecord, crossed: list[EventRecord], edge_gen: list[int]) -> list[tuple[int, ...]]:
     """The letters of the relators contributed by one vertex, in terms of
     edge generators.
     x-side = the block edges on the L side (far side for vertices whose
@@ -120,7 +113,7 @@ def _vertex_relators(sw: SweepResult, rec: EventRecord, crossed: list[EventRecor
         if crossed:
             z = product(*(_obstruction_loop(qrec, edge_gen) for qrec in crossed))
             # z b z^-1 on the left side, z^-1 b z on the right
-            if sw.diagram.side_of(rec.event) == "left":
+            if rec.index < sw.diagram.left_count():
                 z = invert(z)
             b = product(invert(z), b, z)
         relators = [artin_letters(x[0], b, kind.twist)]
@@ -133,8 +126,9 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
     """The Wirtinger presentation of one valid sweep.  ``passed`` maps each
     event index to the obstruction records passed on the way out from L."""
     # tangencies identify their two edges only when no obstruction point
-    # stands between them and L
-    edge_gen = _edge_generators(sw, [
+    # stands between them and L; generators are numbered in order of their
+    # least edge, and edge 0 is alone in class 0
+    edge_gen = classes(sw.edge_count + 1, [
         rec.block_edges
         for rec in sw.records
         if isinstance(rec.event.kind, Tangency) and not passed[rec.index]
@@ -144,19 +138,16 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
         for rec in sw.records
         for r in _vertex_relators(sw, rec, passed[rec.index], edge_gen)
     ]
-    generators = tuple("x%d" % i for i in range(1, len(set(edge_gen.values())) + 1))
+    generators = tuple("x%d" % i for i in range(1, max(edge_gen) + 1))
     pres = Presentation(generators, tuple(relators))
     fiber = tuple("x%d" % edge_gen[r] for r in range(1, sw.diagram.d + 1))
-    edge_component = {
-        e: names[0] if names else None
+    # a generator's edges lie on one branch, so in one cluster
+    gen_comp = {
+        "x%d" % edge_gen[e]: names[0] if names else None
         for edges, _, names in sw.clusters
         for e in edges
     }
-    gen_comp: dict = {}
-    for e in range(1, sw.edge_count + 1):
-        gen_comp.setdefault("x%d" % edge_gen[e], edge_component[e])
-    crossed = {rec.index: [q.index for q in passed[rec.index]] for rec in sw.records}
-    return WirtingerResult(pres, sw, edge_gen, fiber, gen_comp, crossed)
+    return WirtingerResult(pres, sw, edge_gen, fiber, gen_comp, passed)
 
 
 def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:
@@ -289,7 +280,7 @@ def _passed_obstructions(sw: SweepResult, rec: EventRecord, inward: list[EventRe
     return out
 
 
-def _obstruction_loop(qrec: EventRecord, edge_gen: dict) -> tuple[int, ...]:
+def _obstruction_loop(qrec: EventRecord, edge_gen: list[int]) -> tuple[int, ...]:
     """The letters of the counterclockwise loop around the obstruction point
     of a one-sided vertex, in terms of the vertex's own block-side edge
     generators."""

@@ -6,12 +6,12 @@ Robertson's Tietze program (1984) stores relators.  This module alone
 decides that encoding.  Words are kept freely reduced at all times:
 adjacent letters ``x, -x`` cancel.  The empty word is the identity.
 
-The tuple helpers :func:`append_reduced`, :func:`product`, :func:`invert`,
-:func:`alternating`, :func:`alternating_factors` and
-:func:`cyclically_reduce` work on letter tuples;
-:class:`Word`'s methods, the presentation builders in :mod:`wirtlab.genpres`
-and :mod:`wirtlab.braids`, and the Tietze loop in :mod:`wirtlab.fpgroups`
-share them.
+The tuple helpers :func:`product`, :func:`invert`,
+:func:`alternating_factors` and :func:`cyclically_reduce` work on letter
+tuples; :class:`Word`'s methods, the presentation builders in
+:mod:`wirtlab.genpres` and :mod:`wirtlab.braids`, and the Tietze loop in
+:mod:`wirtlab.fpgroups` share them.  :func:`product` is the one place where
+reduced runs are joined: only their seams can cancel.
 """
 
 from __future__ import annotations
@@ -37,20 +37,10 @@ def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(stack)
 
 
-def append_reduced(out: list[Letter], run: Sequence[Letter]) -> None:
-    """Append the freely reduced ``run`` to the freely reduced ``out``,
-    keeping it reduced: only the seam between them can cancel."""
-    j, n = 0, len(run)
-    while out and j < n and out[-1] == -run[j]:
-        out.pop()
-        j += 1
-    out.extend(run[j:] if j else run)
-
-
 def product(*runs: Sequence[Letter]) -> tuple[Letter, ...]:
     """The letters of the product of the freely reduced ``runs``.  Only
-    the seams can cancel, so each is checked inline, as
-    :func:`append_reduced` does, without a call per run."""
+    the seams can cancel, so each is checked inline, without a call per
+    run."""
     out: list[Letter] = []
     for run in runs:
         if out and run and out[-1] == -run[0]:
@@ -138,34 +128,23 @@ class Word:
     def max_generator(self) -> int:
         return max(map(abs, self.letters), default=0)
 
-    def substitute(
-        self, images: dict[int, "Word"], inverses: dict[int, "Word"] | None = None
-    ) -> "Word":
+    def substitute(self, images: dict[int, "Word"]) -> "Word":
         """Replace each generator by its image word (missing ones map to
         themselves).
 
         The runs of untouched letters and the images are reduced already,
-        so they are copied whole and only the seams between them cancel.
-        ``inverses`` caches the inverted images by generator; a caller that
-        substitutes the same images into many words passes one dict, so
-        each image is inverted once."""
+        so they are joined whole in one :func:`product`, which cancels only
+        at the seams.  Each image is inverted once per call."""
         ls = self.letters
-        if inverses is None:
-            inverses = {}
-        out: list[Letter] = []
+        inverses = {g: invert(w.letters) for g, w in images.items()}
+        runs: list[tuple[Letter, ...]] = []
         start = 0
-        for i in [i for i, x in enumerate(ls) if abs(x) in images]:
-            append_reduced(out, ls[start:i])
-            x = ls[i]
-            if x > 0:
-                append_reduced(out, images[x].letters)
-            else:
-                if -x not in inverses:
-                    inverses[-x] = images[-x].inverse()
-                append_reduced(out, inverses[-x].letters)
-            start = i + 1
-        append_reduced(out, ls[start:])
-        return Word._reduced(tuple(out))
+        for i, x in enumerate(ls):
+            if abs(x) in images:
+                runs += (ls[start:i], images[x].letters if x > 0 else inverses[-x])
+                start = i + 1
+        runs.append(ls[start:])
+        return Word._reduced(product(*runs))
 
     def cyclically_reduced(self) -> "Word":
         ls = cyclically_reduce(self.letters)
@@ -173,14 +152,6 @@ class Word:
 
     def __repr__(self) -> str:
         return "Word(%s)" % format_word(self)
-
-
-def alternating(
-    a: tuple[Letter, ...], b: tuple[Letter, ...], length: int
-) -> tuple[Letter, ...]:
-    """The letters of the alternating product ``a b a b ...`` of the
-    freely reduced ``a`` and ``b``, with ``length`` factors."""
-    return product(*alternating_factors(a, b, length))
 
 
 def alternating_factors(

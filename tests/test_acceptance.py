@@ -156,7 +156,7 @@ def test_criterion_05_parabola_with_two_tangent_lines():
 
 
 def test_criterion_06_counterexample_detection():
-    facing = check_facing(load("cuspidal_cubic"))
+    facing = check_facing(sweep_ranks(load("cuspidal_cubic")))
     assert facing and all("away from L" in v for v in facing)
     assert any("cusp at x=0" in v for v in facing)
 

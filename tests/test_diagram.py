@@ -23,7 +23,6 @@ from wirtlab.diagram import (
     check_facing,
     check_theorem,
     classes,
-    event_action,
     faces,
     sweep_ranks,
     validate_wirtinger_type,
@@ -87,11 +86,10 @@ def test_event_on_line_rejected():
 
 
 def test_event_actions_on_circle():
-    d = circle_diagram()
-    left, right = d.events
+    left, right = sweep_ranks(circle_diagram()).records
     # the sweep runs outward from L, so both tangencies face L and die
-    assert event_action(d, left) == "death"
-    assert event_action(d, right) == "death"
+    assert left.action == "death"
+    assert right.action == "death"
 
 
 def test_sweep_on_circle_is_verified():
@@ -150,8 +148,9 @@ def test_tangency_extends_edge_count(corpus):
     for stem, d in corpus.items():
         w = wirtinger_presentation(d)
         edge_gen = w.edge_gen
+        assert len(edge_gen) == w.sweep.edge_count + 1, stem  # entry 0 unused
         classes = {}
-        for e, gen in edge_gen.items():
+        for e, gen in enumerate(edge_gen[1:], start=1):
             classes.setdefault(gen, []).append(e)
         classes = [tuple(sorted(v)) for v in classes.values()]
         tangencies = sum(1 for e in d.events if isinstance(e.kind, Tangency))
@@ -163,7 +162,7 @@ def test_tangency_extends_edge_count(corpus):
             if isinstance(r.event.kind, Tangency)
         ]
         assert len(merges) == tangencies, stem
-        parent = {e: e for e in edge_gen}
+        parent = {e: e for e in range(1, len(edge_gen))}
 
         def find(x):
             while parent[x] != x:
@@ -173,7 +172,7 @@ def test_tangency_extends_edge_count(corpus):
         for a, b in merges:
             parent[find(a)] = find(b)
         groups = {}
-        for e in edge_gen:
+        for e in parent:
             groups.setdefault(find(e), []).append(e)
         rebuilt = sorted(tuple(sorted(v)) for v in groups.values())
         assert rebuilt == sorted(classes), stem
@@ -244,10 +243,29 @@ def test_classes_match_a_breadth_first_search(monkeypatch):
         cases.append((n, pairs))
     long = long_classes_inputs(monkeypatch)
     assert sorted(long) == [
-        "_edge_generators", "_euler_and_connectivity", "faces", "sweep_ranks",
+        "_euler_and_connectivity", "_presentation", "faces", "sweep_ranks",
     ]
     for n, pairs in cases + list(long.values()):
         assert classes(n, pairs) == breadth_first_labels(n, pairs), (n, pairs)
+
+
+def test_connectivity_hands_classes_each_link_once(monkeypatch):
+    # a fragment in B links its two bounding strand tokens again in every
+    # slab they share: thousands of pairs over a dozen tokens on the
+    # benchmark's 12 x 300 long diagram if they were not a set
+    seen = []
+
+    def record(n, pairs):
+        pairs = list(pairs)
+        if sys._getframe(1).f_code.co_name == "_euler_and_connectivity":
+            seen.append(pairs)
+        return classes(n, pairs)
+
+    monkeypatch.setattr(diagram_module, "classes", record)
+    report = auto_region_B(sweep_ranks(big_diagrams()["big_long_12_300"]))
+    [pairs] = seen
+    assert report.connected
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_euler_characteristic_on_corpus(corpus):
@@ -282,7 +300,7 @@ def test_oval_inside_circle_is_joined_through_its_face():
 def test_facing_verdicts_on_corpus(corpus):
     facing_bad = {"cuspidal_cubic", "smooth_cubic"}
     for stem, d in corpus.items():
-        violations = check_facing(d)
+        violations = check_facing(sweep_ranks(d))
         assert bool(violations) == (stem in facing_bad), (stem, violations)
 
 
@@ -518,10 +536,10 @@ def test_region_is_pinned(name):
 
 # Fraction comparisons (a < b) made by one check_theorem, wirtinger_presentation
 # and extended_wirtinger on the benchmark's 302-event long diagram: the three
-# sweeps, faces, region B and the extended method's outward runs each bisect
-# the events for L's place, and only one-sided events compare their own x
-# with L's.  A comparison per event and per record made 1520.
-LONG_FRACTION_COMPARISONS = 56
+# sweeps, faces and region B each bisect the events for L's place, and no
+# event compares its own x with L's: the sweep records each event's action.
+# A comparison per event and per record made 1520.
+LONG_FRACTION_COMPARISONS = 48
 
 
 def fraction_comparisons(monkeypatch) -> int:

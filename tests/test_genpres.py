@@ -175,7 +175,7 @@ def straddles_a_dead_pair(sw) -> bool:
     """The fiber-slot walk of a birth-free sweep: a death's strand pair
     leaves the real plane but keeps its fiber positions, so a later block
     on that side straddles it when its positions are not adjacent."""
-    n_left = sum(sw.diagram.side_of(rec.event) == "left" for rec in sw.records)
+    n_left = sw.diagram.left_count()
     for run in (sw.records[:n_left][::-1], sw.records[n_left:]):  # from L outward
         positions = list(range(1, sw.diagram.d + 1))  # fiber position of each live strand
         for rec in run:
@@ -267,7 +267,7 @@ def expanded_meridian_words(sw) -> dict:
     """The meridian sweep with each inverse half local braid expanded
     letter by letter and the near words substituted into its images."""
     words = {r: Word.gen(r) for r in range(1, sw.diagram.d + 1)}  # rank r has edge r
-    n_left = sum(sw.diagram.side_of(rec.event) == "left" for rec in sw.records)
+    n_left = sw.diagram.left_count()
     for run in (sw.records[:n_left][::-1], sw.records[n_left:]):
         for rec in run:
             if rec.action == "through":
@@ -379,7 +379,7 @@ def hand_written_vertex_relators(sw, rec, crossed, edge_gen) -> list[tuple[int, 
             z = Word()
             for qrec in crossed:
                 z = z * Word(genpres._obstruction_loop(qrec, edge_gen))
-            left = sw.diagram.side_of(rec.event) == "left"
+            left = rec.index < sw.diagram.left_count()
             b = b.conjugated_by(z.inverse() if left else z)
         relators.append(artin_relator(x[0], b, kind.twist))
         if rec.action == "through":

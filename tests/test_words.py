@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from wirtlab import fpgroups
 from wirtlab.fpgroups import artin_letters
 from wirtlab.words import (
-    Word, alternating, alternating_factors, format_word, free_reduce, invert, product,
+    Word, alternating_factors, format_word, free_reduce, invert, product,
 )
 
 
@@ -76,11 +77,11 @@ def test_cyclic_reduction_strips_conjugating_prefix():
 
 def test_alternating_products():
     x, y = Word.gen(1), Word.gen(2)
-    assert alternating(x.letters, y.letters, 3) == (x * y * x).letters
-    assert alternating(y.letters, x.letters, 4) == (y * x * y * x).letters
+    assert product(*alternating_factors(x.letters, y.letters, 3)) == (x * y * x).letters
+    assert product(*alternating_factors(y.letters, x.letters, 4)) == (y * x * y * x).letters
     # the factors are reduced, and only their seams cancel
-    assert alternating((1, 2), (-2, 3), 3) == (1, 3, 1, 2)
-    assert alternating((1,), (2,), 0) == ()
+    assert product(*alternating_factors((1, 2), (-2, 3), 3)) == (1, 3, 1, 2)
+    assert product(*alternating_factors((1,), (2,), 0)) == ()
 
 
 def test_product_equals_free_reduction_of_the_concatenated_runs():
@@ -115,7 +116,7 @@ def test_alternating_products_and_artin_letters_match_word_products(length):
         assert alternating_factors(a.letters, b.letters, length) == tuple(
             (b if i % 2 else a).letters for i in range(length)
         )
-        assert alternating(a.letters, b.letters, length) == ab.letters, (a, b)
+        assert product(*alternating_factors(a.letters, b.letters, length)) == ab.letters, (a, b)
         assert artin_letters(a.letters, b.letters, length) == (ab * ba.inverse()).letters, (a, b)
 
 
@@ -171,6 +172,67 @@ def test_substitute_cancels_across_seams():
         assert w.substitute(images).letters == Word(naive).letters, (w, images)
         n = rng.randint(0, 4)
         assert (w ** n).letters == free_reduce(ls * n)
+
+
+def letter_by_letter(t, images) -> tuple[int, ...]:
+    """``t`` with each letter replaced by its image or its image's
+    inverse, then freely reduced as a whole."""
+    out = []
+    for x in t:
+        image = images.get(abs(x), (abs(x),))
+        out.extend(image if x > 0 else invert(image))
+    return free_reduce(out)
+
+
+def seam_image(rng, t, g, shape) -> tuple[int, ...]:
+    """An image for x_g built against the letters of ``t`` around one
+    occurrence of x_g or x_g^-1 (oriented as x_g): ``before`` undoes a
+    piece of the run before it, ``after`` a piece of the run after it,
+    ``whole`` the whole run back to the previous occurrence, ``empty`` is
+    the identity and ``random`` is unrelated to ``t``."""
+    tail = random_word(rng, 4, rng.randint(0, 2)).letters
+    spots = [i for i, x in enumerate(t) if abs(x) == g]
+    if shape == "empty":
+        return ()
+    if shape == "random" or not spots:
+        return random_word(rng, 4, rng.randint(1, 4)).letters
+    i = rng.choice(spots)
+    if shape == "before":
+        image = invert(t[max(0, i - rng.randint(1, 4)) : i]) + tail
+    elif shape == "after":
+        image = tail + invert(t[i + 1 : i + 1 + rng.randint(1, 4)])
+    else:
+        prev = max((j for j in spots if j < i), default=-1)
+        image = invert(t[prev + 1 : i])
+    image = free_reduce(image)
+    return image if t[i] > 0 else invert(image)
+
+
+SEAM_SHAPES = ("before", "after", "whole", "empty", "random")
+
+
+def test_one_product_substitution_matches_letter_by_letter_replacement():
+    # x1 -> x2^-1 x3^-1 cancels the whole run x3 x2 before it; its inverse
+    # x3 x2 cancels the whole run x2^-1 x3^-1 after x1^-1
+    t = (3, 2, 1, 4, -1, -2, -3)
+    assert fpgroups._substitute(t, 1, (-2, -3), (3, 2)) == (4,)
+    assert Word(t).substitute({1: Word((-2, -3))}).letters == (4,)
+
+    rng = random.Random(3701)
+    for _ in range(600):
+        t = random_word(rng, 4, rng.randint(0, 16)).letters
+        g = rng.randint(1, 4)
+        image = seam_image(rng, t, g, rng.choice(SEAM_SHAPES))
+        expected = letter_by_letter(t, {g: image})
+        assert fpgroups._substitute(t, g, image, invert(image)) == expected, (t, g, image)
+        assert Word(t).substitute({g: Word(image)}).letters == expected, (t, g, image)
+        # several images at once, each built against t
+        images = {
+            h: seam_image(rng, t, h, rng.choice(SEAM_SHAPES))
+            for h in rng.sample(range(1, 5), rng.randint(2, 4))
+        }
+        words = {h: Word(image) for h, image in images.items()}
+        assert Word(t).substitute(words).letters == letter_by_letter(t, images), (t, images)
 
 
 def test_words_are_immutable():
