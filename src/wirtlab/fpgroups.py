@@ -220,9 +220,8 @@ def _substitute(
     return product(*runs)
 
 
-def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove) -> list[int]:
-    """Apply one move to ``rels``; ``gone`` holds the eliminated generators.
-    Returns the indices of the relators that a IIa move rewrote."""
+def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove) -> None:
+    """Apply one move to ``rels``; ``gone`` holds the eliminated generators."""
     if move.kind == "I" and move.action in ("reduce", "delete"):
         if not 0 <= move.index < len(rels) or (
             move.action == "reduce" and move.word != rels[move.index].cyclically_reduced()
@@ -232,22 +231,19 @@ def _apply_move(n_gens: int, gone: set[int], rels: list[Word], move: TietzeMove)
             rels[move.index] = move.word
         else:
             del rels[move.index]
-        return []
-    if move.kind == "IIa" and move.action == "eliminate":
+    elif move.kind == "IIa" and move.action == "eliminate":
         k = move.index
         if not 1 <= k <= n_gens or k in gone or any(
             abs(x) == k or abs(x) in gone or abs(x) > n_gens for x in move.word
         ):
             raise ValueError("%r is not a IIa move on the remaining generators" % (move,))
         images = {k: move.word}
-        rewritten = []
         for i, r in enumerate(rels):
             if k in r.letters or -k in r.letters:
                 rels[i] = r.substitute(images)
-                rewritten.append(i)
         gone.add(k)
-        return rewritten
-    raise ValueError("unsupported Tietze move %r/%r" % (move.kind, move.action))
+    else:
+        raise ValueError("unsupported Tietze move %r/%r" % (move.kind, move.action))
 
 
 def _renumber(
@@ -307,7 +303,9 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, TietzeTranscript]:
     shape, generator counts, once-occurring generators and cyclic key share
     one cache entry, kept until a move rewrites the relator, and one running
     total of occurrences per generator is updated as entries are computed
-    and dropped, so a move costs about what it changed.
+    and dropped, so only a rewritten relator's facts are recomputed; the
+    duplicate pass and the candidate scan still visit every relator after
+    each move (ROADMAP item 22).
 
     The loop works on each relator's letter tuple, so counting, searching
     and cancelling letters are operations on ints, with the tuple helpers
@@ -440,7 +438,8 @@ def braid_relator(a: Word, b: Word) -> Word:
 
 
 def commutator(a: Word, b: Word) -> Word:
-    return a * b * a.inverse() * b.inverse()
+    """a b a^-1 b^-1, the Artin relator of length 2."""
+    return artin_relator(a, b, 2)
 
 
 def artin_from_graph(
@@ -454,16 +453,12 @@ def artin_from_graph(
         if a not in verts or b not in verts or a == b:
             raise ValueError("edge (%r, %r) is not between distinct vertices" % (a, b))
         edge_set.add(frozenset((a, b)))
-    rels = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            a = Word.gen(i + 1)
-            b = Word.gen(j + 1)
-            if frozenset((verts[i], verts[j])) in edge_set:
-                rels.append(braid_relator(a, b))
-            else:
-                rels.append(commutator(a, b))
-    return Presentation(tuple(verts), tuple(rels))
+    rels = [
+        artin_letters((i,), (j,), 3 if frozenset((a, b)) in edge_set else 2)
+        for i, a in enumerate(verts, start=1)
+        for j, b in enumerate(verts[i:], start=i + 1)
+    ]
+    return Presentation(tuple(verts), tuple(map(Word._reduced, rels)))
 
 
 def ngon_artin(n: int) -> Presentation:
@@ -498,23 +493,16 @@ def ngon_semidirect(k: int) -> Presentation:
     if k < 2:
         raise ValueError("need k >= 2")
     gens = ["t"] + ["x%d" % j for j in range(k)]
-    t = Word.gen(1)
-
-    def x(j: int) -> Word:
-        return Word.gen(j + 2)
-
-    rels: list[Word] = [t * t, commutator(t, x(0))]
-    for j in range(k - 1):
-        rels.append(braid_relator(x(j), x(j + 1)))
-    rels.append((x(k - 1) * t) ** 3 * ((t * x(k - 1)) ** 3).inverse())
-    for j in range(2, k):
-        rels.append(commutator(x(0), x(j)))
-    for i in range(1, k):
-        for j in range(i + 2, k):
-            rels.append(commutator(x(i), x(j)))
-    for i in range(1, k):
-        for j in range(i, k):
-            if (i, j) == (k - 1, k - 1):
-                continue
-            rels.append(commutator(x(i), t * x(j) * t))
-    return Presentation(tuple(gens), tuple(rels))
+    # t is letter 1 and x_j letter j + 2; every relator after t^2 is the
+    # Artin relator of a triple (a, b, length), and the two commutator
+    # families [x_i, x_j], j - i > 1, are one range of i from 0
+    triples = [((1,), (2,), 2)]
+    triples += [((j + 2,), (j + 3,), 3) for j in range(k - 1)]
+    triples.append(((k + 1,), (1,), 6))
+    triples += [((i + 2,), (j + 2,), 2) for i in range(k) for j in range(i + 2, k)]
+    triples += [
+        ((i + 2,), (1, j + 2, 1), 2)
+        for i in range(1, k) for j in range(i, k) if (i, j) != (k - 1, k - 1)
+    ]
+    rels = [(1, 1)] + [artin_letters(*triple) for triple in triples]
+    return Presentation(tuple(gens), tuple(map(Word._reduced, rels)))

@@ -77,10 +77,9 @@ def _require_valid(sw: SweepResult) -> None:
 class WirtingerResult:
     presentation: Presentation
     sweep: SweepResult
-    # generator index (1-based) of each extended edge id; entry 0 is unused
+    # generator index (1-based) of each extended edge id, entry 0 unused;
+    # the rank-r strand at L has edge r, its component named in sweep.clusters
     edge_gen: list[int]
-    fiber_generators: tuple[str, ...]  # generator name per rank, top to bottom
-    generator_components: dict  # generator name -> component name or None
     passed: dict  # event index -> the records of the obstruction events passed
 
 
@@ -139,15 +138,7 @@ def _presentation(sw: SweepResult, passed: dict) -> WirtingerResult:
         for r in _vertex_relators(sw, rec, passed[rec.index], edge_gen)
     ]
     generators = tuple("x%d" % i for i in range(1, max(edge_gen) + 1))
-    pres = Presentation(generators, tuple(relators))
-    fiber = tuple("x%d" % edge_gen[r] for r in range(1, sw.diagram.d + 1))
-    # a generator's edges lie on one branch, so in one cluster
-    gen_comp = {
-        "x%d" % edge_gen[e]: names[0] if names else None
-        for edges, _, names in sw.clusters
-        for e in edges
-    }
-    return WirtingerResult(pres, sw, edge_gen, fiber, gen_comp, passed)
+    return WirtingerResult(Presentation(generators, tuple(relators)), sw, edge_gen, passed)
 
 
 def wirtinger_presentation(diagram: CurveDiagram) -> WirtingerResult:

@@ -500,11 +500,11 @@ def orbifold_presentation(k: int) -> Presentation:
     every line-component generator killed (the orbifold group of the
     double cover branched along the line)."""
     wr = wirtinger_presentation(quotient_diagram(k))
-    relators = list(wr.presentation.relators)
-    for idx, gen_name in enumerate(wr.presentation.generators, start=1):
-        if wr.generator_components.get(gen_name) == "l":
-            relators.append(Word.gen(idx) ** 2)
-    return Presentation(wr.presentation.generators, tuple(relators))
+    # a generator's edges lie on one branch, so in one cluster
+    line = {
+        wr.edge_gen[e] for edges, _, names in wr.sweep.clusters if names == ("l",) for e in edges
+    }
+    return wr.presentation.add_relators(Word._reduced((g, g)) for g in sorted(line))
 
 
 @dataclass

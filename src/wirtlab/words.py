@@ -9,8 +9,8 @@ adjacent letters ``x, -x`` cancel.  The empty word is the identity.
 The tuple helpers :func:`product`, :func:`invert`,
 :func:`alternating_factors` and :func:`cyclically_reduce` work on letter
 tuples; :class:`Word`'s methods, the presentation builders in
-:mod:`wirtlab.genpres` and :mod:`wirtlab.braids`, and the Tietze loop in
-:mod:`wirtlab.fpgroups` share them.  :func:`product` is the one place where
+:mod:`wirtlab.genpres` and :mod:`wirtlab.braids`, and the Tietze loop and
+Artin builders in :mod:`wirtlab.fpgroups` share them.  :func:`product` is the one place where
 reduced runs are joined: only their seams can cancel.
 """
 

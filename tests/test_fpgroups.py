@@ -226,6 +226,73 @@ def test_ngon_semidirect_rejects_bad_k():
         ngon_semidirect(1)
 
 
+def word_commutator(a: Word, b: Word) -> Word:
+    return a * b * a.inverse() * b.inverse()
+
+
+def word_ngon_semidirect(k: int) -> Presentation:
+    """``ngon_semidirect(k)`` by Word arithmetic, from its docstring's list
+    of relations in order."""
+    t = Word.gen(1)
+    x = [Word.gen(j + 2) for j in range(k)]
+    rels = [t * t, word_commutator(t, x[0])]
+    rels += [x[j] * x[j + 1] * x[j] * (x[j + 1] * x[j] * x[j + 1]).inverse() for j in range(k - 1)]
+    rels.append((x[k - 1] * t) ** 3 * ((t * x[k - 1]) ** 3).inverse())
+    rels += [word_commutator(x[0], x[j]) for j in range(2, k)]
+    rels += [word_commutator(x[i], x[j]) for i in range(1, k) for j in range(i + 2, k)]
+    rels += [
+        word_commutator(x[i], t * x[j] * t)
+        for i in range(1, k) for j in range(i, k) if (i, j) != (k - 1, k - 1)
+    ]
+    return Presentation(("t",) + tuple("x%d" % j for j in range(k)), tuple(rels))
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_ngon_semidirect_matches_its_relations_by_word_arithmetic(k):
+    assert ngon_semidirect(k).to_json() == word_ngon_semidirect(k).to_json()
+
+
+def word_artin_from_graph(vertices, edges) -> Presentation:
+    """``artin_from_graph`` by Word arithmetic: a b a (b a b)^-1 on an
+    edge, [a, b] off the edges, one relator per pair in order."""
+    edge_set = {frozenset(e) for e in edges}
+    rels = []
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            a, b = Word.gen(i + 1), Word.gen(j + 1)
+            if frozenset((vertices[i], vertices[j])) in edge_set:
+                rels.append(a * b * a * (b * a * b).inverse())
+            else:
+                rels.append(word_commutator(a, b))
+    return Presentation(tuple(vertices), tuple(rels))
+
+
+def seeded_graphs():
+    """The 1-vertex graph, an edgeless one, a complete one and seeded
+    random graphs, with shuffled and repeated edges."""
+    rng = random.Random(2017)
+    graphs = [(["v"], []), (["a", "b", "c", "d"], []), (["p", "q", "r"], [("p", "q"), ("q", "r"), ("r", "p")])]
+    for _ in range(40):
+        vs = ["v%d" % i for i in range(rng.randint(1, 8))]
+        es = [(a, b) for a in vs for b in vs if a < b and rng.random() < 0.4]
+        es += [(b, a) for a, b in rng.sample(es, len(es) // 3)]
+        rng.shuffle(es)
+        graphs.append((vs, es))
+    return graphs
+
+
+def test_artin_from_graph_matches_word_arithmetic_on_seeded_graphs():
+    for vs, es in seeded_graphs():
+        assert artin_from_graph(vs, es).to_json() == word_artin_from_graph(vs, es).to_json(), (vs, es)
+
+
+def test_commutator_matches_word_arithmetic_on_seeded_words():
+    rng = random.Random(38)
+    for _ in range(200):
+        a, b = (Word(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(rng.randint(0, 6))) for _ in "ab")
+        assert commutator(a, b).letters == word_commutator(a, b).letters, (a, b)
+
+
 def all_rotations_key(w: Word) -> tuple:
     """Least rotation of the letters of the cyclic reduction of w or of its
     inverse, taken over every rotation."""

@@ -71,11 +71,14 @@ def test_smooth_cubic_group_is_free_of_component_rank():
     assert not q.relators and len(q.generators) == 2
 
 
-def test_generator_components_cover_fiber():
+def test_fiber_clusters_cover_the_components():
+    """The rank-r strand at L has edge r, so the clusters holding edges
+    1..d, one cluster each, name every component."""
     res = wirtinger_presentation(load("parabola_two_lines"))
-    assert len(res.fiber_generators) == res.sweep.diagram.d
-    comps = {res.generator_components[g] for g in res.fiber_generators}
-    assert comps == {"p", "l1", "l2"}
+    d = res.sweep.diagram.d
+    fiber = [names for edges, _, names in res.sweep.clusters for e in edges if e <= d]
+    assert len(fiber) == d
+    assert {name for names in fiber for name in names} == {"p", "l1", "l2"}
 
 
 def test_meridian_words_are_meridians():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from wirtlab.diagram import Crossing, Cusp, check_theorem, sweep_ranks
 from wirtlab import hypocycloid
 from wirtlab.dsl import serialize_diagram
+from wirtlab.genpres import wirtinger_presentation
 from wirtlab.hypocycloid import (
     LINE,
     HypoParams,
@@ -109,6 +111,9 @@ def test_quotient_diagram_refuses_from_k_1415_before_tracing(monkeypatch):
 
 # md5 of `hypo-diagram --k K` concatenated over K = 2..11
 HYPO_DIAGRAM_MD5 = "2d877d39b9c27862ac8cd166de1e49eb"
+# md5 of the sorted-key JSON of orbifold_presentation(k), k = 2..11, one
+# line each, joined by newlines
+ORBIFOLD_MD5 = "b9f6baafd26a8ca733e862bbc8324d74"
 
 
 def kind_census(tr) -> Counter:
@@ -207,6 +212,33 @@ def test_orbifold_presentation_adds_involution_relators():
     pres = orbifold_presentation(2)
     squares = [r for r in pres.relators if len(r) == 2 and r.letters[0] == r.letters[1]]
     assert squares, "expected generator-squared relators for the line component"
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_orbifold_squares_are_the_line_clusters_generators(k):
+    """The relators appended to the Wirtinger presentation are (g, g) for
+    the generators of the line's cluster, found here from the line's rank
+    at L (the rank-r strand at L has edge r), in increasing order."""
+    wr = wirtinger_presentation(quotient_diagram(k))
+    rank = wr.sweep.diagram.components.index("l") + 1
+    (edges, names), = [(edges, names) for edges, _, names in wr.sweep.clusters if rank in edges]
+    assert names == ("l",)
+    pres = orbifold_presentation(k)
+    n = len(wr.presentation.relators)
+    assert pres.generators == wr.presentation.generators
+    assert pres.relators[:n] == wr.presentation.relators
+    assert [r.letters for r in pres.relators[n:]] == [(g, g) for g in sorted({wr.edge_gen[e] for e in edges})]
+
+
+def orbifold_md5() -> str:
+    text = "\n".join(
+        json.dumps(orbifold_presentation(k).to_json(), sort_keys=True) for k in range(2, 12)
+    )
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+def test_orbifold_presentations_are_pinned():
+    assert orbifold_md5() == ORBIFOLD_MD5
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8, 9, 10, 11])
@@ -620,12 +652,13 @@ def test_a_diagram_failing_the_theorem_is_refused(monkeypatch):
 
 
 if __name__ == "__main__":
-    # Print HYPO_DIAGRAM_MD5, the per-k kind census of trace_quotient, and
+    # Print HYPO_DIAGRAM_MD5, ORBIFOLD_MD5, the per-k kind census of trace_quotient, and
     # the per-k x(t) + x'(t) evaluations and fiber solves of quotient_diagram
     # (the TRACING_EVALUATIONS pins) as computed by the wirtlab on the import
     # path; run from the repository root as
     # PYTHONPATH=<checkout>/src python -m tests.test_hypocycloid
     print('HYPO_DIAGRAM_MD5 = "%s"' % hypo_diagram_md5())
+    print('ORBIFOLD_MD5 = "%s"' % orbifold_md5())
     for k in range(2, 12):
         census = kind_census(trace_quotient(k))
         mark = "" if census == expected_census(k) else "  # expected %s" % dict(expected_census(k))
