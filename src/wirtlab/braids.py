@@ -150,22 +150,20 @@ def twist_images(
     letter tuples: with P = w_m ... w_1 and k = 2q + r (floor division,
     r in {0, 1}), w_i goes to P^q D_r(w_i) P^-q, where D_0(w_i) = w_i and
     D_1(w_i) = Q_i w_(m+1-i) Q_i^-1 with Q_i = w_m ... w_(m+2-i), the
-    product of P's first i - 1 factors.  It equals
-    ``braid_images(half_twist(m) ** k)`` with the words substituted."""
-    if k == 0:
-        return tuple(words)
+    product of P's first i - 1 factors.  An odd power walks P's factors
+    once, building each Q_i on the way; an even power builds P alone.  It
+    equals ``braid_images(half_twist(m) ** k)`` with the words substituted."""
     q, r = divmod(k, 2)
-    prefixes = [()]  # Q_1 .. Q_(m+1) = P
-    for w in reversed(words):
-        prefixes.append(product(prefixes[-1], w))
+    images = list(words)
     if r:
-        images = [
-            product(q_i, w, invert(q_i)) for q_i, w in zip(prefixes, reversed(words))
-        ]
-    else:
-        images = list(words)
+        images, p = [], ()  # p runs through Q_1 .. Q_m and ends as P
+        for w in reversed(words):
+            images.append(product(p, w, invert(p)))
+            p = product(p, w)
+    elif q:
+        p = product(*reversed(words))
     if q:
-        p = prefixes[-1] if q > 0 else invert(prefixes[-1])
+        p = p if q > 0 else invert(p)
         pq = product(*[p] * abs(q))
         pq_inv = invert(pq)
         images = [product(pq, w, pq_inv) for w in images]

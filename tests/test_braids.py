@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from wirtlab import braids
 from wirtlab.braids import Braid, braid_act, braid_images, half_twist, twist_images
 from wirtlab.diagram import Crossing, Cusp, Ordinary, Tangency
 from wirtlab.genpres import local_braid
-from wirtlab.words import Word
+from wirtlab.words import Word, product
 
 
 def random_braid(rng, n, length):
@@ -133,6 +134,34 @@ def test_twist_images_match_the_expanded_half_twist():
             for _ in range(3):
                 words = [random_word(rng, m + 2, rng.randint(0, 6)) for _ in range(m)]
                 assert twisted(words, k) == substituted(expanded, words), (m, k)
+
+
+def test_twist_images_build_prefixes_only_for_odd_powers(monkeypatch):
+    """Work count, no timing: an odd power walks P's m factors once (2m
+    products for Delta, plus P^q and m conjugations for other odd k); an
+    even power builds P alone, then P^q and m conjugations."""
+    products = 0
+
+    def counted(*runs):
+        nonlocal products
+        products += 1
+        return product(*runs)
+
+    monkeypatch.setattr(braids, "product", counted)
+    for m in range(2, 11):
+        words = [(i,) for i in range(1, m + 1)]
+        for k in range(-7, 8):
+            products = 0
+            twist_images(words, k)
+            if k == 0:
+                expected = 0
+            elif k == 1:
+                expected = 2 * m
+            elif k % 2 == 0:
+                expected = m + 2
+            else:
+                expected = 3 * m + 1
+            assert products == expected, (m, k)
 
 
 @pytest.mark.parametrize(

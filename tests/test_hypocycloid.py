@@ -392,6 +392,17 @@ def test_solve_refuses_a_bracket_without_a_sign_change():
         _solve(lambda t: (t - 0.5) ** 2 + 1e-3, lambda t: 2 * (t - 0.5), 0.0, 1.0, "probe")
 
 
+def test_solve_refuses_after_its_step_limit(monkeypatch):
+    # with no stop width no interval certifies a root, so the solve runs out
+    # of steps around sqrt(2) instead of returning an uncertified point
+    monkeypatch.setattr(hypocycloid, "_ROOT_WIDTH", 0.0)
+    with pytest.raises(
+        TracingError,
+        match=r"^probe: no certified root in \[1\.4142135623730949, 1\.4142135623730951\] after 200 steps$",
+    ):
+        _solve(lambda t: t * t - 2, lambda t: 2 * t, 1.0, 2.0, "probe")
+
+
 def test_solve_returns_a_root_at_a_bracket_end_as_is():
     for a, b in ((0.25, 1.0), (-1.0, 0.25), (1.0, 0.25)):
         r, evals = _recorded_solve(lambda t: t - 0.25, lambda t: 1.0, a, b)

@@ -26,6 +26,12 @@ def test_words_refuse_letters_that_are_not_nonzero_ints(letter):
         Word([1, letter])
 
 
+@pytest.mark.parametrize("i", [0, -1])
+def test_gen_refuses_indices_below_one(i):
+    with pytest.raises(ValueError, match=r"^generator indices start at 1, got %d$" % i):
+        Word.gen(i)
+
+
 def test_group_laws_hold_on_random_words():
     rng = random.Random(20240817)
     for _ in range(300):
